@@ -115,17 +115,17 @@ def _load_config(path):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
     kwargs = {}
-    for key, val in raw.items():
-        if key in ("d", "k"):
-            continue
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        conv = _CONFIG_FIELDS[key]
-        kwargs[key] = conv(val) if conv else val
     try:
+        for key, val in raw.items():
+            if key in ("d", "k"):
+                continue
+            if key not in _CONFIG_FIELDS:
+                raise ConfigError(f"unknown config key {key!r}")
+            conv = _CONFIG_FIELDS[key]
+            kwargs[key] = conv(val) if conv else val
         params = ModelParams(d=float(raw["d"]), k=int(raw["k"]))
         return meshsim.SimConfig(params=params, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
 

@@ -26,6 +26,7 @@ law from the trace.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -84,12 +85,26 @@ class SimConfig:
             raise ValueError("M must be >= 64")
         if self.max_gradient < 1e6:
             raise ValueError("max_gradient must be >= 1e6")
+        # written as "not > 0" so that NaN is rejected too
+        for name in ("tau", "rtol", "t_max", "snapshot_decades"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.uniform_fraction >= 0:
+            raise ValueError("uniform_fraction must be non-negative")
 
     def to_dict(self):
+        if isinstance(self.initial_data, str):
+            initial_data = self.initial_data
+        else:
+            # the table's digest, so that different tables hash apart
+            digest = hashlib.sha256()
+            for a in self.initial_data:
+                a = np.ascontiguousarray(a, dtype=float)
+                digest.update(repr(a.shape).encode() + a.tobytes())
+            initial_data = f"tabulated:{digest.hexdigest()[:16]}"
         out = {
             "d": self.params.d, "k": self.params.k, "L": self.L, "M": self.M,
-            "initial_data": self.initial_data if isinstance(self.initial_data, str)
-            else "tabulated",
+            "initial_data": initial_data,
             "monitor_alpha": self.monitor_alpha,
             "monitor_scale_weight": self.monitor_scale_weight,
             "monitor_smooth_passes": self.monitor_smooth_passes,
@@ -184,11 +199,14 @@ class FitResult:
 
 # ----------------------------------------------------------------------------
 # spatial discretization helpers
+#
+# The helpers below take nodal arrays of shape (M,) or a block of states
+# (M, m), one state per column, and work along axis 0.
 
 def _gradients(r, u):
     """Midpoint gradients and the one-sided origin gradient."""
-    dr = np.diff(r)
-    gmid = np.diff(u) / dr
+    dr = np.diff(r, axis=0)
+    gmid = np.diff(u, axis=0) / dr
     r1, r2 = r[1], r[2]
     u1, u2 = u[1], u[2]
     g0 = (u1 * r2 * r2 - u2 * r1 * r1) / (r1 * r2 * (r2 - r1))
@@ -218,7 +236,7 @@ def _monitor(config, r, u):
         sm[0] = 0.75 * m[0] + 0.25 * m[1]
         sm[-1] = 0.75 * m[-1] + 0.25 * m[-2]
         m = sm
-    mass = float(np.sum(m * np.diff(r)))
+    mass = np.sum(m * np.diff(r, axis=0), axis=0)
     m = m + config.uniform_fraction * mass / config.L
     return m
 
@@ -254,9 +272,9 @@ def _mesh_rhs(config, r, u, gain):
     relaxation moves mass between distant mesh regions slower by the square
     of the node count and starves a collapsing layer of nodes."""
     m = _monitor(config, r, u)
-    c = m * np.diff(r)               # per-cell monitor mass
+    c = m * np.diff(r, axis=0)       # per-cell monitor mass
     rhs = gain * (c[1:] - c[:-1])
-    n = rhs.size
+    n = rhs.shape[0]
     ab = np.empty((2, n))
     ab[0, :] = -1.0                  # superdiagonal of tridiag(-1, 2, -1)
     ab[1, :] = 2.0
@@ -323,9 +341,12 @@ def _pack(state):
 
 
 def _unpack(config, y, uL):
+    """Nodal (r, u) from a packed state (2n,) or a block of states (2n, m)."""
     n = config.M - 2
-    u = np.concatenate([[0.0], y[:n], [uL]])
-    r = np.concatenate([[0.0], y[n:], [config.L]])
+    r = np.empty((n + 2,) + y.shape[1:])
+    u = np.empty_like(r)
+    u[0], u[1:-1], u[-1] = 0.0, y[:n], uL
+    r[0], r[1:-1], r[-1] = 0.0, y[n:], config.L
     return r, u
 
 
@@ -363,8 +384,9 @@ def _new_solver(config, state, gain, t_bound):
     spacing = np.diff(state.r)
     local = np.minimum(spacing[:-1], spacing[1:])
     atol[n:] = config.atol_r_rel * local
-    # the inverse-Laplacian mesh velocity couples every node pair, so the
-    # Jacobian is treated as dense
+    # the RHS is vectorized, so each finite-difference Jacobian comes from
+    # one batched call; the inverse-Laplacian mesh velocity couples every
+    # node pair, so that Jacobian is still dense
     return BDF(
         _make_rhs(config, state.u[-1], gain),
         state.t,
@@ -372,6 +394,7 @@ def _new_solver(config, state, gain, t_bound):
         t_bound=t_bound,
         rtol=config.rtol,
         atol=atol,
+        vectorized=True,
     )
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from blowuplab import cli
+from blowuplab.meshsim import SimConfig
+from blowuplab.params import ModelParams
 
 
 def write_config(path, **overrides):
@@ -65,7 +67,25 @@ def test_simulate_malformed_configs(tmp_path, capsys):
     garbled.write_text("{not json")
     assert cli.main(["simulate", "--config", str(garbled),
                      "--out", str(tmp_path)]) == 2
+
+    for bad in ('{"d": 8, "k": 1, "M": "abc"}', '{"d": 8, "k": 1, "M": 1e400}',
+                '{"d": 8, "k": 1, "rtol": 0}',
+                '{"d": 8, "k": 1, "snapshot_decades": 0}'):
+        path = tmp_path / "bad.json"
+        path.write_text(bad)
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path)]) == 2, bad
     capsys.readouterr()
+
+
+def test_tabulated_configs_hash_apart():
+    r = np.linspace(0.0, 2.0, 11)
+    params = ModelParams(d=8, k=1)
+    same = SimConfig(params=params, initial_data=(r, r))
+    other = SimConfig(params=params, initial_data=(r, np.sin(r)))
+    assert cli._config_hash(same) != cli._config_hash(other)
+    assert cli._config_hash(same) == cli._config_hash(
+        SimConfig(params=params, initial_data=(r.copy(), r.copy())))
 
 
 def test_run_directory_layout(run_dir):

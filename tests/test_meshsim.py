@@ -41,6 +41,12 @@ def test_config_validation():
         config(M=32)
     with pytest.raises(ValueError):
         config(max_gradient=1e5)
+    for bad in ({"rtol": 0.0}, {"rtol": -1e-6}, {"tau": 0.0},
+                {"t_max": -1.0}, {"t_max": 0.0}, {"uniform_fraction": -0.5},
+                {"snapshot_decades": 0.0}, {"tau": math.nan}):
+        with pytest.raises(ValueError):
+            config(**bad)
+    config(uniform_fraction=0.0)
 
 
 def test_initialize_identity_family():
@@ -116,6 +122,21 @@ def test_mesh_velocity_vanishes_at_equidistribution():
     u = np.zeros(101)
     rdot = meshsim._mesh_rhs(cfg, r, u, gain=1.0)
     assert np.max(np.abs(rdot)) < 1e-12
+
+
+def test_rhs_batched_matches_single_columns():
+    cfg = config(M=121)
+    state = initialize(cfg)
+    y = meshsim._pack(state)
+    rhs = meshsim._make_rhs(cfg, state.u[-1], gain=0.5)
+    rng = np.random.default_rng(0)
+    Y = y[:, None] * (1.0 + 1e-3 * rng.standard_normal((y.size, 5)))
+    F = rhs(0.0, Y)
+    assert F.shape == Y.shape
+    for j in range(Y.shape[1]):
+        f = rhs(0.0, Y[:, j])
+        assert f.shape == y.shape
+        assert np.max(np.abs(F[:, j] - f)) <= 1e-12 * np.max(np.abs(f))
 
 
 def test_monitor_positive_and_massive():
