@@ -12,7 +12,9 @@ Subcommands:
 Every printed number is mirrored in a JSON artifact, and a run directory
 (config.json, trace.csv, snapshots/, fit.json, manifest.json) is the
 stable on-disk contract.  BLOWUPLAB_OUT overrides the output root.
-Exit codes: 0 success, 2 malformed config/arguments, 1 anything else.
+Exit codes: 0 success, 2 malformed config/arguments, 1 anything else.  A
+failing config in a sweep does not stop the others; the sweep exits with
+the code of its gravest failure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -32,7 +35,7 @@ import scipy
 
 from . import __version__, coupling, meshsim, rates, spectral
 from . import profile as profile_mod
-from .errors import BlowupLabError, NoBlowup
+from .errors import BadInitialData, BlowupLabError, NoBlowup
 from .params import ModelParams, classify, derive, eigenvalue
 
 #: SimConfig fields settable from a config file, with their converters
@@ -46,7 +49,7 @@ _CONFIG_FIELDS = {
 
 
 class ConfigError(Exception):
-    """Malformed simulation config (exit code 2)."""
+    """Malformed simulation config or arguments (exit code 2)."""
 
 
 def _out_root(arg):
@@ -59,9 +62,18 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _params(d, k, N=None):
+    """ModelParams from command-line values; out-of-range values are
+    malformed arguments."""
+    try:
+        return ModelParams(d=d, k=k, N=N)
+    except ValueError as exc:
+        raise ConfigError(f"invalid parameters: {exc}") from exc
+
+
 def _pipeline(d, k, N):
     """params -> profile -> basis -> coupling -> rate law."""
-    consts = derive(ModelParams(d=d, k=k, N=N))
+    consts = derive(_params(d, k, N))
     prof = profile_mod.solve_profile(consts)
     basis = spectral.build_basis(consts, max_n=max(8, N))
     coup = coupling.coupling_constants(prof, basis, N)
@@ -124,9 +136,14 @@ def _load_config(path):
             conv = _CONFIG_FIELDS[key]
             kwargs[key] = conv(val) if conv else val
         params = ModelParams(d=float(raw["d"]), k=int(raw["k"]))
-        return meshsim.SimConfig(params=params, **kwargs)
+        config = meshsim.SimConfig(params=params, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
+    try:
+        meshsim.initial_profile(config)
+    except BadInitialData as exc:
+        raise ConfigError(f"invalid initial data: {exc}") from exc
+    return config
 
 
 def _config_hash(config):
@@ -177,20 +194,42 @@ def _run_one(config_path, out_root):
                       ("config.json", "trace.csv", "fit.json")] + snap_paths,
         "versions": {"blowuplab": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
+        "solver": trace.solver,
     }
     _write_json(os.path.join(run_dir, "manifest.json"), manifest)
     return run_dir, trace, fit
+
+
+def _sweep(configs, out_root, workers):
+    """Run every config in a process pool.  A config that fails gets one
+    error line and does not stop the others; returns the results of the
+    runs that succeeded and the exit code (2 if any config was malformed,
+    1 if any run failed otherwise)."""
+    results, code = [], 0
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_one, path, out_root) for path in configs]
+        for path, future in zip(configs, futures):
+            try:
+                results.append(future.result())
+            except ConfigError as exc:
+                print(f"{path}: error: {exc}", file=sys.stderr)
+                code = 2
+            except Exception as exc:
+                # one failed run must not lose the others
+                if not isinstance(exc, BlowupLabError):
+                    traceback.print_exception(exc)
+                print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                code = max(code, 1)
+    return results, code
 
 
 def cmd_simulate(args):
     out_root = _out_root(args.out)
     configs = [args.config] + (args.sweep or [])
     if len(configs) == 1:
-        results = [_run_one(configs[0], out_root)]
+        results, code = [_run_one(configs[0], out_root)], 0
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_run_one, configs,
-                                    [out_root] * len(configs)))
+        results, code = _sweep(configs, out_root, args.workers)
     for run_dir, trace, fit in results:
         line = f"{run_dir}: stopped={trace.stopped}"
         if fit is not None:
@@ -199,7 +238,7 @@ def cmd_simulate(args):
             else:
                 line += f" C={fit.C:.5f} s0={fit.s0:.4f} T={fit.T:.8f}"
         print(line)
-    return 0
+    return code
 
 
 # ----------------------------------------------------------------------------
@@ -330,7 +369,7 @@ def cmd_compare(args):
 # dumps
 
 def cmd_profile_dump(args):
-    consts = derive(ModelParams(d=args.d, k=args.k))
+    consts = derive(_params(args.d, args.k))
     prof = profile_mod.solve_profile(consts)
     prof.to_csv(args.out)
     print(f"{args.out}: h={prof.h:.8f} Cs={prof.Cs:.8f}")
@@ -338,7 +377,7 @@ def cmd_profile_dump(args):
 
 
 def cmd_basis_dump(args):
-    consts = derive(ModelParams(d=args.d, k=args.k))
+    consts = derive(_params(args.d, args.k))
     basis = spectral.build_basis(consts, max_n=args.n)
     basis.to_csv(args.out)
     print(f"{args.out}: n<={args.n}, "

@@ -17,6 +17,12 @@ mesh response rate is held at a fixed multiple of the measured gradient
 growth rate d log(sup u_r)/dt, so the mesh keeps up with the collapse
 without making the system needlessly stiff.
 
+BDF gets the Jacobian in structured form (see _make_jac): every block is
+banded except the mesh velocity, which is the inverse Laplacian of a
+banded term plus a rank-one term from the total monitor mass.  The banded
+parts come from grouped differences (Curtis, Powell & Reid 1974) and the
+inverse Laplacian from one banded solve.
+
 Blow-up observables (the origin gradient, the global max gradient, the
 energy, the mesh resolution) are recorded at every accepted step; rate
 fitting recovers the power-law exponent 1/2 + beta or the logarithmic
@@ -26,6 +32,7 @@ law from the trace.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -53,6 +60,9 @@ TRACKING_MARGIN = 25.0
 #: is frozen within a chunk and stales by ~ this factor^(1/(1/2+beta))
 CHUNK_GROWTH = math.sqrt(2.0)
 
+#: relative forward-difference step of the banded Jacobian parts
+_FD_STEP = np.finfo(float).eps ** 0.5
+
 INITIAL_DATA_FAMILIES = {
     "r": lambda r: r,
     "r+sin(r)": lambda r: r + np.sin(r),
@@ -67,7 +77,7 @@ class SimConfig:
     M: int = 201                      # mesh nodes including both boundaries
     initial_data: str | tuple = "r"   # family name or (r, u) tables
     monitor_alpha: float = 1.0
-    monitor_scale_weight: float = 1.0  # weight of the |u|/r term (see _monitor)
+    monitor_scale_weight: float = 1.0  # |u|/r term weight (see _smoothed_monitor)
     monitor_smooth_passes: int = 4
     uniform_fraction: float = 0.1     # monitor mass reserved for the outer region
     tau: float = 0.1                  # mesh relaxation time at unit gradient
@@ -86,7 +96,8 @@ class SimConfig:
         if self.max_gradient < 1e6:
             raise ValueError("max_gradient must be >= 1e6")
         # written as "not > 0" so that NaN is rejected too
-        for name in ("tau", "rtol", "t_max", "snapshot_decades"):
+        for name in ("tau", "rtol", "atol_u", "atol_r_rel", "t_max",
+                     "snapshot_decades"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.uniform_fraction >= 0:
@@ -142,6 +153,9 @@ class RunTrace:
     nodes_in_layer: np.ndarray  # nodes with r <= 5 / sup_grad
     snapshots: list = field(default_factory=list)
     stopped: str = "blowup"      # "blowup" | "roundoff" | "tmax"
+    # BDF counters nfev/njev/nlu summed over the chunk solvers, the number
+    # of chunks and of rejected chunks; empty for a trace read back from csv
+    solver: dict = field(default_factory=dict)
 
     @property
     def no_blowup(self):
@@ -213,8 +227,8 @@ def _gradients(r, u):
     return gmid, g0
 
 
-def _monitor(config, r, u):
-    """Smoothed midpoint monitor with the uniform reservation added.
+def _smoothed_monitor(config, r, u):
+    """Spatially smoothed midpoint monitor, before the uniform reservation.
 
     The arclength part sqrt(alpha + u_r^2) concentrates nodes in the
     boundary layer, but leaves the self-similar transition region between
@@ -236,13 +250,25 @@ def _monitor(config, r, u):
         sm[0] = 0.75 * m[0] + 0.25 * m[1]
         sm[-1] = 0.75 * m[-1] + 0.25 * m[-2]
         m = sm
-    mass = np.sum(m * np.diff(r, axis=0), axis=0)
-    m = m + config.uniform_fraction * mass / config.L
     return m
 
 
-def _pde_rhs(config, r, u, rdot):
-    """Nodal du/dt at interior nodes: physics plus advective correction.
+def _reservation(config, m, dr):
+    """Monitor level that spreads `uniform_fraction` of the monitor mass
+    sum(m dr) evenly over [0, L]."""
+    mass = np.sum(m * dr, axis=0)
+    return config.uniform_fraction * mass / config.L
+
+
+def _monitor(config, r, u):
+    """Smoothed midpoint monitor with the uniform reservation added."""
+    m = _smoothed_monitor(config, r, u)
+    return m + _reservation(config, m, np.diff(r, axis=0))
+
+
+def _pde_stencil(config, r, u):
+    """The 3-point stencil terms at interior nodes: the physics and u_r, so
+    that du/dt = phys + r' u_r.
 
     The advective term r'_i u_r uses the same centered 3-point stencil as
     the physics: one-sided differencing adds an O(|r'| dr) artificial
@@ -258,7 +284,15 @@ def _pde_rhs(config, r, u, rdot):
     urr = 2.0 * (um / (hm * (hm + hp)) - uc / (hm * hp) + up / (hp * (hm + hp)))
     rc = r[1:-1]
     phys = urr + (d - 1.0) / rc * ur - torque / (2.0 * rc * rc) * np.sin(2.0 * uc)
-    return phys + rdot * ur
+    return phys, ur
+
+
+def _inverse_laplacian(rhs):
+    """Solve tridiag(-1, 2, -1) x = rhs for rhs of shape (n,) or (n, m)."""
+    ab = np.empty((2, rhs.shape[0]))
+    ab[0, :] = -1.0                  # superdiagonal
+    ab[1, :] = 2.0
+    return solveh_banded(ab, rhs)
 
 
 def _mesh_rhs(config, r, u, gain):
@@ -273,12 +307,7 @@ def _mesh_rhs(config, r, u, gain):
     of the node count and starves a collapsing layer of nodes."""
     m = _monitor(config, r, u)
     c = m * np.diff(r, axis=0)       # per-cell monitor mass
-    rhs = gain * (c[1:] - c[:-1])
-    n = rhs.shape[0]
-    ab = np.empty((2, n))
-    ab[0, :] = -1.0                  # superdiagonal of tridiag(-1, 2, -1)
-    ab[1, :] = 2.0
-    return solveh_banded(ab, rhs)
+    return _inverse_laplacian(gain * (c[1:] - c[:-1]))
 
 
 def _energy(config, r, u):
@@ -295,7 +324,9 @@ def _energy(config, r, u):
 # ----------------------------------------------------------------------------
 # initialization
 
-def _initial_profile(config):
+def initial_profile(config):
+    """The initial data of a config as a function of r; BadInitialData
+    if the family is unknown or the tables are malformed."""
     if isinstance(config.initial_data, str):
         try:
             fam = INITIAL_DATA_FAMILIES[config.initial_data]
@@ -304,8 +335,24 @@ def _initial_profile(config):
                 f"unknown initial data family {config.initial_data!r}"
             ) from None
         return fam
-    r_tab, u_tab = (np.asarray(a, dtype=float) for a in config.initial_data)
-    if abs(u_tab[0]) > 1e-14 or abs(r_tab[0]) > 1e-14:
+    try:
+        r_tab, u_tab = (np.asarray(a, dtype=float) for a in config.initial_data)
+    except (TypeError, ValueError):
+        raise BadInitialData(
+            "tabulated initial data must be a pair of tables (r, u)"
+        ) from None
+    if r_tab.ndim != 1 or r_tab.shape != u_tab.shape or r_tab.size < 2:
+        raise BadInitialData(
+            "tabulated initial data must be two 1-D tables of equal length >= 2"
+        )
+    if not (np.all(np.isfinite(r_tab)) and np.all(np.isfinite(u_tab))):
+        raise BadInitialData("tabulated initial data must be finite")
+    if abs(r_tab[0]) > 1e-14 or np.any(np.diff(r_tab) <= 0) \
+            or r_tab[-1] < config.L:
+        raise BadInitialData(
+            "tabulated r must increase strictly from 0 and reach L"
+        )
+    if abs(u_tab[0]) > 1e-14:
         raise BadInitialData("tabulated initial data must have u(0) = 0")
 
     def fam(r):
@@ -317,7 +364,7 @@ def _initial_profile(config):
 def initialize(config):
     """Sample the initial data on a mesh pre-equidistributed against its own
     monitor (a few de Boor sweeps)."""
-    fam = _initial_profile(config)
+    fam = initial_profile(config)
     r = np.linspace(0.0, config.L, config.M)
     u = fam(r)
     if abs(u[0]) > 1e-14:
@@ -354,10 +401,90 @@ def _make_rhs(config, uL, gain):
     def rhs(t, y):
         r, u = _unpack(config, y, uL)
         rdot = _mesh_rhs(config, r, u, gain)
-        udot = _pde_rhs(config, r, u, rdot)
-        return np.concatenate([udot, rdot])
+        phys, ur = _pde_stencil(config, r, u)
+        return np.concatenate([phys + rdot * ur, rdot])
 
     return rhs
+
+
+@functools.lru_cache(maxsize=8)
+def _jac_pattern(n, passes):
+    """Column groups and sparsity patterns of the banded Jacobian parts for
+    n interior nodes and `passes` monitor smoothing passes.
+
+    The smoothed monitor mass of cell j (between interior nodes j-1 and j)
+    depends on interior nodes j-passes-1 .. j+passes, and the stencil at
+    interior node i on i-1 .. i+1.  Within the u block and within the r
+    block, columns equal modulo `width` never share a dependent, so each
+    such group is perturbed at once, in one column of the differencing
+    block (column 0 is the unperturbed state).
+
+    Returns `width`, the block column of each state index, and for the
+    cells and the stencil the (rows, columns, block columns) of the
+    pattern."""
+    width = min(max(2 * passes + 2, 3), n)
+    k = np.arange(n)
+    group = np.concatenate([1 + k % width, 1 + width + k % width])
+
+    def pattern(n_rows, lo, hi):
+        i, c = np.meshgrid(np.arange(n_rows), np.arange(lo, hi + 1),
+                           indexing="ij")
+        c = c + i
+        ok = (c >= 0) & (c < n)
+        i, c = i[ok], c[ok]
+        rows = np.concatenate([i, i])
+        cols = np.concatenate([c, n + c])
+        return rows, cols, group[cols]
+
+    return width, group, pattern(n + 1, -passes - 1, passes), pattern(n, -1, 1)
+
+
+def _make_jac(config, uL, gain, atol):
+    """Jacobian of _make_rhs(config, uL, gain), built from its structure.
+
+    With c the per-cell monitor mass, F = gain * diff(c) and
+    A = tridiag(-1, 2, -1), the RHS is r' = A^-1 F and u' = phys + r' u_r,
+    so
+
+        dr'/dy = A^-1 dF,
+        du'/dy = d(phys) + diag(r') d(u_r) + diag(u_r) dr'/dy.
+
+    dc is banded but for the reservation, which moves with the total
+    monitor mass and so adds a rank-one term; d(phys) and d(u_r) are
+    3-point.  The banded parts come from grouped forward differences with
+    scipy's num_jac step, sqrt(eps) * max(|y|, atol), and A^-1 from one
+    banded solve on all 2n columns."""
+    n = config.M - 2
+    width, group, cell, node = _jac_pattern(n, config.monitor_smooth_passes)
+    share = config.uniform_fraction / config.L
+    diag = np.arange(2 * n)
+
+    def jac(t, y):
+        Y = np.repeat(y[:, None], 2 * width + 1, axis=1)
+        Y[diag, group] += _FD_STEP * np.maximum(np.abs(y), atol)
+        h = Y[diag, group] - y
+        r, u = _unpack(config, Y, uL)
+        dr = np.diff(r, axis=0)
+        m = _smoothed_monitor(config, r, u)
+        # the reservation held at its value at y; the column sums of the
+        # held part of dc are d(mass), as sum(dr) = L for every state
+        c = (m + _reservation(config, m[:, 0], dr[:, 0])) * dr
+        dc = np.zeros((n + 1, 2 * n))
+        rows, cols, blk = cell
+        dc[rows, cols] = (c[rows, blk] - c[rows, 0]) / h[cols]
+        dc += (share * dr[:, :1]) * dc.sum(axis=0)
+
+        J = np.empty((2 * n, 2 * n))
+        J[n:] = _inverse_laplacian(gain * np.diff(dc, axis=0))
+        phys, ur = _pde_stencil(config, r, u)
+        J[:n] = ur[:, :1] * J[n:]
+        # du/dt with r' held at its value at y
+        f = phys + _inverse_laplacian(gain * np.diff(c[:, :1], axis=0)) * ur
+        rows, cols, blk = node
+        J[rows, cols] += (f[rows, blk] - f[rows, 0]) / h[cols]
+        return J
+
+    return jac
 
 
 def step(config, state, gain=None, dt_max=np.inf):
@@ -384,9 +511,9 @@ def _new_solver(config, state, gain, t_bound):
     spacing = np.diff(state.r)
     local = np.minimum(spacing[:-1], spacing[1:])
     atol[n:] = config.atol_r_rel * local
-    # the RHS is vectorized, so each finite-difference Jacobian comes from
-    # one batched call; the inverse-Laplacian mesh velocity couples every
-    # node pair, so that Jacobian is still dense
+    # the inverse-Laplacian mesh velocity couples every node pair, so the
+    # Jacobian is dense, but _make_jac assembles it from banded parts and
+    # one banded solve instead of 2n finite differences
     return BDF(
         _make_rhs(config, state.u[-1], gain),
         state.t,
@@ -394,7 +521,7 @@ def _new_solver(config, state, gain, t_bound):
         t_bound=t_bound,
         rtol=config.rtol,
         atol=atol,
-        vectorized=True,
+        jac=_make_jac(config, state.u[-1], gain, atol),
     )
 
 
@@ -422,6 +549,8 @@ def run(config, progress=None):
         return gmax
 
     gmax = observe(state.t, state.r, state.u)
+    counters = dict.fromkeys(
+        ("chunks", "rejected_chunks", "nfev", "njev", "nlu"), 0)
     rtol = config.rtol
     qhat = 0.0   # measured growth rate d log(sup u_r)/dt of the last chunk
     while True:
@@ -461,7 +590,11 @@ def run(config, progress=None):
                 break
             if gmax >= chunk_limit:
                 break
+        counters["chunks"] += 1
+        for key in ("nfev", "njev", "nlu"):
+            counters[key] += getattr(solver, key)
         if failed:
+            counters["rejected_chunks"] += 1
             # reject the chunk: restart it from its starting state, tighter
             rtol *= 0.1
             state, n_rows, n_snaps, next_snap = chunk_start
@@ -503,6 +636,7 @@ def run(config, progress=None):
         nodes_in_layer=arr[:, 6].astype(int),
         snapshots=snapshots,
         stopped=stopped,
+        solver=counters,
     )
 
 

@@ -51,8 +51,8 @@ class ModelParams:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if self.N is not None and (self.N < 0 or self.N != int(self.N)):
             raise ValueError(f"N must be a non-negative integer, got {self.N}")
-        if self.d < 3:
-            raise ValueError(f"d must be >= 3, got {self.d}")
+        if not (math.isfinite(self.d) and self.d >= 3):
+            raise ValueError(f"d must be finite and >= 3, got {self.d}")
 
 
 @dataclass(frozen=True)

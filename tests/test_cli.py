@@ -52,6 +52,19 @@ def test_predict_subcritical(capsys):
     assert "SubcriticalDimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--d", "nan"], ["predict", "--d", "inf"],
+    ["predict", "--d", "2"], ["predict", "--d", "8", "--k", "0"],
+    ["predict", "--d", "8", "--N", "-1"],
+    ["profile-dump", "--d", "nan", "--out", "x.csv"],
+    ["basis-dump", "--d", "2", "--out", "x.csv"],
+])
+def test_bad_parameters_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+
+
 def test_simulate_malformed_configs(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     missing.write_text('{"k": 1}')
@@ -70,7 +83,14 @@ def test_simulate_malformed_configs(tmp_path, capsys):
 
     for bad in ('{"d": 8, "k": 1, "M": "abc"}', '{"d": 8, "k": 1, "M": 1e400}',
                 '{"d": 8, "k": 1, "rtol": 0}',
-                '{"d": 8, "k": 1, "snapshot_decades": 0}'):
+                '{"d": 8, "k": 1, "snapshot_decades": 0}',
+                '{"d": NaN, "k": 1}', '{"d": Infinity, "k": 1}',
+                '{"d": 2, "k": 1}',
+                '{"d": 8, "k": 1, "initial_data": 5}',
+                '{"d": 8, "k": 1, "initial_data": "exp(r)"}',
+                '{"d": 8, "k": 1, "initial_data": [[0, 1, 2], [0, 1]]}',
+                '{"d": 8, "k": 1, "initial_data": [[0, 1], [0, 1]]}',
+                '{"d": 8, "k": 1, "initial_data": [[0, 2, 1], [0, 1, 2]]}'):
         path = tmp_path / "bad.json"
         path.write_text(bad)
         assert cli.main(["simulate", "--config", str(path),
@@ -100,6 +120,9 @@ def test_run_directory_layout(run_dir):
     for artifact in manifest["artifacts"]:
         assert os.path.exists(artifact)
     assert "numpy" in manifest["versions"]
+    solver = manifest["solver"]
+    assert set(solver) == {"chunks", "rejected_chunks", "nfev", "njev", "nlu"}
+    assert solver["njev"] >= solver["chunks"] >= 1
 
     fit = json.load(open(os.path.join(run_dir, "fit.json")))
     assert fit["kind"] == "power"
@@ -144,6 +167,19 @@ def test_simulate_sweep(tmp_path, capsys):
     dirs = [d for d in os.listdir(tmp_path) if d.startswith("run_")]
     assert len(dirs) == 2
     capsys.readouterr()
+
+
+def test_simulate_sweep_keeps_good_runs(tmp_path, capsys):
+    good = write_config(tmp_path / "good.json", t_max=1e-3, M=101)
+    bad = write_config(tmp_path / "bad.json", initial_data=5)
+    assert cli.main(["simulate", "--config", bad, "--sweep", good,
+                     "--out", str(tmp_path), "--workers", "2"]) == 2
+    dirs = [d for d in os.listdir(tmp_path) if d.startswith("run_")]
+    assert len(dirs) == 1
+    assert os.path.exists(tmp_path / dirs[0] / "manifest.json")
+    out, err = capsys.readouterr()
+    assert dirs[0] in out and "stopped=tmax" in out
+    assert err.count("\n") == 1 and bad in err
 
 
 def test_out_root_env_override(tmp_path, monkeypatch, capsys):

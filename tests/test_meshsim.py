@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp.common import num_jac
 
 from blowuplab import meshsim
 from blowuplab.errors import BadInitialData, NoBlowup, WindowTooShort
@@ -9,6 +10,7 @@ from blowuplab.meshsim import (
     MeshState,
     RunTrace,
     SimConfig,
+    TRACKING_MARGIN,
     fit_log,
     fit_power,
     initialize,
@@ -43,7 +45,8 @@ def test_config_validation():
         config(max_gradient=1e5)
     for bad in ({"rtol": 0.0}, {"rtol": -1e-6}, {"tau": 0.0},
                 {"t_max": -1.0}, {"t_max": 0.0}, {"uniform_fraction": -0.5},
-                {"snapshot_decades": 0.0}, {"tau": math.nan}):
+                {"snapshot_decades": 0.0}, {"tau": math.nan},
+                {"atol_u": 0.0}, {"atol_r_rel": -1e-4}):
         with pytest.raises(ValueError):
             config(**bad)
     config(uniform_fraction=0.0)
@@ -64,6 +67,15 @@ def test_initialize_r_plus_sin():
 def test_initialize_rejects_bad_tabulated():
     with pytest.raises(BadInitialData):
         initialize(config(initial_data=([0.0, 1.0, 2.0], [0.1, 1.0, 2.0])))
+    r = [0.0, 1.0, 2.0]
+    for bad in (5, ([0.0, 1.0, 2.0], [0.0, 1.0]), (r, r, r), (r,),
+                ([[0.0, 2.0]], [[0.0, 2.0]]), ([0.0], [0.0]), ([], []),
+                (r, ["a", "b", "c"]), (r, [0.0, math.nan, 1.0]),
+                ([0.0, 1.0, math.inf], r), ([0.0, 2.0, 1.0], r),
+                ([0.1, 1.0, 2.0], r), ([0.0, 1.0, 1.5], r),
+                ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0])):
+        with pytest.raises(BadInitialData):
+            initialize(config(initial_data=bad))
 
 
 def test_initialize_rejects_unknown_family():
@@ -139,6 +151,41 @@ def test_rhs_batched_matches_single_columns():
         assert np.max(np.abs(F[:, j] - f)) <= 1e-12 * np.max(np.abs(f))
 
 
+def _jac_error(cfg, state, gain):
+    """Max-norm distance of the structured Jacobian from scipy's dense
+    finite-difference one, relative to the latter's max norm, taken per
+    (u, r) block so the mesh rows are not hidden by the stiffer PDE rows."""
+    y = meshsim._pack(state)
+    solver = meshsim._new_solver(cfg, state, gain, t_bound=state.t + 1.0)
+    J = meshsim._make_jac(cfg, state.u[-1], gain, solver.atol)(state.t, y)
+    assert np.array_equal(solver.J, J)  # the Jacobian BDF was given
+    rhs = meshsim._make_rhs(cfg, state.u[-1], gain)
+    J_ref, _ = num_jac(rhs, state.t, y, rhs(state.t, y), solver.atol, None)
+    n = cfg.M - 2
+    halves = (slice(None, n), slice(n, None))
+    return max(np.max(np.abs(J[a, b] - J_ref[a, b])) / np.max(np.abs(J_ref[a, b]))
+               for a in halves for b in halves)
+
+
+@pytest.mark.parametrize("kw", [
+    {}, {"monitor_smooth_passes": 0}, {"monitor_scale_weight": 0.0},
+    {"uniform_fraction": 0.0}, {"initial_data": "r+sin(r)", "M": 97},
+])
+def test_jacobian_matches_num_jac(kw):
+    cfg = config(**kw)
+    assert _jac_error(cfg, initialize(cfg), gain=0.5) <= 1e-5
+
+
+def test_jacobian_matches_num_jac_sharpened_layer(quick_trace):
+    # the last snapshot of a run to sup|u_r| = 1e6: a boundary layer many
+    # orders of magnitude thinner than the outer mesh spacing
+    state = quick_trace.snapshots[-1]
+    t, g = quick_trace.t, quick_trace.sup_grad
+    qhat = math.log(g[-1] / g[-20]) / (t[-1] - t[-20])
+    gain = TRACKING_MARGIN * qhat / (1.0 + g[-1])   # as run() sets it
+    assert _jac_error(quick_trace.config, state, gain) <= 1e-5
+
+
 def test_monitor_positive_and_massive():
     cfg = config(M=201)
     state = initialize(cfg)
@@ -154,6 +201,14 @@ def test_quick_run_reaches_blowup(quick_trace):
     assert quick_trace.stopped == "blowup"
     assert np.abs(quick_trace.dr_u0[-1]) >= 1e6
     assert not quick_trace.no_blowup
+
+
+def test_quick_run_solver_counters(quick_trace):
+    counters = quick_trace.solver
+    assert set(counters) == {"chunks", "rejected_chunks", "nfev", "njev", "nlu"}
+    assert counters["njev"] >= counters["chunks"] >= 1
+    assert 0 <= counters["rejected_chunks"] < counters["chunks"]
+    assert counters["nfev"] >= quick_trace.t.size - 1
 
 
 def test_quick_run_energy_monotone(quick_trace):

@@ -108,3 +108,6 @@ def test_param_validation():
         ModelParams(d=2.5, k=1)
     with pytest.raises(ValueError):
         ModelParams(d=8, k=1, N=-1)
+    for d in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ModelParams(d=d, k=1)
