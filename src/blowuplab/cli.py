@@ -20,7 +20,7 @@ the code of its gravest failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -37,15 +37,12 @@ from . import __version__, coupling, meshsim, rates, spectral
 from . import profile as profile_mod
 from .errors import BadInitialData, BlowupLabError, NoBlowup
 from .params import ModelParams, classify, derive, eigenvalue
+from .tables import write_table
 
-#: SimConfig fields settable from a config file, with their converters
-_CONFIG_FIELDS = {
-    "L": float, "M": int, "initial_data": None, "monitor_alpha": float,
-    "monitor_scale_weight": float, "monitor_smooth_passes": int,
-    "uniform_fraction": float, "tau": float, "rtol": float,
-    "atol_u": float, "atol_r_rel": float, "max_gradient": float,
-    "t_max": float, "snapshot_decades": float,
-}
+#: the config keys besides d and k, each with its default: the SimConfig
+#: fields but params
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(meshsim.SimConfig)
+             if f.name != "params"}
 
 
 class ConfigError(Exception):
@@ -115,7 +112,8 @@ def cmd_predict(args):
 # ----------------------------------------------------------------------------
 # simulate
 
-def _load_config(path):
+def _read_config(path):
+    """The JSON object in a config file."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -123,6 +121,12 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    return raw
+
+
+def _sim_config(raw):
+    """SimConfig from d, k and SimConfig fields; a float or int field's value
+    is converted by the type of its default, others pass through."""
     for key in ("d", "k"):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
@@ -131,14 +135,18 @@ def _load_config(path):
         for key, val in raw.items():
             if key in ("d", "k"):
                 continue
-            if key not in _CONFIG_FIELDS:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
-            conv = _CONFIG_FIELDS[key]
-            kwargs[key] = conv(val) if conv else val
+            conv = type(_DEFAULTS[key])
+            kwargs[key] = conv(val) if conv in (float, int) else val
         params = ModelParams(d=float(raw["d"]), k=int(raw["k"]))
-        config = meshsim.SimConfig(params=params, **kwargs)
+        return meshsim.SimConfig(params=params, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
+
+
+def _load_config(path):
+    config = _sim_config(_read_config(path))
     try:
         meshsim.initial_profile(config)
     except BadInitialData as exc:
@@ -245,14 +253,18 @@ def cmd_simulate(args):
 # fit / compare
 
 def _load_run(run_dir):
-    with open(os.path.join(run_dir, "config.json")) as fh:
-        saved = json.load(fh)
-    params = ModelParams(d=float(saved["d"]), k=int(saved["k"]))
-    kwargs = {key: saved[key] for key in _CONFIG_FIELDS if key in saved}
-    config = meshsim.SimConfig(params=params, **kwargs)
-    trace = meshsim.trace_from_csv(os.path.join(run_dir, "trace.csv"),
-                                   config=config,
-                                   stopped=saved.get("stopped", "blowup"))
+    """Config and trace of a run directory; ConfigError if either cannot be
+    read.  Of the saved config, the keys d, k and the SimConfig fields are
+    kept."""
+    saved = _read_config(os.path.join(run_dir, "config.json"))
+    config = _sim_config({key: val for key, val in saved.items()
+                          if key in ("d", "k") or key in _DEFAULTS})
+    path = os.path.join(run_dir, "trace.csv")
+    try:
+        trace = meshsim.trace_from_csv(path, config=config,
+                                       stopped=saved.get("stopped", "blowup"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
     return config, trace
 
 
@@ -273,14 +285,10 @@ def _d7_plot_csv(path, trace, T):
     mask = trace.t < T
     x = -np.log(T - trace.t[mask])
     y = np.sqrt(T - trace.t[mask]) * np.abs(trace.dr_u0[mask])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["neg_log_T_minus_t", "sqrt_T_minus_t_dr_u0"])
-        for xj, yj in zip(x, y):
-            writer.writerow([repr(float(xj)), repr(float(yj))])
+    write_table(path, ("neg_log_T_minus_t", "sqrt_T_minus_t_dr_u0"), (x, y))
 
 
-def _overlay_csv(path, run_dir, config, T, prof, basis, N):
+def _overlay_csv(path, run_dir, T, prof, basis, N):
     """Latest usable snapshot against the matched ansatz, in (y, f)."""
     snap_dir = os.path.join(run_dir, "snapshots")
     metas = sorted(f for f in os.listdir(snap_dir) if f.endswith(".json"))
@@ -289,14 +297,12 @@ def _overlay_csv(path, run_dir, config, T, prof, basis, N):
         with open(os.path.join(snap_dir, meta)) as fh:
             t = json.load(fh)["t"]
         if t < T:
-            best = meta[:-5]
+            best, t_best = meta[:-5], t
     if best is None:
         return False
     data = np.genfromtxt(os.path.join(snap_dir, best + ".csv"),
                          delimiter=",", names=True)
-    state = meshsim.MeshState(
-        t=float(json.load(open(os.path.join(snap_dir, best + ".json")))["t"]),
-        r=data["r"], u=data["u"])
+    state = meshsim.MeshState(t=float(t_best), r=data["r"], u=data["u"])
     g0 = (state.u[1] - state.u[0]) / (state.r[1] - state.r[0])
     tau = T - state.t
     eps = 1.0 / (prof.Cs * math.sqrt(tau) * abs(g0))
@@ -305,16 +311,15 @@ def _overlay_csv(path, run_dir, config, T, prof, basis, N):
     ss = meshsim.to_self_similar(state, T)
     mask = (ss.y >= eps * 1e-2) & (ss.y <= 2.0)
     ansatz = rates.assemble_ansatz(prof, basis, N, eps, y_grid=ss.y[mask])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "f_numeric", "f_ansatz"])
-        for yj, fj, aj in zip(ss.y[mask], ss.f[mask], ansatz.f):
-            writer.writerow([repr(float(v)) for v in (yj, fj, aj)])
+    write_table(path, ("y", "f_numeric", "f_ansatz"),
+                (ss.y[mask], ss.f[mask], ansatz.f))
     return True
 
 
 def cmd_compare(args):
     config, trace = _load_run(args.run)
+    # a bad second run is a malformed argument, caught before any work
+    trace2 = _load_run(args.run2)[1] if args.run2 else None
     report = {"run": args.run, "d": config.params.d, "k": config.params.k}
     if trace.no_blowup:
         report["status"] = "NoBlowup"
@@ -346,8 +351,7 @@ def cmd_compare(args):
         report["C_ratio"] = fit.C / C_pred
         print(f"C: fitted {fit.C:.5f} vs predicted {C_pred:.5f} "
               f"(relative error {report['relative_error']:.2%})")
-        if args.run2:
-            _, trace2 = _load_run(args.run2)
+        if trace2 is not None:
             fit2 = meshsim.fit_log(trace2, delta=consts.delta)
             agree = abs(fit.C - fit2.C) / min(fit.C, fit2.C)
             report["run2"] = args.run2
@@ -358,7 +362,7 @@ def cmd_compare(args):
     _d7_plot_csv(plot_path, trace, fit.T)
     report["rate_plot"] = plot_path
     overlay_path = os.path.join(args.run, "overlay.csv")
-    if _overlay_csv(overlay_path, args.run, config, fit.T, prof, basis, N):
+    if _overlay_csv(overlay_path, args.run, fit.T, prof, basis, N):
         report["overlay"] = overlay_path
     print(f"report relative error: {report['relative_error']:.4f}")
     _write_json(os.path.join(args.run, "compare.json"), report)

@@ -62,8 +62,7 @@ def g_function(profile, xi):
         series = -(v * v2 / 6.0) * (1.0 - v2 / 20.0 * (1.0 - v2 / 42.0))
         out[near] = pref * np.where(small, series, direct)
     if far.any():
-        out[far] = (2.0 / 3.0) * k * (d + k - 2.0) * profile.h**3 \
-            * xi[far] ** (-3.0 * consts.gamma)
+        out[far] = g_tail_coefficient(profile) * xi[far] ** (-3.0 * consts.gamma)
     return out[0] if scalar else out
 
 
@@ -138,14 +137,17 @@ def outer_integral(basis, N, n):
     return pref * float(np.sum(w * LN**3 * Ln))
 
 
+def _outer_prefactor(profile, basis, N):
+    """2k(d+k-2)h^3 / (3 c_N^3), the factor of the outer integral in D_n."""
+    d, k = basis.consts.params.d, basis.consts.params.k
+    return 2.0 * k * (d + k - 2.0) * profile.h**3 / (3.0 * basis.c_origin[N] ** 3)
+
+
 def outer_constant(profile, basis, N, n):
     """D_n in the outer-dominated regime (the paper's T_n)."""
-    consts = basis.consts
-    if consts.regime is not Regime.OUTER_DOMINATED:
+    if basis.consts.regime is not Regime.OUTER_DOMINATED:
         raise RegimeMismatch("outer_constant requires omega > 2*gamma")
-    d, k = consts.params.d, consts.params.k
-    pref = 2.0 * k * (d + k - 2.0) * profile.h**3 / (3.0 * basis.c_origin[N] ** 3)
-    return pref * outer_integral(basis, N, n)
+    return _outer_prefactor(profile, basis, N) * outer_integral(basis, N, n)
 
 
 def outer_integral_truncated(basis, N, n, y_lo):
@@ -165,14 +167,13 @@ def dominance_diagnostic(profile, basis, N, eps, K=None):
     """Truncated I_inn(K, eps) and I_out(K, eps) for n = N, used to confirm
     which contribution dominates as eps -> 0 (default crossover K = sqrt(eps))."""
     consts = profile.consts
-    d, k = consts.params.d, consts.params.k
     gam = consts.gamma
     if K is None:
         K = math.sqrt(eps)
-    cN = basis.c_origin[N]
-    I_inn = cN * eps ** (d - 2.0 - gam) * inner_integral(profile, upper=K / eps)
-    pref = 2.0 * k * (d + k - 2.0) * profile.h**3 / (3.0 * cN**3)
-    I_out = pref * eps ** (3.0 * gam) * outer_integral_truncated(basis, N, N, K)
+    I_inn = basis.c_origin[N] * eps ** (consts.params.d - 2.0 - gam) \
+        * inner_integral(profile, upper=K / eps)
+    I_out = _outer_prefactor(profile, basis, N) * eps ** (3.0 * gam) \
+        * outer_integral_truncated(basis, N, N, K)
     return I_inn, I_out
 
 

@@ -31,12 +31,11 @@ law from the trace.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import BDF
@@ -52,6 +51,7 @@ from .errors import (
     WindowTooShort,
 )
 from .params import ModelParams
+from .tables import write_table
 
 #: node-relaxation rate as a multiple of the observed collapse rate
 TRACKING_MARGIN = 25.0
@@ -89,42 +89,47 @@ class SimConfig:
     snapshot_decades: float = 0.5     # snapshot every this many decades of sup|u_r|
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be positive")
         if self.M < 64:
             raise ValueError("M must be >= 64")
-        if self.max_gradient < 1e6:
+        # each check is written as "not <condition>" so that NaN fails it
+        if not self.max_gradient >= 1e6:
             raise ValueError("max_gradient must be >= 1e6")
-        # written as "not > 0" so that NaN is rejected too
+        if not 0 < self.L < math.inf:
+            raise ValueError("L must be positive and finite")
         for name in ("tau", "rtol", "atol_u", "atol_r_rel", "t_max",
                      "snapshot_decades"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.uniform_fraction >= 0:
-            raise ValueError("uniform_fraction must be non-negative")
+        for name in ("uniform_fraction", "monitor_alpha",
+                     "monitor_scale_weight"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
+        passes = self.monitor_smooth_passes
+        if not (isinstance(passes, (int, np.integer)) and passes >= 0):
+            raise ValueError("monitor_smooth_passes must be a non-negative integer")
 
     def to_dict(self):
-        if isinstance(self.initial_data, str):
-            initial_data = self.initial_data
-        else:
-            # the table's digest, so that different tables hash apart
+        """The config as written to config.json and hashed into the run
+        directory name: d, k and every other field, with tabulated initial
+        data replaced by its digest so that different tables hash apart."""
+        out = {"d": self.params.d, "k": self.params.k}
+        for f in fields(self):
+            if f.name != "params":
+                out[f.name] = getattr(self, f.name)
+        if not isinstance(self.initial_data, str):
             digest = hashlib.sha256()
             for a in self.initial_data:
                 a = np.ascontiguousarray(a, dtype=float)
                 digest.update(repr(a.shape).encode() + a.tobytes())
-            initial_data = f"tabulated:{digest.hexdigest()[:16]}"
-        out = {
-            "d": self.params.d, "k": self.params.k, "L": self.L, "M": self.M,
-            "initial_data": initial_data,
-            "monitor_alpha": self.monitor_alpha,
-            "monitor_scale_weight": self.monitor_scale_weight,
-            "monitor_smooth_passes": self.monitor_smooth_passes,
-            "uniform_fraction": self.uniform_fraction,
-            "tau": self.tau, "rtol": self.rtol, "atol_u": self.atol_u,
-            "atol_r_rel": self.atol_r_rel, "max_gradient": self.max_gradient,
-            "t_max": self.t_max, "snapshot_decades": self.snapshot_decades,
-        }
+            out["initial_data"] = f"tabulated:{digest.hexdigest()[:16]}"
         return out
+
+
+#: the per-step observables of a run, in trace.csv column order; the first
+#: five are the stable contract, the trailing two let the rate fits recover
+#: their resolved window after a reload
+TRACE_COLUMNS = ("t", "dr_u0", "sup_grad", "energy", "min_dx",
+                 "sup_grad_loc", "nodes_in_layer")
 
 
 @dataclass
@@ -134,11 +139,7 @@ class MeshState:
     u: np.ndarray   # u[0]=0, u[-1] fixed
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "u"])
-            for rj, uj in zip(self.r, self.u):
-                writer.writerow([repr(float(rj)), repr(float(uj))])
+        write_table(path, ("r", "u"), (self.r, self.u))
 
 
 @dataclass
@@ -147,15 +148,18 @@ class RunTrace:
     t: np.ndarray
     dr_u0: np.ndarray        # du/dr at r=0 (one-sided, 2nd order)
     sup_grad: np.ndarray     # max over mesh of |du/dr|
-    sup_grad_loc: np.ndarray  # location of the max gradient
     energy: np.ndarray
     min_dx: np.ndarray
+    sup_grad_loc: np.ndarray  # location of the max gradient
     nodes_in_layer: np.ndarray  # nodes with r <= 5 / sup_grad
     snapshots: list = field(default_factory=list)
     stopped: str = "blowup"      # "blowup" | "roundoff" | "tmax"
     # BDF counters nfev/njev/nlu summed over the chunk solvers, the number
     # of chunks and of rejected chunks; empty for a trace read back from csv
     solver: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.nodes_in_layer = np.asarray(self.nodes_in_layer).astype(int)
 
     @property
     def no_blowup(self):
@@ -165,34 +169,16 @@ class RunTrace:
         return self.stopped not in ("blowup", "roundoff")
 
     def to_csv(self, path):
-        # the first five columns are the stable contract; the trailing two
-        # let the rate fits recover their resolved window after a reload
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "dr_u0", "sup_grad", "energy", "min_dx",
-                             "sup_grad_loc", "nodes_in_layer"])
-            for row in zip(self.t, self.dr_u0, self.sup_grad, self.energy,
-                           self.min_dx, self.sup_grad_loc,
-                           self.nodes_in_layer):
-                writer.writerow([repr(float(v)) for v in row])
+        write_table(path, TRACE_COLUMNS,
+                    [getattr(self, name) for name in TRACE_COLUMNS])
 
 
 def trace_from_csv(path, config=None, stopped="blowup"):
     """Rebuild a fit-capable RunTrace from a persisted trace table (no
     snapshots; those live in their own files)."""
     data = np.genfromtxt(path, delimiter=",", names=True)
-    return RunTrace(
-        config=config,
-        t=np.atleast_1d(data["t"]),
-        dr_u0=np.atleast_1d(data["dr_u0"]),
-        sup_grad=np.atleast_1d(data["sup_grad"]),
-        sup_grad_loc=np.atleast_1d(data["sup_grad_loc"]),
-        energy=np.atleast_1d(data["energy"]),
-        min_dx=np.atleast_1d(data["min_dx"]),
-        nodes_in_layer=np.atleast_1d(data["nodes_in_layer"]).astype(int),
-        snapshots=[],
-        stopped=stopped,
-    )
+    return RunTrace(config=config, stopped=stopped,
+                    **{name: np.atleast_1d(data[name]) for name in TRACE_COLUMNS})
 
 
 @dataclass
@@ -225,6 +211,21 @@ def _gradients(r, u):
     u1, u2 = u[1], u[2]
     g0 = (u1 * r2 * r2 - u2 * r1 * r1) / (r1 * r2 * (r2 - r1))
     return gmid, g0
+
+
+def _sup_gradient(r, u):
+    """sup |u_r| over the mesh: the largest midpoint or origin gradient."""
+    gmid, g0 = _gradients(r, u)
+    return max(float(np.max(np.abs(gmid))), abs(g0))
+
+
+def _gain(config, gmax, qhat=0.0):
+    """Mesh gain at sup |u_r| = gmax.  The node-relaxation rate is
+    gain * monitor ~ gain * gmax; it is tied to the observed collapse rate
+    qhat with a fixed margin, so the mesh tracks the layer without making
+    the system orders of magnitude stiffer than the physics (which starves
+    BDF of step size), and never drops below 1/tau."""
+    return max(TRACKING_MARGIN * qhat, 1.0 / config.tau) / (1.0 + gmax)
 
 
 def _smoothed_monitor(config, r, u):
@@ -491,9 +492,7 @@ def step(config, state, gain=None, dt_max=np.inf):
     """Advance one accepted implicit step; mostly a testing convenience,
     run() drives the same machinery in chunks."""
     if gain is None:
-        gmid, g0 = _gradients(state.r, state.u)
-        gmax = max(float(np.max(np.abs(gmid))), abs(g0))
-        gain = (1.0 / config.tau) / (1.0 + gmax)
+        gain = _gain(config, _sup_gradient(state.r, state.u))
     solver = _new_solver(config, state, gain, t_bound=state.t + dt_max)
     solver.step()
     if solver.status == "failed":
@@ -537,13 +536,13 @@ def run(config, progress=None):
     stopped = "tmax"
 
     def observe(t, r, u):
+        """Append the TRACE_COLUMNS of one state to rows; return sup |u_r|."""
         gmid, g0 = _gradients(r, u)
-        gmax = max(float(np.max(np.abs(gmid))), abs(g0))
+        gmax = _sup_gradient(r, u)
         j = int(np.argmax(np.abs(gmid)))
-        loc = 0.0 if abs(g0) >= float(np.abs(gmid[j])) else 0.5 * (r[j] + r[j + 1])
         rows.append((
-            t, g0, gmax, loc, _energy(config, r, u),
-            float(np.min(np.diff(r))),
+            t, g0, gmax, _energy(config, r, u), float(np.min(np.diff(r))),
+            0.0 if abs(g0) >= gmax else 0.5 * (r[j] + r[j + 1]),
             int(np.sum(r <= 5.0 / gmax)),
         ))
         return gmax
@@ -554,12 +553,7 @@ def run(config, progress=None):
     rtol = config.rtol
     qhat = 0.0   # measured growth rate d log(sup u_r)/dt of the last chunk
     while True:
-        # the node-relaxation rate is gain * monitor ~ gain * gmax; tie it
-        # to the observed collapse rate with a fixed margin, so the mesh
-        # tracks the layer without making the system orders of magnitude
-        # stiffer than the physics (which starves BDF of step size)
-        rate = max(TRACKING_MARGIN * qhat, 1.0 / config.tau)
-        gain = rate / (1.0 + gmax)
+        gain = _gain(config, gmax, qhat)
         chunk_limit = CHUNK_GROWTH * gmax  # refresh the frozen gain as the layer sharpens
         t_chunk, g_chunk = state.t, gmax
         solver = _new_solver(replace(config, rtol=rtol), state, gain,
@@ -600,8 +594,7 @@ def run(config, progress=None):
             state, n_rows, n_snaps, next_snap = chunk_start
             del rows[n_rows:]
             del snapshots[n_snaps:]
-            gmid, g0 = _gradients(state.r, state.u)
-            gmax = max(float(np.max(np.abs(gmid))), abs(g0))
+            gmax = _sup_gradient(state.r, state.u)
             if rtol < 1e-13:
                 if failed == "tangle":
                     raise MeshTangling(
@@ -624,20 +617,9 @@ def run(config, progress=None):
             break
 
     snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy()))
-    arr = np.array(rows)
-    return RunTrace(
-        config=config,
-        t=arr[:, 0],
-        dr_u0=arr[:, 1],
-        sup_grad=arr[:, 2],
-        sup_grad_loc=arr[:, 3],
-        energy=arr[:, 4],
-        min_dx=arr[:, 5],
-        nodes_in_layer=arr[:, 6].astype(int),
-        snapshots=snapshots,
-        stopped=stopped,
-        solver=counters,
-    )
+    return RunTrace(config=config, snapshots=snapshots, stopped=stopped,
+                    solver=counters,
+                    **dict(zip(TRACE_COLUMNS, np.array(rows).T)))
 
 
 # ----------------------------------------------------------------------------

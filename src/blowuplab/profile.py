@@ -20,7 +20,6 @@ normalization C_s = 1 / sup_xi |dU*/dxi|.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +30,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import TailFitIllConditioned, TrappingViolation
 from .params import DerivedConstants
+from .tables import write_table
 
 #: number of stored orbit samples (interpolation grid)
 GRID_SIZE = 12000
@@ -77,15 +77,10 @@ class ProfileSolution:
     tolerance: float
     tail_residual: float
     _v_interp: PchipInterpolator = field(repr=False, default=None)
-    _vp_interp: PchipInterpolator = field(repr=False, default=None)
 
     def to_csv(self, path):
         """Orbit export for the phase-portrait figure (columns x, v, vPrime)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "v", "vPrime"])
-            for xj, vj, pj in zip(self.x, self.v, self.v_prime):
-                writer.writerow([repr(float(v)) for v in (xj, vj, pj)])
+        write_table(path, ("x", "v", "vPrime"), (self.x, self.v, self.v_prime))
 
 
 def _origin_series(consts, x):
@@ -166,7 +161,6 @@ def solve_profile(consts, x_min=None, x_max=None, tolerance=1e-11):
         tolerance=tolerance,
         tail_residual=tail.fit_residual,
         _v_interp=PchipInterpolator(grid, v),
-        _vp_interp=PchipInterpolator(grid, vp),
     )
     return profile
 
@@ -222,25 +216,6 @@ def _slope_normalization(consts, x, vp, dense):
     best = -res.fun
     if consts.params.k == 1:
         # dU*/dxi(0) = 1 exactly; the grid starts at e^{x_min} > 0
-        best = max(best, 1.0)
-    return 1.0 / best
-
-
-def slope_normalization(profile):
-    """Recompute C_s from the stored orbit (monotone cubic interpolant)."""
-    consts = profile.consts
-    slope = 0.5 * profile.v_prime * np.exp(-profile.x)
-    j = int(np.argmax(slope))
-    lo = profile.x[max(j - 1, 0)]
-    hi = profile.x[min(j + 1, profile.x.size - 1)]
-
-    def neg_slope(xx):
-        return -0.5 * float(profile._vp_interp(xx)) * math.exp(-xx)
-
-    res = minimize_scalar(neg_slope, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    best = -res.fun
-    if consts.params.k == 1:
         best = max(best, 1.0)
     return 1.0 / best
 

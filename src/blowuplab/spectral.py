@@ -24,7 +24,6 @@ exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +33,7 @@ from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
 from .errors import DivergentIntegrand, QuadratureNotConverged
 from .params import DerivedConstants
+from .tables import write_table
 
 ORTHO_TARGET = 1e-8
 MIN_NODES = 200
@@ -70,6 +70,11 @@ class EigenBasis:
         y = np.asarray(y, dtype=float)
         z = 0.25 * y * y
         return self.norm[n] * y ** (-self.consts.gamma) * eval_genlaguerre(n, self._alpha, z)
+
+    def phi_table(self, y):
+        """phi_0 .. phi_max_n at the points y, as a (max_n+1, len(y)) array."""
+        n = np.arange(self.max_n + 1)[:, None]
+        return self.phi(n, np.asarray(y, dtype=float)[None, :])
 
     def phi_prime(self, n, y):
         """d phi_n / dy via dL_n^{(a)}/dz = -L_{n-1}^{(a+1)}."""
@@ -143,30 +148,19 @@ class EigenBasis:
         else:
             mask = self.nodes_y <= y_max
         ys = self.nodes_y[mask]
-        ws = self.weights[mask]
         py = np.asarray(psi(ys), dtype=float)
-        return np.array([
-            float(np.sum(ws * py * self.phi(n, ys))) for n in range(self.max_n + 1)
-        ])
+        return self.phi_table(ys) @ (self.weights[mask] * py)
 
     def gram_matrix(self):
-        G = np.empty((self.max_n + 1, self.max_n + 1))
-        phis = [self.phi(n, self.nodes_y) for n in range(self.max_n + 1)]
-        for i in range(self.max_n + 1):
-            for j in range(self.max_n + 1):
-                G[i, j] = np.sum(self.weights * phis[i] * phis[j])
-        return G
+        P = self.phi_table(self.nodes_y)
+        return (P * self.weights) @ P.T
 
     def to_csv(self, path, y_grid=None):
         """Basis table export on a diagnostic grid."""
         if y_grid is None:
             y_grid = np.linspace(0.05, 8.0, 160)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y"] + [f"phi{n}" for n in range(self.max_n + 1)])
-            cols = [self.phi(n, y_grid) for n in range(self.max_n + 1)]
-            for i, y in enumerate(y_grid):
-                writer.writerow([repr(float(y))] + [repr(float(c[i])) for c in cols])
+        write_table(path, ["y"] + [f"phi{n}" for n in range(self.max_n + 1)],
+                    [y_grid, *self.phi_table(y_grid)])
 
 
 def build_basis(consts, max_n=8):
@@ -193,9 +187,7 @@ def build_basis(consts, max_n=8):
             _alpha=alpha,
         )
         # rescale so <phi_n, phi_n> = 1 under this measure (closed form gives 1/2)
-        diag = np.array([
-            np.sum(weights * basis.phi(n, nodes_y) ** 2) for n in range(max_n + 1)
-        ])
+        diag = np.sum(weights * basis.phi_table(nodes_y) ** 2, axis=1)
         basis.norm = norm / np.sqrt(diag)
         basis.c_origin = np.array([
             basis.norm[n] * laguerre_at_zero(n, alpha) for n in range(max_n + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from blowuplab import cli
-from blowuplab.meshsim import SimConfig
+from blowuplab.meshsim import INITIAL_DATA_FAMILIES, TRACE_COLUMNS, SimConfig
 from blowuplab.params import ModelParams
+from blowuplab.tables import write_table
 
 
 def write_config(path, **overrides):
@@ -90,7 +92,12 @@ def test_simulate_malformed_configs(tmp_path, capsys):
                 '{"d": 8, "k": 1, "initial_data": "exp(r)"}',
                 '{"d": 8, "k": 1, "initial_data": [[0, 1, 2], [0, 1]]}',
                 '{"d": 8, "k": 1, "initial_data": [[0, 1], [0, 1]]}',
-                '{"d": 8, "k": 1, "initial_data": [[0, 2, 1], [0, 1, 2]]}'):
+                '{"d": 8, "k": 1, "initial_data": [[0, 2, 1], [0, 1, 2]]}',
+                '{"d": 8, "k": 1, "L": NaN}',
+                '{"d": 8, "k": 1, "max_gradient": NaN}',
+                '{"d": 8, "k": 1, "monitor_alpha": -1}',
+                '{"d": 8, "k": 1, "monitor_scale_weight": -1}',
+                '{"d": 8, "k": 1, "monitor_smooth_passes": -1}'):
         path = tmp_path / "bad.json"
         path.write_text(bad)
         assert cli.main(["simulate", "--config", str(path),
@@ -106,6 +113,66 @@ def test_tabulated_configs_hash_apart():
     assert cli._config_hash(same) != cli._config_hash(other)
     assert cli._config_hash(same) == cli._config_hash(
         SimConfig(params=params, initial_data=(r.copy(), r.copy())))
+
+
+def _changed_value(f):
+    """A valid value other than the default of SimConfig field f."""
+    if isinstance(f.default, str):
+        return next(fam for fam in INITIAL_DATA_FAMILIES if fam != f.default)
+    if type(f.default) in (int, float):
+        return f.default * 2 + 1
+    pytest.fail(f"no test value for SimConfig field {f.name!r}")
+
+
+def test_config_schema_round_trip(tmp_path):
+    """Every SimConfig field survives config file -> _load_config ->
+    to_dict (config.json) -> _load_run."""
+    fields = [f for f in dataclasses.fields(SimConfig) if f.name != "params"]
+    values = {f.name: _changed_value(f) for f in fields}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"d": 9.0, "k": 1, **values}))
+    config = cli._load_config(str(path))
+    assert config.params == ModelParams(d=9.0, k=1)
+    for f in fields:
+        val = getattr(config, f.name)
+        assert val == values[f.name] != f.default, f.name
+        assert type(val) is type(f.default), f.name
+
+    saved = config.to_dict()
+    assert set(saved) == {"d", "k"} | set(values)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "config.json").write_text(json.dumps(saved | {"stopped": "tmax"}))
+    write_table(run / "trace.csv", TRACE_COLUMNS, [[0.0]] * len(TRACE_COLUMNS))
+    loaded, trace = cli._load_run(str(run))
+    assert loaded == config
+    assert trace.stopped == "tmax"
+
+
+def test_config_hash_pinned(tmp_path):
+    # run-directory names must not move when the config code changes
+    assert cli._config_hash(SimConfig(ModelParams(d=8.0, k=1))) \
+        == "7902e418309ae582"
+    path = write_config(tmp_path / "cfg.json", M=161)
+    assert cli._config_hash(cli._load_config(path)) == "81ee89ccc87e694b"
+
+
+def test_bad_run_directory_exit_2(tmp_path, run_dir, capsys):
+    missing = str(tmp_path / "no_such_run")
+    for argv in (["fit", "--run", missing], ["compare", "--run", missing],
+                 ["compare", "--run", run_dir, "--run2", missing]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+    # the last config is valid, but the run has no trace.csv
+    for bad in ("{not json", "[]", '{"k": 1}', '{"d": 8, "k": 1, "M": 3}',
+                '{"d": 8, "k": 1}'):
+        run = tmp_path / "bad_run"
+        run.mkdir(exist_ok=True)
+        (run / "config.json").write_text(bad)
+        assert cli.main(["fit", "--run", str(run)]) == 2, bad
+    capsys.readouterr()
 
 
 def test_run_directory_layout(run_dir):

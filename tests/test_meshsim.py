@@ -46,10 +46,15 @@ def test_config_validation():
     for bad in ({"rtol": 0.0}, {"rtol": -1e-6}, {"tau": 0.0},
                 {"t_max": -1.0}, {"t_max": 0.0}, {"uniform_fraction": -0.5},
                 {"snapshot_decades": 0.0}, {"tau": math.nan},
-                {"atol_u": 0.0}, {"atol_r_rel": -1e-4}):
+                {"atol_u": 0.0}, {"atol_r_rel": -1e-4}, {"L": math.nan}, {"L": math.inf},
+                {"max_gradient": math.nan}, {"monitor_alpha": -1.0},
+                {"monitor_alpha": math.nan}, {"monitor_scale_weight": -1.0},
+                {"monitor_smooth_passes": -1}, {"monitor_smooth_passes": -2},
+                {"monitor_smooth_passes": 2.5}):
         with pytest.raises(ValueError):
             config(**bad)
-    config(uniform_fraction=0.0)
+    config(uniform_fraction=0.0, monitor_alpha=0.0, monitor_scale_weight=0.0,
+           monitor_smooth_passes=0)
 
 
 def test_initialize_identity_family():

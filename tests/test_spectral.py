@@ -16,6 +16,25 @@ def test_orthonormality(basis_at, d, k):
 
 
 @pytest.mark.parametrize("d,k", POINTS)
+def test_phi_table_matches_per_n_loops(basis_at, d, k):
+    """The one-array evaluation against the per-n loops it replaced: equal
+    values, and sums that differ only in summation order."""
+    basis = basis_at(d, k)
+    ns = range(basis.max_n + 1)
+    y, w = basis.nodes_y, basis.weights
+    P = basis.phi_table(y)
+    assert P.shape == (basis.max_n + 1, y.size)
+    for n in ns:
+        assert np.array_equal(P[n], basis.phi(n, y))
+    G = np.array([[np.sum(w * P[i] * P[j]) for j in ns] for i in ns])
+    assert np.allclose(basis.gram_matrix(), G, rtol=0.0, atol=1e-13)
+    psi = lambda s: np.exp(-s) * s
+    a = [np.sum(w[y <= 4.0] * psi(y[y <= 4.0]) * basis.phi(n, y[y <= 4.0]))
+         for n in ns]
+    assert np.allclose(basis.project(psi, y_max=4.0), a, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("d,k", POINTS)
 def test_eigen_residual(basis_at, d, k):
     basis = basis_at(d, k)
     y = np.geomspace(0.3, 6.0, 400)
