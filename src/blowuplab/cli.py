@@ -124,9 +124,18 @@ def _read_config(path):
     return raw
 
 
+def _as_int(key, val):
+    """int(val), but a float with a fractional part, which int() would
+    truncate, is malformed."""
+    if isinstance(val, float) and not val.is_integer():
+        raise ConfigError(f"config key {key!r} must be an integer, got {val!r}")
+    return int(val)
+
+
 def _sim_config(raw):
     """SimConfig from d, k and SimConfig fields; a float or int field's value
-    is converted by the type of its default, others pass through."""
+    is converted by the type of its default (an int takes only integral
+    values), others pass through."""
     for key in ("d", "k"):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
@@ -138,8 +147,12 @@ def _sim_config(raw):
             if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
             conv = type(_DEFAULTS[key])
-            kwargs[key] = conv(val) if conv in (float, int) else val
-        params = ModelParams(d=float(raw["d"]), k=int(raw["k"]))
+            if conv is int:
+                val = _as_int(key, val)
+            elif conv is float:
+                val = float(val)
+            kwargs[key] = val
+        params = ModelParams(d=float(raw["d"]), k=_as_int("k", raw["k"]))
         return meshsim.SimConfig(params=params, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
@@ -318,7 +331,10 @@ def _overlay_csv(path, run_dir, T, prof, basis, N):
 
 def cmd_compare(args):
     config, trace = _load_run(args.run)
-    # a bad second run is a malformed argument, caught before any work
+    # a run without snapshots or a bad second run is a malformed argument,
+    # caught before any work
+    if not os.path.isdir(os.path.join(args.run, "snapshots")):
+        raise ConfigError(f"run directory {args.run} has no snapshots/")
     trace2 = _load_run(args.run2)[1] if args.run2 else None
     report = {"run": args.run, "d": config.params.d, "k": config.params.k}
     if trace.no_blowup:

@@ -20,8 +20,12 @@ without making the system needlessly stiff.
 BDF gets the Jacobian in structured form (see _make_jac): every block is
 banded except the mesh velocity, which is the inverse Laplacian of a
 banded term plus a rank-one term from the total monitor mass.  The banded
-parts come from grouped differences (Curtis, Powell & Reid 1974) and the
-inverse Laplacian from one banded solve.
+parts come from grouped differences (Curtis, Powell & Reid 1974).  No
+dense Jacobian is formed: with the mesh velocity carried as an extra
+unknown per node, the Newton matrix is a banded bordered system, which
+_BandedBDF factors with LAPACK's banded LU and corrects for the rank-one
+term by Sherman-Morrison (Hairer & Wanner, Solving ODEs II, ch. VI), so a
+Newton step costs O(M).
 
 Blow-up observables (the origin gradient, the global max gradient, the
 energy, the mesh resolution) are recorded at every accepted step; rate
@@ -35,11 +39,13 @@ import functools
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import BDF
 from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import minimize_scalar
 
 from .errors import (
@@ -154,8 +160,10 @@ class RunTrace:
     nodes_in_layer: np.ndarray  # nodes with r <= 5 / sup_grad
     snapshots: list = field(default_factory=list)
     stopped: str = "blowup"      # "blowup" | "roundoff" | "tmax"
-    # BDF counters nfev/njev/nlu summed over the chunk solvers, the number
-    # of chunks and of rejected chunks; empty for a trace read back from csv
+    # BDF counters nfev/njev/nlu and the wall seconds in Jacobian builds
+    # (jac_s) and in factorisations and solves (lu_s), summed over the chunk
+    # solvers, the number of chunks and of rejected chunks; empty for a
+    # trace read back from csv
     solver: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -408,40 +416,115 @@ def _make_rhs(config, uL, gain):
     return rhs
 
 
+@dataclass(frozen=True)
+class _JacPattern:
+    """Column groups of the grouped differences and the layout of the
+    banded Newton matrix, for n interior nodes and `passes` monitor
+    smoothing passes (see _jac_pattern)."""
+    width: int            # columns of one block perturbed in turn
+    group: np.ndarray     # differencing column of each state index
+    cells: tuple          # (columns, in range) of the cell masses
+    nodes: tuple          # (columns, in range) of the PDE stencil
+    mesh: tuple           # (columns, in range) of the mesh equations
+    kl: int               # sub- and superdiagonals of the Newton matrix
+    ku: int
+    at: dict              # band-storage positions of each kind of entry
+
+
 @functools.lru_cache(maxsize=8)
 def _jac_pattern(n, passes):
-    """Column groups and sparsity patterns of the banded Jacobian parts for
-    n interior nodes and `passes` monitor smoothing passes.
+    """The _JacPattern for n interior nodes and `passes` smoothing passes.
 
     The smoothed monitor mass of cell j (between interior nodes j-1 and j)
-    depends on interior nodes j-passes-1 .. j+passes, and the stencil at
-    interior node i on i-1 .. i+1.  Within the u block and within the r
-    block, columns equal modulo `width` never share a dependent, so each
-    such group is perturbed at once, in one column of the differencing
-    block (column 0 is the unperturbed state).
+    depends on interior nodes j-passes-1 .. j+passes, the mesh equation of
+    node i (the difference of the masses of cells i+1 and i) on
+    i-passes-1 .. i+passes+1, and the stencil at node i on i-1 .. i+1.
+    Each is kept in diagonal storage: entry [i, j] belongs to column
+    cols[i, j] (clipped into range; `ok` marks the real ones), in each of
+    the u and r blocks.  Within a block, columns equal modulo `width` never
+    share a dependent, so each such group is perturbed at once, in one
+    column of the differencing block (column 0 is the unperturbed state).
 
-    Returns `width`, the block column of each state index, and for the
-    cells and the stencil the (rows, columns, block columns) of the
-    pattern."""
+    The Newton matrix orders its unknowns per node as (u_i, r_i, w_i), at
+    3i, 3i+1, 3i+2, with w the mesh-velocity unknown of _BandedBDF.  Its
+    bandwidths kl and ku are read off the entries, so they stay within
+    3n-1 when the smoothing reaches across the whole mesh; `at` holds the
+    flat positions of the entries in LAPACK band storage (transposed, so
+    that each column of the band is contiguous)."""
     width = min(max(2 * passes + 2, 3), n)
     k = np.arange(n)
     group = np.concatenate([1 + k % width, 1 + width + k % width])
 
-    def pattern(n_rows, lo, hi):
-        i, c = np.meshgrid(np.arange(n_rows), np.arange(lo, hi + 1),
-                           indexing="ij")
-        c = c + i
-        ok = (c >= 0) & (c < n)
-        i, c = i[ok], c[ok]
-        rows = np.concatenate([i, i])
-        cols = np.concatenate([c, n + c])
-        return rows, cols, group[cols]
+    def diagonals(n_rows, lo, hi):
+        cols = np.arange(n_rows)[:, None] + np.arange(lo, hi + 1)
+        ok = (cols >= 0) & (cols < n)
+        return np.clip(cols, 0, n - 1), ok
 
-    return width, group, pattern(n + 1, -passes - 1, passes), pattern(n, -1, 1)
+    cells = diagonals(n + 1, -passes - 1, passes)
+    nodes = diagonals(n, -1, 1)
+    mesh = diagonals(n, -passes - 1, passes + 1)
+
+    def blocks(row, cols, ok):
+        # entries of row 3i + row at the u and r unknowns of cols[i][ok[i]]
+        rows = np.broadcast_to(3 * k[:, None] + row, cols.shape)[ok]
+        return np.stack([rows, rows]), np.stack([3 * cols[ok], 3 * cols[ok] + 1])
+
+    w = 3 * k + 2
+    entries = {
+        "stencil": blocks(0, *nodes),            # b L
+        "mesh": blocks(2, *mesh),                # -G
+        "diagonal": (np.concatenate([3 * k, 3 * k + 1]),) * 2,   # a I
+        "ur": (3 * k, w),                        # b diag(u_r) of b P
+        "one": (3 * k + 1, w),                   # b I of b P
+        "two": (w, w),                           # A = tridiag(-1, 2, -1)
+        "minus_one": (np.concatenate([w[1:], w[:-1]]),
+                      np.concatenate([w[:-1], w[1:]])),
+    }
+    kl = max(int(np.max(r - c)) for r, c in entries.values())
+    ku = max(int(np.max(c - r)) for r, c in entries.values())
+    ldab = 2 * kl + ku + 1
+    at = {key: c * ldab + kl + ku + r - c for key, (r, c) in entries.items()}
+    return _JacPattern(width, group, cells, nodes, mesh, kl, ku, at)
+
+
+@dataclass
+class _Jacobian:
+    """a I + b J, with J the Jacobian of _make_rhs in structured form
+
+        J = L + P A^-1 (G + g s^T),   P = [diag(u_r); I],
+
+    where L is the 3-point stencil part of the u rows (`stencil`), A =
+    tridiag(-1, 2, -1), G the banded part of the mesh equations (`mesh`)
+    and g s^T the rank-one reservation term.  `stencil` and `mesh` hold
+    the banded rows per u/r block in centred diagonal storage: entry
+    [blk, i, j] is the derivative by node i + j - (K-1)/2 of block blk,
+    with K the number of diagonals, and zero where that node is outside
+    the mesh.  `s` holds the u and r halves of s.  No dense form is ever
+    built: numpy defers to the operators below, so BDF's I - c * J stays
+    structured, and _BandedBDF factors it."""
+    pattern: _JacPattern
+    stencil: np.ndarray   # (2, n, 3)
+    ur: np.ndarray        # (n,)
+    mesh: np.ndarray      # (2, n, 2 * passes + 3)
+    g: np.ndarray         # (n,)
+    s: np.ndarray         # (2, n)
+    a: float = 0.0
+    b: float = 1.0
+
+    __array_ufunc__ = None
+
+    def __rmul__(self, k):
+        return replace(self, a=k * self.a, b=k * self.b)
+
+    def __rsub__(self, k):
+        # k I - (a I + b J) for a scalar k; _BandedBDF's identity is 1.0
+        if not np.isscalar(k):
+            return NotImplemented
+        return replace(self, a=k - self.a, b=-self.b)
 
 
 def _make_jac(config, uL, gain, atol):
-    """Jacobian of _make_rhs(config, uL, gain), built from its structure.
+    """Jacobian of _make_rhs(config, uL, gain) as a _Jacobian.
 
     With c the per-cell monitor mass, F = gain * diff(c) and
     A = tridiag(-1, 2, -1), the RHS is r' = A^-1 F and u' = phys + r' u_r,
@@ -451,41 +534,120 @@ def _make_jac(config, uL, gain, atol):
         du'/dy = d(phys) + diag(r') d(u_r) + diag(u_r) dr'/dy.
 
     dc is banded but for the reservation, which moves with the total
-    monitor mass and so adds a rank-one term; d(phys) and d(u_r) are
-    3-point.  The banded parts come from grouped forward differences with
-    scipy's num_jac step, sqrt(eps) * max(|y|, atol), and A^-1 from one
-    banded solve on all 2n columns."""
+    monitor mass and so adds the rank-one term g s^T to dF, with
+    s = colsum(dc) (the column sums of the held-reservation part of dc are
+    d(mass), as sum(dr) = L for every state) and g = gain * share *
+    diff(dr).  d(phys) and d(u_r) are 3-point.  The banded parts come from
+    grouped forward differences with scipy's num_jac step,
+    sqrt(eps) * max(|y|, atol)."""
     n = config.M - 2
-    width, group, cell, node = _jac_pattern(n, config.monitor_smooth_passes)
+    pat = _jac_pattern(n, config.monitor_smooth_passes)
     share = config.uniform_fraction / config.L
     diag = np.arange(2 * n)
 
+    def quotients(f, h, cols, ok):
+        # (f[i, group[col]] - f[i, 0]) / h[col] per block, in diagonal storage
+        i = np.arange(f.shape[0])[:, None]
+        q = np.stack([(f[i, pat.group[cols + off]] - f[:, :1]) / h[cols + off]
+                      for off in (0, n)])
+        return np.where(ok, q, 0.0)
+
     def jac(t, y):
-        Y = np.repeat(y[:, None], 2 * width + 1, axis=1)
-        Y[diag, group] += _FD_STEP * np.maximum(np.abs(y), atol)
-        h = Y[diag, group] - y
+        Y = np.repeat(y[:, None], 2 * pat.width + 1, axis=1)
+        Y[diag, pat.group] += _FD_STEP * np.maximum(np.abs(y), atol)
+        h = Y[diag, pat.group] - y
         r, u = _unpack(config, Y, uL)
         dr = np.diff(r, axis=0)
         m = _smoothed_monitor(config, r, u)
-        # the reservation held at its value at y; the column sums of the
-        # held part of dc are d(mass), as sum(dr) = L for every state
+        # the reservation held at its value at y
         c = (m + _reservation(config, m[:, 0], dr[:, 0])) * dr
-        dc = np.zeros((n + 1, 2 * n))
-        rows, cols, blk = cell
-        dc[rows, cols] = (c[rows, blk] - c[rows, 0]) / h[cols]
-        dc += (share * dr[:, :1]) * dc.sum(axis=0)
+        dc = quotients(c, h, *pat.cells)
+        cols = pat.cells[0].ravel()
+        s = np.stack([np.bincount(cols, dc_b.ravel(), minlength=n) for dc_b in dc])
+        # the mesh equation of node i is the mass of cell i+1 less that of
+        # cell i; the diagonals of dc start one column later in row i+1
+        mesh = np.zeros((2, n, dc.shape[2] + 1))
+        mesh[:, :, 1:] = dc[:, 1:]
+        mesh[:, :, :-1] -= dc[:, :-1]
+        mesh *= gain
+        g = gain * share * np.diff(dr[:, 0])
 
-        J = np.empty((2 * n, 2 * n))
-        J[n:] = _inverse_laplacian(gain * np.diff(dc, axis=0))
         phys, ur = _pde_stencil(config, r, u)
-        J[:n] = ur[:, :1] * J[n:]
         # du/dt with r' held at its value at y
         f = phys + _inverse_laplacian(gain * np.diff(c[:, :1], axis=0)) * ur
-        rows, cols, blk = node
-        J[rows, cols] += (f[rows, blk] - f[rows, 0]) / h[cols]
-        return J
+        return _Jacobian(pat, quotients(f, h, *pat.nodes), ur[:, 0].copy(),
+                         mesh, g, s)
 
     return jac
+
+
+class _BandedBDF(BDF):
+    """scipy's BDF, with the Newton matrix a I + b J (a _Jacobian) solved
+    as the banded bordered system
+
+        [[a I + b L, P], [-b G, A]] [x; w] = [rhs; 0] + [0; b g] s^T x
+
+    in the unknowns (u_i, r_i, w_i) of each node, with w = b A^-1 (G + g s^T) x
+    the mesh-velocity part: LAPACK gbtrf/gbtrs for the banded matrix K on
+    the left and Sherman-Morrison for the rank-one term.  Carrying b in w
+    keeps the mesh rows on the scale of the PDE rows (b G against b L),
+    which at a sharpened layer makes the solve some 1e4 times more
+    accurate than with w itself.  Step size, order and Newton iteration
+    are scipy's.  jac_s and lu_s count the wall seconds spent in Jacobian
+    builds and in factorisations and solves."""
+
+    def __init__(self, *args, **kwargs):
+        self.jac_s = self.lu_s = 0.0
+        super().__init__(*args, **kwargs)
+        # scipy binds a dense lu, solve_lu and identity to each instance
+        del self.lu, self.solve_lu
+        self.I = 1.0
+
+    def _validate_jac(self, jac, sparsity):
+        def timed(t, y):
+            start = time.perf_counter()
+            J = jac(t, y)
+            self.jac_s += time.perf_counter() - start
+            self.njev += 1
+            return J
+
+        return timed, timed(self.t, self.y)
+
+    def lu(self, J):
+        start = time.perf_counter()
+        self.nlu += 1
+        pat, n = J.pattern, J.ur.size
+        band = np.zeros((3 * n, 2 * pat.kl + pat.ku + 1))
+        flat, at = band.reshape(-1), pat.at
+        flat[at["stencil"]] = J.b * J.stencil[:, pat.nodes[1]]
+        flat[at["diagonal"]] += J.a
+        flat[at["ur"]] = J.ur
+        flat[at["one"]] = 1.0
+        flat[at["mesh"]] = -J.b * J.mesh[:, pat.mesh[1]]
+        flat[at["two"]] = 2.0
+        flat[at["minus_one"]] = -1.0
+        band, piv, _ = dgbtrf(band.T, pat.kl, pat.ku, overwrite_ab=True)
+        # K^-1 [0; b g] and s^T of the Sherman-Morrison update
+        z = np.zeros(3 * n)
+        z[2::3] = J.b * J.g
+        z = dgbtrs(band, pat.kl, pat.ku, z, piv, overwrite_b=True)[0]
+        s = np.zeros(3 * n)
+        s[0::3], s[1::3] = J.s
+        factors = (band, piv, pat.kl, pat.ku, z, s, 1.0 - s @ z)
+        self.lu_s += time.perf_counter() - start
+        return factors
+
+    def solve_lu(self, factors, rhs):
+        start = time.perf_counter()
+        band, piv, kl, ku, z, s, denom = factors
+        n = rhs.size // 2
+        x = np.zeros(3 * n)
+        x[0::3], x[1::3] = rhs[:n], rhs[n:]
+        x = dgbtrs(band, kl, ku, x, piv, overwrite_b=True)[0]
+        x += z * ((s @ x) / denom)
+        out = np.concatenate([x[0::3], x[1::3]])
+        self.lu_s += time.perf_counter() - start
+        return out
 
 
 def step(config, state, gain=None, dt_max=np.inf):
@@ -510,10 +672,10 @@ def _new_solver(config, state, gain, t_bound):
     spacing = np.diff(state.r)
     local = np.minimum(spacing[:-1], spacing[1:])
     atol[n:] = config.atol_r_rel * local
-    # the inverse-Laplacian mesh velocity couples every node pair, so the
-    # Jacobian is dense, but _make_jac assembles it from banded parts and
-    # one banded solve instead of 2n finite differences
-    return BDF(
+    # the inverse-Laplacian mesh velocity couples every node pair, but the
+    # Newton matrix is banded once the velocity is an unknown of its own:
+    # _make_jac gives the Jacobian in parts and _BandedBDF solves with them
+    return _BandedBDF(
         _make_rhs(config, state.u[-1], gain),
         state.t,
         _pack(state),
@@ -550,6 +712,7 @@ def run(config, progress=None):
     gmax = observe(state.t, state.r, state.u)
     counters = dict.fromkeys(
         ("chunks", "rejected_chunks", "nfev", "njev", "nlu"), 0)
+    counters.update(jac_s=0.0, lu_s=0.0)
     rtol = config.rtol
     qhat = 0.0   # measured growth rate d log(sup u_r)/dt of the last chunk
     while True:
@@ -585,7 +748,7 @@ def run(config, progress=None):
             if gmax >= chunk_limit:
                 break
         counters["chunks"] += 1
-        for key in ("nfev", "njev", "nlu"):
+        for key in ("nfev", "njev", "nlu", "jac_s", "lu_s"):
             counters[key] += getattr(solver, key)
         if failed:
             counters["rejected_chunks"] += 1

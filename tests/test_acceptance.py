@@ -227,6 +227,7 @@ def test_criterion_5_reduced_dynamics(asym):
            f"closed-form mismatch {worst:.1e}")
 
 
+@pytest.mark.slow
 def test_criterion_6_power_regime(d8_coarse, d8_fine, d9_run):
     fit_c = meshsim.fit_power(d8_coarse)
     fit_f = meshsim.fit_power(d8_fine)
@@ -247,6 +248,7 @@ def test_criterion_6_power_regime(d8_coarse, d8_fine, d9_run):
                f"{max(fit_c.uncertainty, fit_f.uncertainty):.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_neutral_regime(d7_runs):
     fits = {init: meshsim.fit_log(tr) for init, tr in d7_runs.items()}
     r2_min = min(f.r_squared for f in fits.values())
@@ -261,6 +263,7 @@ def test_criterion_7_neutral_regime(d7_runs):
            f"scale err {scale_err:.2%}), -log(T-t) span {span:.1f}")
 
 
+@pytest.mark.slow
 def test_criterion_8_prediction_closure(asym, d7_runs):
     c, p, b, cc, N = asym[(7.0, 1)]
     law = rates.predict_rate(c, N, p, b, cc)
@@ -274,6 +277,7 @@ def test_criterion_8_prediction_closure(asym, d7_runs):
            f"predicted {C_pred:.5f}, fitted {fit.C:.5f}, ratio {ratio:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_9_ansatz_overlay(asym, d8_fine):
     c, p, b, cc, N = asym[(8.0, 1)]
     T = meshsim.fit_power(d8_fine).T

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -97,7 +98,10 @@ def test_simulate_malformed_configs(tmp_path, capsys):
                 '{"d": 8, "k": 1, "max_gradient": NaN}',
                 '{"d": 8, "k": 1, "monitor_alpha": -1}',
                 '{"d": 8, "k": 1, "monitor_scale_weight": -1}',
-                '{"d": 8, "k": 1, "monitor_smooth_passes": -1}'):
+                '{"d": 8, "k": 1, "monitor_smooth_passes": -1}',
+                '{"d": 8, "k": 1, "M": 201.7}',
+                '{"d": 8, "k": 1, "monitor_smooth_passes": 2.5}',
+                '{"d": 8, "k": 1.5}'):
         path = tmp_path / "bad.json"
         path.write_text(bad)
         assert cli.main(["simulate", "--config", str(path),
@@ -155,6 +159,9 @@ def test_config_hash_pinned(tmp_path):
         == "7902e418309ae582"
     path = write_config(tmp_path / "cfg.json", M=161)
     assert cli._config_hash(cli._load_config(path)) == "81ee89ccc87e694b"
+    # an integral float is the integer
+    path = write_config(tmp_path / "cfg_float.json", M=161.0, k=1.0)
+    assert cli._config_hash(cli._load_config(path)) == "81ee89ccc87e694b"
 
 
 def test_bad_run_directory_exit_2(tmp_path, run_dir, capsys):
@@ -174,6 +181,19 @@ def test_bad_run_directory_exit_2(tmp_path, run_dir, capsys):
         assert cli.main(["fit", "--run", str(run)]) == 2, bad
     capsys.readouterr()
 
+    # config.json and trace.csv are fine, but snapshots/ is missing: compare
+    # needs it, fit does not
+    bare = tmp_path / "bare_run"
+    bare.mkdir()
+    for name in ("config.json", "trace.csv"):
+        shutil.copy(os.path.join(run_dir, name), bare / name)
+    assert cli.main(["compare", "--run", str(bare)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (bare / "compare.json").exists()
+    assert cli.main(["fit", "--run", str(bare)]) == 0
+    capsys.readouterr()
+
 
 def test_run_directory_layout(run_dir):
     for name in ("config.json", "trace.csv", "fit.json", "manifest.json"):
@@ -188,7 +208,8 @@ def test_run_directory_layout(run_dir):
         assert os.path.exists(artifact)
     assert "numpy" in manifest["versions"]
     solver = manifest["solver"]
-    assert set(solver) == {"chunks", "rejected_chunks", "nfev", "njev", "nlu"}
+    assert set(solver) == {"chunks", "rejected_chunks", "nfev", "njev", "nlu",
+                           "jac_s", "lu_s"}
     assert solver["njev"] >= solver["chunks"] >= 1
 
     fit = json.load(open(os.path.join(run_dir, "fit.json")))

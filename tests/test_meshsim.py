@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate._ivp.bdf
+import scipy.linalg
 from scipy.integrate._ivp.common import num_jac
 
 from blowuplab import meshsim
@@ -156,39 +158,128 @@ def test_rhs_batched_matches_single_columns():
         assert np.max(np.abs(F[:, j] - f)) <= 1e-12 * np.max(np.abs(f))
 
 
+def _dense_jacobian(J):
+    """The dense 2n x 2n matrix of a structured meshsim Jacobian,
+    L + P A^-1 (G + g s^T), assembled from its parts."""
+    n = J.ur.size
+
+    def from_diagonals(vals):
+        # centred diagonal storage: [blk, i, j] is column i + j - (K-1)/2
+        # of block blk
+        out = np.zeros((vals.shape[1], 2 * n))
+        K = vals.shape[2]
+        for i in range(vals.shape[1]):
+            for j in range(K):
+                col = i + j - (K - 1) // 2
+                if 0 <= col < n:
+                    out[i, [col, n + col]] = vals[:, i, j]
+        return out
+
+    L = np.zeros((2 * n, 2 * n))
+    L[:n] = from_diagonals(J.stencil)
+    G = from_diagonals(J.mesh) + np.outer(J.g, J.s.ravel())
+    A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    P = np.vstack([np.diag(J.ur), np.eye(n)])
+    return J.a * np.eye(2 * n) + J.b * (L + P @ np.linalg.solve(A, G))
+
+
+def _block_error(X, X_ref, n):
+    """Max-norm distance of X from X_ref relative to the latter's max norm,
+    taken per (u, r) block so the mesh part is not hidden by the stiffer
+    PDE part; X is a state vector or a matrix on the state."""
+    def block_max(Z):
+        return np.abs(Z).reshape((2, n) * Z.ndim).max(axis=(1, 3)[:Z.ndim])
+
+    return float(np.max(block_max(X - X_ref) / block_max(X_ref)))
+
+
 def _jac_error(cfg, state, gain):
-    """Max-norm distance of the structured Jacobian from scipy's dense
-    finite-difference one, relative to the latter's max norm, taken per
-    (u, r) block so the mesh rows are not hidden by the stiffer PDE rows."""
+    """Distance of the Jacobian BDF was given from scipy's dense
+    finite-difference one (see _block_error)."""
     y = meshsim._pack(state)
     solver = meshsim._new_solver(cfg, state, gain, t_bound=state.t + 1.0)
-    J = meshsim._make_jac(cfg, state.u[-1], gain, solver.atol)(state.t, y)
-    assert np.array_equal(solver.J, J)  # the Jacobian BDF was given
+    J = _dense_jacobian(solver.J)
     rhs = meshsim._make_rhs(cfg, state.u[-1], gain)
     J_ref, _ = num_jac(rhs, state.t, y, rhs(state.t, y), solver.atol, None)
+    return _block_error(J, J_ref, cfg.M - 2)
+
+
+def _newton_error(cfg, state, gain, extra_c=()):
+    """Largest distance (see _block_error) of the banded Newton solve of
+    (I - c J) x = b from a dense solve, for c from 1/100 to 100 times the
+    first step BDF selects and for each of extra_c."""
+    solver = meshsim._new_solver(cfg, state, gain, t_bound=state.t + 1.0)
     n = cfg.M - 2
-    halves = (slice(None, n), slice(n, None))
-    return max(np.max(np.abs(J[a, b] - J_ref[a, b])) / np.max(np.abs(J_ref[a, b]))
-               for a in halves for b in halves)
+    J = _dense_jacobian(solver.J)
+    b = np.random.default_rng(0).standard_normal(2 * n)
+    errors = []
+    for c in [*(solver.h_abs * np.array([1e-2, 1.0, 1e2])), *extra_c]:
+        x = solver.solve_lu(solver.lu(solver.I - c * solver.J), b)
+        errors.append(_block_error(x, scipy.linalg.solve(np.eye(2 * n) - c * J, b), n))
+    return max(errors)
 
 
-@pytest.mark.parametrize("kw", [
+JACOBIAN_CASES = [
     {}, {"monitor_smooth_passes": 0}, {"monitor_scale_weight": 0.0},
     {"uniform_fraction": 0.0}, {"initial_data": "r+sin(r)", "M": 97},
-])
+]
+
+
+def _sharpened_layer(trace):
+    """The last snapshot of a run to sup|u_r| = 1e6 (a boundary layer many
+    orders of magnitude thinner than the outer mesh spacing) and the gain
+    run() sets there."""
+    t, g = trace.t, trace.sup_grad
+    qhat = math.log(g[-1] / g[-20]) / (t[-1] - t[-20])
+    return trace.snapshots[-1], TRACKING_MARGIN * qhat / (1.0 + g[-1])
+
+
+@pytest.mark.parametrize("kw", JACOBIAN_CASES)
 def test_jacobian_matches_num_jac(kw):
     cfg = config(**kw)
     assert _jac_error(cfg, initialize(cfg), gain=0.5) <= 1e-5
 
 
 def test_jacobian_matches_num_jac_sharpened_layer(quick_trace):
-    # the last snapshot of a run to sup|u_r| = 1e6: a boundary layer many
-    # orders of magnitude thinner than the outer mesh spacing
-    state = quick_trace.snapshots[-1]
-    t, g = quick_trace.t, quick_trace.sup_grad
-    qhat = math.log(g[-1] / g[-20]) / (t[-1] - t[-20])
-    gain = TRACKING_MARGIN * qhat / (1.0 + g[-1])   # as run() sets it
+    state, gain = _sharpened_layer(quick_trace)
     assert _jac_error(quick_trace.config, state, gain) <= 1e-5
+
+
+@pytest.mark.parametrize("kw", JACOBIAN_CASES + [
+    # smoothing wider than the mesh: the band is clipped to 3n - 1
+    {"M": 64, "monitor_smooth_passes": 100},
+])
+def test_newton_solve_matches_dense(kw):
+    cfg = config(**kw)
+    # c = 1 is far beyond BDF's steps here, where the rank-one term shows
+    assert _newton_error(cfg, initialize(cfg), gain=0.5, extra_c=(1.0,)) <= 1e-10
+
+
+def test_newton_solve_matches_dense_sharpened_layer(quick_trace):
+    state, gain = _sharpened_layer(quick_trace)
+    assert _newton_error(quick_trace.config, state, gain) <= 1e-10
+
+
+def test_newton_band_clipped_to_matrix():
+    n = 62
+    pattern = meshsim._jac_pattern(n, 100)
+    assert pattern.kl == 3 * n - 1 and pattern.ku < 3 * n
+    assert meshsim._jac_pattern(199, 4).kl < 3 * (4 + 2)
+
+
+def test_no_dense_lu(monkeypatch):
+    # the Newton matrix is factored banded; scipy's dense LU must not run
+    def dense_lu(*args, **kwargs):
+        raise AssertionError("dense LU called")
+
+    monkeypatch.setattr(scipy.integrate._ivp.bdf, "lu_factor", dense_lu)
+    monkeypatch.setattr(scipy.integrate._ivp.bdf, "lu_solve", dense_lu)
+    cfg = config(M=101)
+    state = initialize(cfg)
+    for _ in range(3):
+        state = step(cfg, state, dt_max=1e-3)
+    trace = run(config(M=101, t_max=1e-3))
+    assert trace.solver["nlu"] >= 1 and trace.t.size > 1
 
 
 def test_monitor_positive_and_massive():
@@ -210,8 +301,10 @@ def test_quick_run_reaches_blowup(quick_trace):
 
 def test_quick_run_solver_counters(quick_trace):
     counters = quick_trace.solver
-    assert set(counters) == {"chunks", "rejected_chunks", "nfev", "njev", "nlu"}
+    assert set(counters) == {"chunks", "rejected_chunks", "nfev", "njev", "nlu",
+                             "jac_s", "lu_s"}
     assert counters["njev"] >= counters["chunks"] >= 1
+    assert counters["jac_s"] > 0 and counters["lu_s"] > 0
     assert 0 <= counters["rejected_chunks"] < counters["chunks"]
     assert counters["nfev"] >= quick_trace.t.size - 1
 
