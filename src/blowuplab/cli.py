@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
 import traceback
@@ -183,41 +184,52 @@ def _auto_fit(config, trace):
 
 
 def _run_one(config_path, out_root):
+    """Simulate one config and write its run directory.  The directory is
+    built in a temporary sibling and renamed into place when complete, so a
+    failed or interrupted run leaves no partial directory that fit or
+    compare could read; a rerun of the same config replaces the old one."""
     config = _load_config(config_path)
-    run_dir = os.path.join(
-        out_root, f"run_{config.params.d:g}d{config.params.k}k_{_config_hash(config)}"
-    )
-    os.makedirs(os.path.join(run_dir, "snapshots"), exist_ok=True)
-    started = time.time()
-    trace = meshsim.run(config)
-    _write_json(os.path.join(run_dir, "config.json"),
-                config.to_dict() | {"stopped": trace.stopped})
-    trace.to_csv(os.path.join(run_dir, "trace.csv"))
-    snap_paths = []
-    for j, snap in enumerate(trace.snapshots):
-        base = os.path.join(run_dir, "snapshots", f"snap_{j:03d}")
-        snap.to_csv(base + ".csv")
-        _write_json(base + ".json", {"t": snap.t, "index": j})
-        snap_paths.append(base + ".csv")
-    fit_path = os.path.join(run_dir, "fit.json")
+    name = f"run_{config.params.d:g}d{config.params.k}k_{_config_hash(config)}"
+    run_dir = os.path.join(out_root, name)
+    tmp_dir = os.path.join(out_root, f".{name}.{os.getpid()}.tmp")
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    os.makedirs(os.path.join(tmp_dir, "snapshots"))
     try:
-        fit = _auto_fit(config, trace)
-        _write_json(fit_path, json.loads(fit.to_json()))
-    except BlowupLabError as exc:
-        fit = None
-        _write_json(fit_path, {"error": type(exc).__name__, "message": str(exc)})
-    manifest = {
-        "command": "simulate",
-        "config_hash": _config_hash(config),
-        "started": started,
-        "finished": time.time(),
-        "artifacts": [os.path.join(run_dir, p) for p in
-                      ("config.json", "trace.csv", "fit.json")] + snap_paths,
-        "versions": {"blowuplab": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
-        "solver": trace.solver,
-    }
-    _write_json(os.path.join(run_dir, "manifest.json"), manifest)
+        started = time.time()
+        trace = meshsim.run(config)
+        _write_json(os.path.join(tmp_dir, "config.json"),
+                    config.to_dict() | {"stopped": trace.stopped})
+        trace.to_csv(os.path.join(tmp_dir, "trace.csv"))
+        snap_names = []
+        for j, snap in enumerate(trace.snapshots):
+            base = os.path.join("snapshots", f"snap_{j:03d}")
+            snap.to_csv(os.path.join(tmp_dir, base + ".csv"))
+            _write_json(os.path.join(tmp_dir, base + ".json"), {"t": snap.t, "index": j})
+            snap_names.append(base + ".csv")
+        try:
+            fit = _auto_fit(config, trace)
+            fit_blob = json.loads(fit.to_json())
+        except BlowupLabError as exc:
+            fit = None
+            fit_blob = {"error": type(exc).__name__, "message": str(exc)}
+        _write_json(os.path.join(tmp_dir, "fit.json"), fit_blob)
+        manifest = {
+            "command": "simulate",
+            "config_hash": _config_hash(config),
+            "started": started,
+            "finished": time.time(),
+            "artifacts": [os.path.join(run_dir, p) for p in
+                          ("config.json", "trace.csv", "fit.json", *snap_names)],
+            "versions": {"blowuplab": __version__, "numpy": np.__version__,
+                         "scipy": scipy.__version__},
+            "solver": trace.solver,
+        }
+        _write_json(os.path.join(tmp_dir, "manifest.json"), manifest)
+        shutil.rmtree(run_dir, ignore_errors=True)
+        os.replace(tmp_dir, run_dir)
+    except BaseException:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        raise
     return run_dir, trace, fit
 
 
@@ -316,7 +328,7 @@ def _overlay_csv(path, run_dir, T, prof, basis, N):
     data = np.genfromtxt(os.path.join(snap_dir, best + ".csv"),
                          delimiter=",", names=True)
     state = meshsim.MeshState(t=float(t_best), r=data["r"], u=data["u"])
-    g0 = (state.u[1] - state.u[0]) / (state.r[1] - state.r[0])
+    g0 = meshsim._gradients(state.r, state.u)[1]
     tau = T - state.t
     eps = 1.0 / (prof.Cs * math.sqrt(tau) * abs(g0))
     if not 0.0 < eps <= 0.1:

@@ -162,8 +162,7 @@ class RunTrace:
     stopped: str = "blowup"      # "blowup" | "roundoff" | "tmax"
     # BDF counters nfev/njev/nlu and the wall seconds in Jacobian builds
     # (jac_s) and in factorisations and solves (lu_s), summed over the chunk
-    # solvers, the number of chunks and of rejected chunks; empty for a
-    # trace read back from csv
+    # solvers, and the number of chunks; empty for a trace read back from csv
     solver: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -650,19 +649,25 @@ class _BandedBDF(BDF):
         return out
 
 
-def step(config, state, gain=None, dt_max=np.inf):
-    """Advance one accepted implicit step; mostly a testing convenience,
-    run() drives the same machinery in chunks."""
-    if gain is None:
-        gain = _gain(config, _sup_gradient(state.r, state.u))
-    solver = _new_solver(config, state, gain, t_bound=state.t + dt_max)
+def _advance(config, solver, uL):
+    """Take one step of `solver` and return the accepted MeshState;
+    StepSizeUnderflow if the step failed, MeshTangling if it left the nodes
+    out of order."""
     solver.step()
     if solver.status == "failed":
         raise StepSizeUnderflow("implicit step failed; increase M or tolerances")
-    r, u = _unpack(config, solver.y, state.u[-1])
+    r, u = _unpack(config, solver.y, uL)
     if np.any(np.diff(r) <= 0.0):
-        raise MeshTangling("node ordering violated")
+        raise MeshTangling("node ordering violated; increase M")
     return MeshState(t=solver.t, r=r, u=u)
+
+
+def step(config, state, dt_max=np.inf):
+    """Advance one accepted implicit step; mostly a testing convenience,
+    run() takes its steps through the same _advance."""
+    gain = _gain(config, _sup_gradient(state.r, state.u))
+    solver = _new_solver(config, state, gain, t_bound=state.t + dt_max)
+    return _advance(config, solver, state.u[-1])
 
 
 def _new_solver(config, state, gain, t_bound):
@@ -710,32 +715,28 @@ def run(config, progress=None):
         return gmax
 
     gmax = observe(state.t, state.r, state.u)
-    counters = dict.fromkeys(
-        ("chunks", "rejected_chunks", "nfev", "njev", "nlu"), 0)
+    counters = dict.fromkeys(("chunks", "nfev", "njev", "nlu"), 0)
     counters.update(jac_s=0.0, lu_s=0.0)
-    rtol = config.rtol
     qhat = 0.0   # measured growth rate d log(sup u_r)/dt of the last chunk
     while True:
         gain = _gain(config, gmax, qhat)
         chunk_limit = CHUNK_GROWTH * gmax  # refresh the frozen gain as the layer sharpens
         t_chunk, g_chunk = state.t, gmax
-        solver = _new_solver(replace(config, rtol=rtol), state, gain,
-                             t_bound=config.t_max)
-        chunk_start = (state, len(rows), len(snapshots), next_snap)
-        failed = None
+        solver = _new_solver(config, state, gain, t_bound=config.t_max)
         while solver.status == "running":
-            solver.step()
-            if solver.status == "failed":
-                failed = "step"
+            try:
+                state = _advance(config, solver, uL)
+            except StepSizeUnderflow:
+                # deep in the collapse T - t can shrink below the spacing of
+                # representable times near t; the integrator then has no
+                # step left to take, whatever its tolerance, and the run is over
+                if gmax < 1e3:
+                    raise
+                stopped = "roundoff"
                 break
-            r, u = _unpack(config, solver.y, uL)
-            if np.any(np.diff(r) <= 0.0):
-                failed = "tangle"
-                break
-            state = MeshState(t=solver.t, r=r, u=u)
-            gmax = observe(state.t, r, u)
+            gmax = observe(state.t, state.r, state.u)
             if gmax >= next_snap:
-                snapshots.append(MeshState(state.t, r.copy(), u.copy()))
+                snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy()))
                 next_snap = 10.0 ** (
                     math.floor(math.log10(gmax) / config.snapshot_decades + 1)
                     * config.snapshot_decades
@@ -750,33 +751,9 @@ def run(config, progress=None):
         counters["chunks"] += 1
         for key in ("nfev", "njev", "nlu", "jac_s", "lu_s"):
             counters[key] += getattr(solver, key)
-        if failed:
-            counters["rejected_chunks"] += 1
-            # reject the chunk: restart it from its starting state, tighter
-            rtol *= 0.1
-            state, n_rows, n_snaps, next_snap = chunk_start
-            del rows[n_rows:]
-            del snapshots[n_snaps:]
-            gmax = _sup_gradient(state.r, state.u)
-            if rtol < 1e-13:
-                if failed == "tangle":
-                    raise MeshTangling(
-                        "mesh cannot be kept ordered even at rtol=1e-13; increase M"
-                    )
-                if gmax >= 1e3:
-                    # deep in the collapse T - t can shrink below the spacing
-                    # of representable times near t; the integrator then has
-                    # no step left to take and the run is over
-                    stopped = "roundoff"
-                    break
-                raise StepSizeUnderflow(
-                    "implicit step kept failing at rtol=1e-13 away from blow-up"
-                )
-            continue
-        rtol = config.rtol
         if state.t > t_chunk and gmax > g_chunk:
             qhat = math.log(gmax / g_chunk) / (state.t - t_chunk)
-        if stopped == "blowup" or solver.status == "finished":
+        if stopped != "tmax" or solver.status == "finished":
             break
 
     snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy()))
@@ -891,19 +868,25 @@ def fit_log(trace, delta=1.0, window_efolds=6.0):
     # parabolic scaling puts T - t_end near 1/sup_grad^2 scale
     dt_guess = (1.0 / g[-1]) ** 2
 
-    def misfit(log_dt):
-        T = t_end + math.exp(log_dt)
+    def line_fit(T):
+        """x = -log(T-t) and z = (sqrt(T-t) g)^delta over the window, and the
+        line z ~ a + b x; None if the window holds fewer than 20 samples."""
         x = -np.log(T - t)
-        z = (np.sqrt(T - t) * g) ** delta
         mask = x >= x[-1] - window_efolds
         if np.sum(mask) < 20:
+            return None
+        x, z = x[mask], (np.sqrt(T - t[mask]) * g[mask]) ** delta
+        b, a = np.polyfit(x, z, 1)
+        return x, z, a, b
+
+    def misfit(log_dt):
+        fit = line_fit(t_end + math.exp(log_dt))
+        # the model slope is C^delta > 0; negative-slope minima are
+        # spurious branches of the T search
+        if fit is None or fit[3] <= 0:
             return 1e30
-        b, a = np.polyfit(x[mask], z[mask], 1)
-        if b <= 0:
-            # the model slope is C^delta > 0; negative-slope minima are
-            # spurious branches of the T search
-            return 1e30
-        return float(np.mean((a + b * x[mask] - z[mask]) ** 2))
+        x, z, a, b = fit
+        return float(np.mean((a + b * x - z) ** 2))
 
     res = minimize_scalar(
         misfit,
@@ -913,25 +896,17 @@ def fit_log(trace, delta=1.0, window_efolds=6.0):
     )
     if not res.success or res.fun >= 1e29:
         raise DegenerateFit("outer search over T failed")
+    # misfit(res.x) is finite, so the window at T is full and its slope positive
     T = t_end + math.exp(res.x)
-    x = -np.log(T - t)
-    z = (np.sqrt(T - t) * g) ** delta
-    mask = x >= x[-1] - window_efolds
-    if np.sum(mask) < 20:
-        raise WindowTooShort("fewer than 20 samples in the log-fit window")
-    b, a = np.polyfit(x[mask], z[mask], 1)
-    if b <= 0:
-        raise DegenerateFit("non-positive slope in the log-law fit")
+    x, z, a, b = line_fit(T)
     C = b ** (1.0 / delta)
     s0 = -a / b
-    pred = a + b * x[mask]
-    ss_res = float(np.sum((z[mask] - pred) ** 2))
-    ss_tot = float(np.sum((z[mask] - np.mean(z[mask])) ** 2))
-    r2 = 1.0 - ss_res / ss_tot
+    ss_res = float(np.sum((z - (a + b * x)) ** 2))
+    ss_tot = float(np.sum((z - np.mean(z)) ** 2))
     return FitResult(kind="log", T=T, C=C, s0=s0,
-                     residual=math.sqrt(ss_res / np.sum(mask)),
-                     r_squared=r2,
-                     window=(float(x[mask][0]), float(x[mask][-1])))
+                     residual=math.sqrt(ss_res / x.size),
+                     r_squared=1.0 - ss_res / ss_tot,
+                     window=(float(x[0]), float(x[-1])))
 
 
 @dataclass

@@ -134,7 +134,6 @@ def solve_profile(consts, x_min=None, x_max=None, tolerance=1e-11):
         raise RuntimeError(f"profile integration failed: {sol.message}")
     v, vp = sol.y
 
-    report = check_trapping_arrays(consts, v, vp)
     scale = np.maximum(np.abs(vp), 1e-280)
     rel_viol = max(
         float(np.max(np.maximum(-consts.params.k * np.sin(v) - vp, 0.0) / scale)),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from blowuplab import cli
+from blowuplab.errors import StepSizeUnderflow
 from blowuplab.meshsim import INITIAL_DATA_FAMILIES, TRACE_COLUMNS, SimConfig
 from blowuplab.params import ModelParams
 from blowuplab.tables import write_table
@@ -208,8 +209,7 @@ def test_run_directory_layout(run_dir):
         assert os.path.exists(artifact)
     assert "numpy" in manifest["versions"]
     solver = manifest["solver"]
-    assert set(solver) == {"chunks", "rejected_chunks", "nfev", "njev", "nlu",
-                           "jac_s", "lu_s"}
+    assert set(solver) == {"chunks", "nfev", "njev", "nlu", "jac_s", "lu_s"}
     assert solver["njev"] >= solver["chunks"] >= 1
 
     fit = json.load(open(os.path.join(run_dir, "fit.json")))
@@ -244,6 +244,31 @@ def test_compare_no_blowup(tmp_path, capsys):
     assert cli.main(["compare", "--run", str(tmp_path / run)]) == 0
     report = json.load(open(tmp_path / run / "compare.json"))
     assert report["status"] == "NoBlowup"
+    capsys.readouterr()
+
+
+def test_failed_run_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    def failing_run(config):
+        raise StepSizeUnderflow("forced")
+
+    monkeypatch.setattr(cli.meshsim, "run", failing_run)
+    cfg = write_config(tmp_path / "cfg.json", t_max=1e-3, M=101)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "StepSizeUnderflow" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_rerun_replaces_run_directory(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", t_max=1e-3, M=101)
+    out = tmp_path / "out"
+    for _ in range(2):
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert len(os.listdir(out)) == 1
+    run = out / os.listdir(out)[0]
+    assert run.name.startswith("run_")
+    manifest = json.load(open(run / "manifest.json"))
+    assert all(os.path.exists(artifact) for artifact in manifest["artifacts"])
     capsys.readouterr()
 
 
