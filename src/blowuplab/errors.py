@@ -47,6 +47,11 @@ class BadInitialData(BlowupLabError):
     """Initial data violates the regularity condition u(0) = 0."""
 
 
+class IntegrationFailed(BlowupLabError):
+    """An ODE integration of the asymptotics (profile orbit or eps) did not
+    reach its end: illegal tolerances, excess work or a step-size collapse."""
+
+
 class StepSizeUnderflow(BlowupLabError):
     """Time integrator step collapsed; the mesh cannot resolve the layer."""
 

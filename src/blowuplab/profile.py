@@ -21,14 +21,15 @@ normalization C_s = 1 / sup_xi |dU*/dxi|.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
-from .errors import TailFitIllConditioned, TrappingViolation
+from .errors import IntegrationFailed, TailFitIllConditioned, TrappingViolation
 from .params import DerivedConstants
 from .tables import write_table
 
@@ -100,16 +101,31 @@ def _pendulum_rhs(consts):
     torque = k * (d + k - 2.0)
 
     def rhs(x, state):
-        v, vp = state
+        v, vp = state.tolist()   # Python floats: faster than numpy scalars
         return (vp, -damping * vp - torque * math.sin(v))
 
     return rhs
 
 
+def lsoda(rhs, y0, t, rtol, atol, what):
+    """Solution of y' = rhs(t, y) on the nodes t (y0 at t[0]) by LSODA, whose
+    step loop runs in compiled code.  A failed integration raises
+    IntegrationFailed naming `what`, never an ODEintWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ODEintWarning)
+        try:
+            return odeint(rhs, y0, t, rtol=rtol, atol=atol, tfirst=True)
+        except ODEintWarning as exc:
+            raise IntegrationFailed(f"{what} integration failed: {exc}") from None
+
+
 def solve_profile(consts, x_min=None, x_max=None, tolerance=1e-11):
     """Integrate the heteroclinic orbit and package it with tail and slope
     constants.  Raises TrappingViolation if the computed orbit exits the
-    trapping region by more than the integration error allows."""
+    trapping region by more than the integration error allows, and
+    IntegrationFailed if LSODA fails, as it does for tolerance below about
+    2.2e-13 (it runs at tolerance/10 and rejects rtol below 100 machine
+    epsilons)."""
     if x_min is None:
         x_min = default_x_min(consts.params.k)
     if x_max is None:
@@ -117,22 +133,18 @@ def solve_profile(consts, x_min=None, x_max=None, tolerance=1e-11):
     v0, vp0 = _origin_series(consts, x_min)
 
     # the orbit amplitude decays like e^{-gamma x}; absolute tolerance must
-    # track it so the tail window stays accurate in relative terms
+    # track it so the tail window stays accurate in relative terms.  LSODA
+    # runs at a tenth of `tolerance`: at `tolerance` itself its global error
+    # moves D_1 at (d, k) = (8, 1) by 6e-8, more than the 5e-8 to which the
+    # frozen constants are checked.
     atol = max(tolerance * math.exp(-consts.gamma * x_max), 1e-280)
+    rhs = _pendulum_rhs(consts)
+
+    def orbit(x, state0):
+        return lsoda(rhs, state0, x, 0.1 * tolerance, 0.1 * atol, "profile")
+
     grid = np.linspace(x_min, x_max, GRID_SIZE)
-    sol = solve_ivp(
-        _pendulum_rhs(consts),
-        (x_min, x_max),
-        [v0, vp0],
-        method="DOP853",
-        rtol=tolerance,
-        atol=atol,
-        dense_output=True,
-        t_eval=grid,
-    )
-    if not sol.success:
-        raise RuntimeError(f"profile integration failed: {sol.message}")
-    v, vp = sol.y
+    v, vp = orbit(grid, [v0, vp0]).T
 
     scale = np.maximum(np.abs(vp), 1e-280)
     rel_viol = max(
@@ -146,7 +158,7 @@ def solve_profile(consts, x_min=None, x_max=None, tolerance=1e-11):
 
     x_switch = x_min + (1.0 - TAIL_WINDOW_FRACTION) * (x_max - x_min)
     tail = _fit_tail(consts, grid, v, x_lo=x_switch)
-    Cs = _slope_normalization(consts, grid, vp, sol.sol)
+    Cs = _slope_normalization(consts, grid, v, vp, orbit)
 
     profile = ProfileSolution(
         consts=consts,
@@ -199,16 +211,18 @@ def extract_tail(profile, x_lo=None):
     return _fit_tail(profile.consts, profile.x, profile.v, x_lo)
 
 
-def _slope_normalization(consts, x, vp, dense):
+def _slope_normalization(consts, x, v, vp, orbit):
     """C_s = 1 / max_xi |dU*/dxi| with dU*/dxi = v'(x) e^{-x} / 2, maximum
-    refined by golden-section around the discrete argmax."""
+    refined by golden-section around the discrete argmax.  Off the grid, v'
+    comes from `orbit` re-integrating from the left bracket node."""
     slope = 0.5 * vp * np.exp(-x)
     j = int(np.argmax(slope))
-    lo = x[max(j - 1, 0)]
+    i = max(j - 1, 0)
+    lo = x[i]
     hi = x[min(j + 1, x.size - 1)]
 
     def neg_slope(xx):
-        return -0.5 * dense(xx)[1] * math.exp(-xx)
+        return -0.5 * orbit([lo, xx], [v[i], vp[i]])[1, 1] * math.exp(-xx)
 
     res = minimize_scalar(neg_slope, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})

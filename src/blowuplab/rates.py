@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import BlowupOfEpsilon, NegativeEigenvalue
 from .params import eigenvalue
+from .profile import lsoda
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,15 @@ class EpsilonTrajectory:
 
 
 def solve_epsilon(constants, eps0, s_max=60.0, rtol=1e-10, n_samples=2001):
-    """Integrate the eps ODE.  lambda_N < 0 is rejected (the layer would not
-    shrink); growth of eps signals a sign error in the constants."""
+    """Integrate the eps ODE in l = log eps,
+
+        gamma dl/ds = -lambda_N - b e^{delta l},
+
+    so that atol = rtol on l bounds the relative error of eps however small
+    it gets.  lambda_N < 0 is rejected (the layer would not shrink); growth
+    of eps signals a sign error in the constants.  A failed integration
+    raises IntegrationFailed; LSODA rejects rtol below 100 machine
+    epsilons (about 2.2e-14)."""
     if constants.lam < 0:
         raise NegativeEigenvalue(
             f"lambda_N = {constants.lam} < 0: boundary layer does not shrink"
@@ -76,17 +84,14 @@ def solve_epsilon(constants, eps0, s_max=60.0, rtol=1e-10, n_samples=2001):
     if not 0.0 < eps0 <= 0.1:
         raise ValueError(f"eps0 must be in (0, 0.1], got {eps0}")
     c = constants
+    lam, b, delta, gamma = c.lam, c.b, c.delta, c.gamma
 
-    def rhs(s, y):
-        e = y[0]
-        return [(-c.lam * e - c.b * e ** (1.0 + c.delta)) / c.gamma]
+    def rhs(s, ell):
+        return ((-lam - b * math.exp(delta * ell.item())) / gamma,)
 
     s_grid = np.linspace(0.0, s_max, n_samples)
-    sol = solve_ivp(rhs, (0.0, s_max), [eps0], method="DOP853",
-                    rtol=rtol, atol=1e-14 * eps0, t_eval=s_grid)
-    if not sol.success:
-        raise RuntimeError(f"eps integration failed: {sol.message}")
-    eps = sol.y[0]
+    ell = lsoda(rhs, [math.log(eps0)], s_grid, rtol, rtol, "eps")
+    eps = np.exp(ell[:, 0])
     if np.any(eps > 1.5 * eps0) or eps[-1] > eps[0]:
         raise BlowupOfEpsilon("eps(s) grew; check signs of D_N, c_N, h")
     traj = EpsilonTrajectory(constants=c, s=s_grid, eps=eps, eps0=eps0)
@@ -158,29 +163,52 @@ def matched_aN(traj):
     return -(c.h / c.cN) * traj.eps ** c.gamma
 
 
+def _discounted_sums(ds, src, rate):
+    """y_0 = 0, y_j = y_{j-1} e^{-rate ds_j} + ds_j (src_{j-1} e^{-rate ds_j}
+    + src_j) / 2: the trapezoid sums of int src(q) e^{-rate (s_j - q)} dq
+    from the first sample, as one lower-bidiagonal solve.  Stable for
+    rate >= 0, where every factor e^{-rate ds_j} is at most 1."""
+    decay = np.exp(-rate * ds)
+    rhs = np.zeros(src.size)
+    rhs[1:] = 0.5 * ds * (src[:-1] * decay + src[1:])
+    band = np.ones((2, src.size))
+    band[1, :-1] = -decay
+    y, _ = dtbtrs(band, rhs[:, None], uplo="L", diag="U")  # never singular
+    return y[:, 0]
+
+
+def _tail_sums(traj, lam_n):
+    """B(s) = int_s^{s_max} eps^{gamma+delta}(q) e^{lambda_n (q-s)} dq on the
+    trajectory grid, summed backward from s_max (stable for lambda_n <= 0)."""
+    c = traj.constants
+    src = traj.eps ** (c.gamma + c.delta)
+    return _discounted_sums(np.diff(traj.s)[::-1], src[::-1], -lam_n)[::-1]
+
+
 def coefficient_flow(traj, lam_n, Dn, an0):
     """a_n(s) = a_n(0) e^{-lambda_n s} + D_n int_0^s eps^{gamma+delta}
-    e^{-lambda_n (s-q)} dq evaluated along the trajectory (stable stepwise
-    recursion for the convolution)."""
-    c = traj.constants
+    e^{-lambda_n (s-q)} dq evaluated along the trajectory.  For
+    lambda_n >= 0 the convolution is summed forward.  For lambda_n < 0 it is
+    written as B(0) e^{-lambda_n s} - B(s) with the backward sums B of
+    _tail_sums: the growing mode then carries a_n(0) + D_n B(0), which is
+    exactly 0 for the tuned a_n(0) = an_requirement(...), and no cancellation
+    against e^{|lambda_n| s} is left to roundoff."""
     s = traj.s
-    src = traj.eps ** (c.gamma + c.delta)
-    conv = np.zeros_like(s)
-    for j in range(1, s.size):
-        ds = s[j] - s[j - 1]
-        decay = math.exp(-lam_n * ds)
-        # trapezoid on the panel, with the left endpoint carried by the decay
-        conv[j] = conv[j - 1] * decay + 0.5 * ds * (src[j - 1] * decay + src[j])
-    return an0 * np.exp(-lam_n * s) + Dn * conv
+    if lam_n >= 0:
+        c = traj.constants
+        src = traj.eps ** (c.gamma + c.delta)
+        return an0 * np.exp(-lam_n * s) + Dn * _discounted_sums(
+            np.diff(s), src, lam_n)
+    tail = _tail_sums(traj, lam_n)
+    return (an0 + Dn * tail[0]) * np.exp(-lam_n * s) - Dn * tail
 
 
 def an_requirement(traj, lam_n, Dn):
-    """Initial value -D_n int_0^inf eps^{gamma+delta} e^{lambda_n q} dq that
-    cancels the growing mode for n < N (converges for lambda_n < 0 in the
-    neutral case)."""
-    c = traj.constants
-    src = traj.eps ** (c.gamma + c.delta) * np.exp(lam_n * traj.s)
-    return -Dn * float(np.trapezoid(src, traj.s))
+    """Initial value -D_n int_0^{s_max} eps^{gamma+delta} e^{lambda_n q} dq
+    that cancels the growing mode for n < N (converges for lambda_n < 0 in
+    the neutral case).  The integral is the same backward sum that
+    coefficient_flow uses, so tuned data cancel exactly."""
+    return -Dn * float(_tail_sums(traj, lam_n)[0])
 
 
 def codimension(N):

@@ -237,6 +237,26 @@ def test_compare_command(run_dir, capsys):
     assert plot.size > 100
 
 
+def test_compare_writes_overlay(tmp_path, capsys):
+    # deep enough (sup|u_r| = 1e8) that eps at the last snapshot is small and
+    # compare writes the profile-vs-ansatz overlay through eval_u
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({"d": 8, "k": 1, "M": 64,
+                               "max_gradient": 1e8}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    run = out / os.listdir(out)[0]
+    assert cli.main(["compare", "--run", str(run)]) == 0
+    capsys.readouterr()
+    report = json.load(open(run / "compare.json"))
+    assert report["overlay"] == str(run / "overlay.csv")
+    overlay = np.genfromtxt(report["overlay"], delimiter=",", names=True)
+    assert overlay.dtype.names == ("y", "f_numeric", "f_ansatz")
+    assert overlay.size > 10
+    for name in overlay.dtype.names:
+        assert np.all(np.isfinite(overlay[name]))
+
+
 def test_compare_no_blowup(tmp_path, capsys):
     cfg = write_config(tmp_path / "nb.json", t_max=1e-3, M=101)
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0

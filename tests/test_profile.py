@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from blowuplab import profile
+from blowuplab.errors import BlowupLabError, IntegrationFailed
 from blowuplab.profile import check_trapping, eval_u, extract_tail, solve_profile
 
 # frozen from runs at tolerance 1e-11 with tail-window/grid defaults;
@@ -33,6 +35,34 @@ def test_tail_amplitude_frozen(profile_at, d, k):
 def test_slope_normalization_frozen(profile_at, d, k):
     p = profile_at(d, k)
     assert p.Cs == pytest.approx(CS_ORACLE[(d, k)], abs=5e-8)
+
+
+def _dop853_reference(p):
+    """h and C_s of the orbit on p's grid, integrated by DOP853 at rtol 1e-13
+    and refined for C_s on its dense output."""
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import minimize_scalar
+    c, x = p.consts, p.x
+    sol = solve_ivp(profile._pendulum_rhs(c), (x[0], x[-1]),
+                    profile._origin_series(c, x[0]), method="DOP853",
+                    rtol=1e-13, atol=1e-13 * math.exp(-c.gamma * x[-1]),
+                    t_eval=x, dense_output=True)
+    assert sol.success
+    h = profile._fit_tail(c, x, sol.y[0], x_lo=p.x_switch).h
+    j = int(np.argmax(sol.y[1] * np.exp(-x)))
+    res = minimize_scalar(lambda xx: -0.5 * sol.sol(xx)[1] * math.exp(-xx),
+                          bounds=(x[max(j - 1, 0)], x[j + 1]),
+                          method="bounded", options={"xatol": 1e-12})
+    slope_max = max(-res.fun, 1.0) if c.params.k == 1 else -res.fun
+    return h, 1.0 / slope_max
+
+
+@pytest.mark.parametrize("d,k", list(H_ORACLE))
+def test_constants_match_dop853_reference(profile_at, d, k):
+    p = profile_at(d, k)
+    h, Cs = _dop853_reference(p)
+    assert p.h == pytest.approx(h, rel=1e-8)
+    assert p.Cs == pytest.approx(Cs, rel=1e-8)
 
 
 def test_k2_halved_x_reduction(profile_at):
@@ -95,6 +125,17 @@ def test_self_convergence(consts_at):
     tight = solve_profile(c, tolerance=1e-12)
     assert loose.h == pytest.approx(tight.h, rel=1e-6)
     assert loose.Cs == pytest.approx(tight.Cs, rel=1e-6)
+
+
+def test_integration_failure_is_typed(consts_at):
+    # LSODA rejects the rtol 1e-14 that tolerance 1e-13 asks for; that must
+    # arrive as a library error, not as an ODEintWarning and garbage rows
+    assert issubclass(IntegrationFailed, BlowupLabError)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(IntegrationFailed, match="profile"):
+            solve_profile(consts_at(8.0, 1), tolerance=1e-13)
+    assert caught == []
 
 
 def test_tail_refit_stability(profile_at):

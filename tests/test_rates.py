@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from blowuplab import coupling, rates
-from blowuplab.errors import NegativeEigenvalue
+from blowuplab.errors import IntegrationFailed, NegativeEigenvalue
 from blowuplab.params import eigenvalue
 from blowuplab.rates import (
     ReducedConstants,
@@ -30,8 +31,12 @@ def reduced(consts_at, profile_at, basis_at, d, k, N):
     ), c, p, b, cc
 
 
-def test_epsilon_matches_closed_form_decaying(consts_at, profile_at, basis_at):
-    rc = reduced(consts_at, profile_at, basis_at, 8.0, 1, 1)[0]
+@pytest.mark.parametrize("d,k,N", [(8.0, 1, 1), (9.1, 1, 2)])
+def test_epsilon_matches_closed_form_decaying(consts_at, profile_at, basis_at,
+                                              d, k, N):
+    # at (9.1, 1, 2) eps falls to ~1e-21 by s=50: relative accuracy must
+    # survive eps far below any fixed absolute tolerance
+    rc = reduced(consts_at, profile_at, basis_at, d, k, N)[0]
     traj = solve_epsilon(rc, eps0=0.05, s_max=50.0)
     mask = traj.s >= 5.0
     exact = traj.closed_form(traj.s[mask])
@@ -55,6 +60,15 @@ def test_epsilon_rejects_negative_eigenvalue():
     rc = ReducedConstants(lam=-1.0, gamma=2.0, DN=1.0, cN=0.5, h=2.0, delta=1.0)
     with pytest.raises(NegativeEigenvalue):
         solve_epsilon(rc, eps0=0.01)
+
+
+def test_epsilon_integration_failure_is_typed():
+    rc = ReducedConstants(lam=0.5, gamma=2.0, DN=1.0, cN=0.5, h=2.0, delta=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(IntegrationFailed, match="eps"):
+            solve_epsilon(rc, eps0=0.01, rtol=1e-14)  # illegal for LSODA
+    assert caught == []
 
 
 def test_epsilon_rejects_large_eps0(consts_at, profile_at, basis_at):
@@ -131,19 +145,32 @@ def test_coefficient_flow_dominance_neutral(consts_at, profile_at, basis_at):
 
 def test_coefficient_flow_tuned_initial_data_below_N(consts_at, profile_at,
                                                      basis_at):
-    # with the tuned a_0(0) the growing mode cancels and a_0/a_N ~ eps^delta;
-    # past s ~ 30 the cancellation is lost to roundoff (e^{s} amplification),
-    # so assert the decay on the trustworthy window
+    # with the tuned a_0(0) the growing e^{s} mode cancels exactly, and a_0(s)
+    # is -D_0 int_s^{s_max} eps^{gamma+delta} e^{lambda_0 (q-s)} dq: compare
+    # a_0/a_N against an independent quadrature of that integral over the
+    # closed-form eps
+    from scipy.integrate import quad
     rc, c, p, b, cc = reduced(consts_at, profile_at, basis_at, 7.0, 1, 1)
     traj = solve_epsilon(rc, eps0=0.05, s_max=60.0)
     lam0 = eigenvalue(c, 0).lam
-    a0 = an_requirement(traj, lam0, float(cc.D[0]))
-    an = coefficient_flow(traj, lam0, float(cc.D[0]), an0=a0)
+    D0 = float(cc.D[0])
+    a0 = an_requirement(traj, lam0, D0)
+    an = coefficient_flow(traj, lam0, D0, an0=a0)
     ratio = np.abs(an / matched_aN(traj))
-    window = traj.s <= 30.0
-    r = ratio[window]
-    assert np.all(np.diff(r) < 1e-12)  # monotone decay despite e^{s} mode
-    assert r[-1] < 0.5 * r[0]
+    assert np.all(np.diff(ratio[traj.s <= 45.0]) < 1e-12)  # monotone decay
+
+    def exact_ratio(s):
+        def integrand(q):
+            return (float(traj.closed_form(q)) ** (rc.gamma + rc.delta)
+                    * math.exp(lam0 * (q - s)))
+        tail = quad(integrand, s, traj.s[-1], epsabs=0.0, epsrel=1e-12)[0]
+        aN = (rc.h / rc.cN) * float(traj.closed_form(s)) ** rc.gamma
+        return abs(D0) * tail / aN
+
+    j = int(np.searchsorted(traj.s, 30.0))
+    assert traj.s[j] == pytest.approx(30.0)
+    assert ratio[j] / ratio[0] == pytest.approx(
+        exact_ratio(traj.s[j]) / exact_ratio(0.0), abs=1e-3)
 
 
 def test_codimension():
