@@ -223,6 +223,11 @@ def _run_one(config_path, out_root):
             "versions": {"blowuplab": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__},
             "solver": trace.solver,
+            # why the run stopped, at its last row (the initial state is
+            # row 0, so the steps are the rows after it)
+            "stop": {"reason": trace.stopped, "t": float(trace.t[-1]),
+                     "sup_grad": float(trace.sup_grad[-1]),
+                     "steps": int(trace.t.size - 1)},
         }
         _write_json(os.path.join(tmp_dir, "manifest.json"), manifest)
         shutil.rmtree(run_dir, ignore_errors=True)
@@ -314,21 +319,24 @@ def _d7_plot_csv(path, trace, T):
 
 
 def _overlay_csv(path, run_dir, T, prof, basis, N):
-    """Latest usable snapshot against the matched ansatz, in (y, f)."""
+    """Latest usable snapshot against the matched ansatz, in (y, f).  The
+    snapshot is the one with the largest t < T, whatever the order of the
+    file names."""
     snap_dir = os.path.join(run_dir, "snapshots")
-    metas = sorted(f for f in os.listdir(snap_dir) if f.endswith(".json"))
-    best = None
-    for meta in metas:
+    best, t_best = None, -math.inf
+    for meta in os.listdir(snap_dir):
+        if not meta.endswith(".json"):
+            continue
         with open(os.path.join(snap_dir, meta)) as fh:
             t = json.load(fh)["t"]
-        if t < T:
+        if t_best < t < T:
             best, t_best = meta[:-5], t
     if best is None:
         return False
     data = np.genfromtxt(os.path.join(snap_dir, best + ".csv"),
                          delimiter=",", names=True)
     state = meshsim.MeshState(t=float(t_best), r=data["r"], u=data["u"])
-    g0 = meshsim._gradients(state.r, state.u)[1]
+    g0 = meshsim._origin_gradient(state.r, state.u)
     tau = T - state.t
     eps = 1.0 / (prof.Cs * math.sqrt(tau) * abs(g0))
     if not 0.0 < eps <= 0.1:

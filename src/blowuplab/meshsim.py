@@ -17,6 +17,13 @@ mesh response rate is held at a fixed multiple of the measured gradient
 growth rate d log(sup u_r)/dt, so the mesh keeps up with the collapse
 without making the system needlessly stiff.
 
+An RHS evaluation takes the cell widths and midpoint gradients in one
+difference pass (_differences) and shares them between the monitor, the
+reservation mass and the 3-point stencil, which is written on the midpoint
+gradients.  The matrix of the mesh-velocity solve, tridiag(-1, 2, -1),
+depends only on the node count: LAPACK's pttrf factors it once per size
+(cached), and each evaluation only back-substitutes with pttrs.
+
 BDF gets the Jacobian in structured form (see _make_jac): every block is
 banded except the mesh velocity, which is the inverse Laplacian of a
 banded term plus a rank-one term from the total monitor mass.  The banded
@@ -44,8 +51,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import BDF
-from scipy.linalg import solveh_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from scipy.optimize import minimize_scalar
 
 from .errors import (
@@ -160,9 +166,10 @@ class RunTrace:
     nodes_in_layer: np.ndarray  # nodes with r <= 5 / sup_grad
     snapshots: list = field(default_factory=list)
     stopped: str = "blowup"      # "blowup" | "roundoff" | "tmax"
-    # BDF counters nfev/njev/nlu and the wall seconds in Jacobian builds
-    # (jac_s) and in factorisations and solves (lu_s), summed over the chunk
-    # solvers, and the number of chunks; empty for a trace read back from csv
+    # BDF counters nfev/njev/nlu and the wall seconds in RHS evaluations
+    # (rhs_s), in Jacobian builds (jac_s) and in factorisations and solves
+    # (lu_s), summed over the chunk solvers, and the number of chunks; empty
+    # for a trace read back from csv
     solver: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -210,20 +217,31 @@ class FitResult:
 # The helpers below take nodal arrays of shape (M,) or a block of states
 # (M, m), one state per column, and work along axis 0.
 
-def _gradients(r, u):
-    """Midpoint gradients and the one-sided origin gradient."""
-    dr = np.diff(r, axis=0)
-    gmid = np.diff(u, axis=0) / dr
+def _differences(r, u):
+    """Cell widths and midpoint gradients, taken once per evaluation and
+    shared by the monitor, the reservation mass and the stencil."""
+    dr = r[1:] - r[:-1]
+    return dr, (u[1:] - u[:-1]) / dr
+
+
+def _origin_gradient(r, u):
+    """The one-sided origin gradient (2nd order, through u(0) = 0)."""
     r1, r2 = r[1], r[2]
     u1, u2 = u[1], u[2]
-    g0 = (u1 * r2 * r2 - u2 * r1 * r1) / (r1 * r2 * (r2 - r1))
-    return gmid, g0
+    return (u1 * r2 * r2 - u2 * r1 * r1) / (r1 * r2 * (r2 - r1))
+
+
+def _steepest(gmid, g0):
+    """sup |u_r| over the mesh (the largest midpoint or origin gradient) and
+    the cell of the largest midpoint gradient."""
+    a = np.abs(gmid)
+    j = int(np.argmax(a))
+    return max(float(a[j]), abs(g0)), j
 
 
 def _sup_gradient(r, u):
-    """sup |u_r| over the mesh: the largest midpoint or origin gradient."""
-    gmid, g0 = _gradients(r, u)
-    return max(float(np.max(np.abs(gmid))), abs(g0))
+    """sup |u_r| over the mesh."""
+    return _steepest(_differences(r, u)[1], _origin_gradient(r, u))[0]
 
 
 def _gain(config, gmax, qhat=0.0):
@@ -235,7 +253,7 @@ def _gain(config, gmax, qhat=0.0):
     return max(TRACKING_MARGIN * qhat, 1.0 / config.tau) / (1.0 + gmax)
 
 
-def _smoothed_monitor(config, r, u):
+def _smoothed_monitor(config, r, u, gmid):
     """Spatially smoothed midpoint monitor, before the uniform reservation.
 
     The arclength part sqrt(alpha + u_r^2) concentrates nodes in the
@@ -246,37 +264,40 @@ def _smoothed_monitor(config, r, u):
     log-uniformly in r between those scales (its mass per decade of r is
     constant once u plateaus), the moving-mesh analogue of a geometrically
     graded fixed mesh."""
-    gmid, _ = _gradients(r, u)
     m = np.sqrt(config.monitor_alpha + gmid * gmid)
     if config.monitor_scale_weight > 0.0:
-        rmid = 0.5 * (r[:-1] + r[1:])
-        umid = 0.5 * (u[:-1] + u[1:])
-        m = m + config.monitor_scale_weight * np.abs(umid) / rmid
+        # |u|/r at the cell midpoint; the halves of both means cancel
+        m += config.monitor_scale_weight * np.abs(u[:-1] + u[1:]) / (r[:-1] + r[1:])
+    # (1/4, 1/2, 1/4) passes; the padding repeats the end cells, so the end
+    # rows weigh (3/4, 1/4)
+    p = np.empty((m.shape[0] + 2,) + m.shape[1:])
+    p[1:-1] = m
     for _ in range(config.monitor_smooth_passes):
-        sm = np.empty_like(m)
-        sm[1:-1] = 0.25 * m[:-2] + 0.5 * m[1:-1] + 0.25 * m[2:]
-        sm[0] = 0.75 * m[0] + 0.25 * m[1]
-        sm[-1] = 0.75 * m[-1] + 0.25 * m[-2]
-        m = sm
-    return m
+        p[0], p[-1] = p[1], p[-2]
+        p[1:-1] = 0.25 * (p[:-2] + p[2:]) + 0.5 * p[1:-1]
+    return p[1:-1]
 
 
 def _reservation(config, m, dr):
     """Monitor level that spreads `uniform_fraction` of the monitor mass
     sum(m dr) evenly over [0, L]."""
-    mass = np.sum(m * dr, axis=0)
+    mass = (m * dr).sum(axis=0)
     return config.uniform_fraction * mass / config.L
 
 
 def _monitor(config, r, u):
     """Smoothed midpoint monitor with the uniform reservation added."""
-    m = _smoothed_monitor(config, r, u)
-    return m + _reservation(config, m, np.diff(r, axis=0))
+    dr, gmid = _differences(r, u)
+    m = _smoothed_monitor(config, r, u, gmid)
+    return m + _reservation(config, m, dr)
 
 
-def _pde_stencil(config, r, u):
+def _pde_stencil(config, r, u, dr, gmid):
     """The 3-point stencil terms at interior nodes: the physics and u_r, so
-    that du/dt = phys + r' u_r.
+    that du/dt = phys + r' u_r.  With h-, h+ the widths and g-, g+ the
+    midpoint gradients of the cells left and right of a node,
+
+        u_r = (h+ g- + h- g+) / (h- + h+),   u_rr = 2 (g+ - g-) / (h- + h+).
 
     The advective term r'_i u_r uses the same centered 3-point stencil as
     the physics: one-sided differencing adds an O(|r'| dr) artificial
@@ -284,45 +305,55 @@ def _pde_stencil(config, r, u):
     at the resolutions used here."""
     d, k = config.params.d, config.params.k
     torque = k * (d + k - 2.0)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    um, uc, up = u[:-2], u[1:-1], u[2:]
-    ur = (-hp / (hm * (hm + hp))) * um + ((hp - hm) / (hm * hp)) * uc \
-        + (hm / (hp * (hm + hp))) * up
-    urr = 2.0 * (um / (hm * (hm + hp)) - uc / (hm * hp) + up / (hp * (hm + hp)))
+    hm, hp = dr[:-1], dr[1:]
+    gm, gp = gmid[:-1], gmid[1:]
+    h = hm + hp
+    ur = (hp * gm + hm * gp) / h
+    urr = 2.0 * (gp - gm) / h
     rc = r[1:-1]
-    phys = urr + (d - 1.0) / rc * ur - torque / (2.0 * rc * rc) * np.sin(2.0 * uc)
+    phys = urr + (d - 1.0) / rc * ur - torque / (2.0 * rc * rc) * np.sin(2.0 * u[1:-1])
     return phys, ur
+
+
+@functools.lru_cache(maxsize=8)
+def _laplacian_factor(n):
+    """LAPACK's L D L^T factor (pttrf) of the n x n tridiag(-1, 2, -1), the
+    same for every evaluation at that n."""
+    d, e, _ = dpttrf(np.full(n, 2.0), np.full(n - 1, -1.0))
+    d.setflags(write=False)
+    e.setflags(write=False)
+    return d, e
 
 
 def _inverse_laplacian(rhs):
     """Solve tridiag(-1, 2, -1) x = rhs for rhs of shape (n,) or (n, m)."""
-    ab = np.empty((2, rhs.shape[0]))
-    ab[0, :] = -1.0                  # superdiagonal
-    ab[1, :] = 2.0
-    return solveh_banded(ab, rhs)
+    return dpttrs(*_laplacian_factor(rhs.shape[0]), rhs)[0]
 
 
-def _mesh_rhs(config, r, u, gain):
+def _mesh_velocity(c, gain):
+    """The mesh velocity A^-1 (gain * diff(c)) from the per-cell monitor
+    masses c, with A = tridiag(-1, 2, -1)."""
+    return _inverse_laplacian(gain * (c[1:] - c[:-1]))
+
+
+def _mesh_rhs(config, r, u, dr, gmid, gain):
     """Equidistribution velocity for interior nodes from the elliptic form
 
         (dr/dt)_xixi = -gain * (M r_xi)_xi,   dr/dt = 0 at both ends,
 
-    solved as a tridiagonal system each evaluation.  Defining the velocity
+    a tridiagonal solve with the cached factor.  Defining the velocity
     through the inverse Laplacian (rather than pointwise relaxation) makes
     the node-redistribution rate uniform across wavelengths; a pointwise
     relaxation moves mass between distant mesh regions slower by the square
     of the node count and starves a collapsing layer of nodes."""
-    m = _monitor(config, r, u)
-    c = m * np.diff(r, axis=0)       # per-cell monitor mass
-    return _inverse_laplacian(gain * (c[1:] - c[:-1]))
+    m = _smoothed_monitor(config, r, u, gmid)
+    return _mesh_velocity((m + _reservation(config, m, dr)) * dr, gain)
 
 
 def _energy(config, r, u):
     """Dirichlet energy by the midpoint rule."""
     d, k = config.params.d, config.params.k
-    dr = np.diff(r)
-    gmid = np.diff(u) / dr
+    dr, gmid = _differences(r, u)
     rmid = 0.5 * (r[:-1] + r[1:])
     umid = 0.5 * (u[:-1] + u[1:])
     dens = gmid * gmid + k * (d + k - 2.0) * np.sin(umid) ** 2 / (rmid * rmid)
@@ -408,8 +439,9 @@ def _unpack(config, y, uL):
 def _make_rhs(config, uL, gain):
     def rhs(t, y):
         r, u = _unpack(config, y, uL)
-        rdot = _mesh_rhs(config, r, u, gain)
-        phys, ur = _pde_stencil(config, r, u)
+        dr, gmid = _differences(r, u)
+        rdot = _mesh_rhs(config, r, u, dr, gmid, gain)
+        phys, ur = _pde_stencil(config, r, u, dr, gmid)
         return np.concatenate([phys + rdot * ur, rdot])
 
     return rhs
@@ -556,8 +588,8 @@ def _make_jac(config, uL, gain, atol):
         Y[diag, pat.group] += _FD_STEP * np.maximum(np.abs(y), atol)
         h = Y[diag, pat.group] - y
         r, u = _unpack(config, Y, uL)
-        dr = np.diff(r, axis=0)
-        m = _smoothed_monitor(config, r, u)
+        dr, gmid = _differences(r, u)
+        m = _smoothed_monitor(config, r, u, gmid)
         # the reservation held at its value at y
         c = (m + _reservation(config, m[:, 0], dr[:, 0])) * dr
         dc = quotients(c, h, *pat.cells)
@@ -571,9 +603,9 @@ def _make_jac(config, uL, gain, atol):
         mesh *= gain
         g = gain * share * np.diff(dr[:, 0])
 
-        phys, ur = _pde_stencil(config, r, u)
+        phys, ur = _pde_stencil(config, r, u, dr, gmid)
         # du/dt with r' held at its value at y
-        f = phys + _inverse_laplacian(gain * np.diff(c[:, :1], axis=0)) * ur
+        f = phys + _mesh_velocity(c[:, :1], gain) * ur
         return _Jacobian(pat, quotients(f, h, *pat.nodes), ur[:, 0].copy(),
                          mesh, g, s)
 
@@ -592,12 +624,20 @@ class _BandedBDF(BDF):
     keeps the mesh rows on the scale of the PDE rows (b G against b L),
     which at a sharpened layer makes the solve some 1e4 times more
     accurate than with w itself.  Step size, order and Newton iteration
-    are scipy's.  jac_s and lu_s count the wall seconds spent in Jacobian
-    builds and in factorisations and solves."""
+    are scipy's.  rhs_s, jac_s and lu_s count the wall seconds spent in RHS
+    evaluations, in Jacobian builds and in factorisations and solves."""
 
-    def __init__(self, *args, **kwargs):
-        self.jac_s = self.lu_s = 0.0
-        super().__init__(*args, **kwargs)
+    def __init__(self, fun, *args, **kwargs):
+        self.rhs_s = self.jac_s = self.lu_s = 0.0
+
+        def timed(t, y):
+            start = time.perf_counter()
+            f = fun(t, y)
+            self.rhs_s += time.perf_counter() - start
+            return f
+
+        # wrapped before scipy's constructor, whose evaluations count too
+        super().__init__(timed, *args, **kwargs)
         # scipy binds a dense lu, solve_lu and identity to each instance
         del self.lu, self.solve_lu
         self.I = 1.0
@@ -657,7 +697,7 @@ def _advance(config, solver, uL):
     if solver.status == "failed":
         raise StepSizeUnderflow("implicit step failed; increase M or tolerances")
     r, u = _unpack(config, solver.y, uL)
-    if np.any(np.diff(r) <= 0.0):
+    if np.any(r[1:] <= r[:-1]):
         raise MeshTangling("node ordering violated; increase M")
     return MeshState(t=solver.t, r=r, u=u)
 
@@ -704,11 +744,11 @@ def run(config, progress=None):
 
     def observe(t, r, u):
         """Append the TRACE_COLUMNS of one state to rows; return sup |u_r|."""
-        gmid, g0 = _gradients(r, u)
-        gmax = _sup_gradient(r, u)
-        j = int(np.argmax(np.abs(gmid)))
+        dr, gmid = _differences(r, u)
+        g0 = _origin_gradient(r, u)
+        gmax, j = _steepest(gmid, g0)
         rows.append((
-            t, g0, gmax, _energy(config, r, u), float(np.min(np.diff(r))),
+            t, g0, gmax, _energy(config, r, u), float(np.min(dr)),
             0.0 if abs(g0) >= gmax else 0.5 * (r[j] + r[j + 1]),
             int(np.sum(r <= 5.0 / gmax)),
         ))
@@ -716,7 +756,7 @@ def run(config, progress=None):
 
     gmax = observe(state.t, state.r, state.u)
     counters = dict.fromkeys(("chunks", "nfev", "njev", "nlu"), 0)
-    counters.update(jac_s=0.0, lu_s=0.0)
+    counters.update(rhs_s=0.0, jac_s=0.0, lu_s=0.0)
     qhat = 0.0   # measured growth rate d log(sup u_r)/dt of the last chunk
     while True:
         gain = _gain(config, gmax, qhat)
@@ -749,7 +789,7 @@ def run(config, progress=None):
             if gmax >= chunk_limit:
                 break
         counters["chunks"] += 1
-        for key in ("nfev", "njev", "nlu", "jac_s", "lu_s"):
+        for key in ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s"):
             counters[key] += getattr(solver, key)
         if state.t > t_chunk and gmax > g_chunk:
             qhat = math.log(gmax / g_chunk) / (state.t - t_chunk)

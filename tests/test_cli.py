@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import shutil
 
@@ -209,8 +210,21 @@ def test_run_directory_layout(run_dir):
         assert os.path.exists(artifact)
     assert "numpy" in manifest["versions"]
     solver = manifest["solver"]
-    assert set(solver) == {"chunks", "nfev", "njev", "nlu", "jac_s", "lu_s"}
+    assert set(solver) == {"chunks", "nfev", "njev", "nlu", "rhs_s", "jac_s",
+                           "lu_s"}
     assert solver["njev"] >= solver["chunks"] >= 1
+    assert solver["rhs_s"] > 0
+
+    # the stop record is the last row of the trace
+    stop = manifest["stop"]
+    assert set(stop) == {"reason", "t", "sup_grad", "steps"}
+    config = json.load(open(os.path.join(run_dir, "config.json")))
+    assert stop["reason"] == config["stopped"] == "blowup"
+    trace = np.genfromtxt(os.path.join(run_dir, "trace.csv"), delimiter=",",
+                          names=True)
+    assert stop["steps"] == trace.size - 1
+    assert stop["t"] == trace["t"][-1]
+    assert stop["sup_grad"] == trace["sup_grad"][-1] >= 1e6
 
     fit = json.load(open(os.path.join(run_dir, "fit.json")))
     assert fit["kind"] == "power"
@@ -255,6 +269,31 @@ def test_compare_writes_overlay(tmp_path, capsys):
     assert overlay.size > 10
     for name in overlay.dtype.names:
         assert np.all(np.isfinite(overlay[name]))
+
+
+def test_overlay_takes_latest_snapshot(tmp_path):
+    # past 999 snapshots the names no longer sort by time: snap_1000 sorts
+    # before snap_999 and is the later one; the overlay must use it
+    prof, basis = cli._pipeline(8.0, 1, 1)[1:3]
+    T = 0.2 + 1e-6
+    r = np.concatenate([[0.0], np.geomspace(1e-9, 2.0, 400)])
+    snap_dir = tmp_path / "snapshots"
+    snap_dir.mkdir()
+    # (index, t, layer width); both are steep enough for an overlay
+    snaps = ((999, 0.1, 1e-3), (1000, 0.2, 1e-5))
+    for j, t, width in snaps:
+        write_table(snap_dir / f"snap_{j:03d}.csv", ("r", "u"),
+                    (r, 2.0 * np.arctan(r / width)))
+        (snap_dir / f"snap_{j:03d}.json").write_text(
+            json.dumps({"t": t, "index": j}))
+    path = tmp_path / "overlay.csv"
+    assert cli._overlay_csv(str(path), str(tmp_path), T, prof, basis, 1)
+    overlay = np.genfromtxt(path, delimiter=",", names=True)
+    assert overlay.size > 10
+    # f_numeric against y is snap_1000's profile at y = r / sqrt(T - 0.2)
+    r_back = overlay["y"] * math.sqrt(T - 0.2)
+    assert np.allclose(overlay["f_numeric"], 2.0 * np.arctan(r_back / 1e-5),
+                       rtol=1e-8, atol=1e-12)
 
 
 def test_compare_no_blowup(tmp_path, capsys):

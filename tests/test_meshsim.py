@@ -144,7 +144,7 @@ def test_mesh_velocity_vanishes_at_equidistribution():
     cfg = config(M=101, monitor_scale_weight=0.0)
     r = np.linspace(0.0, 2.0, 101)
     u = np.zeros(101)
-    rdot = meshsim._mesh_rhs(cfg, r, u, gain=1.0)
+    rdot = meshsim._mesh_rhs(cfg, r, u, *meshsim._differences(r, u), gain=1.0)
     assert np.max(np.abs(rdot)) < 1e-12
 
 
@@ -161,6 +161,98 @@ def test_rhs_batched_matches_single_columns():
         f = rhs(0.0, Y[:, j])
         assert f.shape == y.shape
         assert np.max(np.abs(F[:, j] - f)) <= 1e-12 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("n", [7, 159])
+def test_inverse_laplacian_matches_solveh_banded(n):
+    # the cached pttrf factor and pttrs solve take the same LAPACK path as
+    # solveh_banded (ptsv), so the results agree bit for bit
+    ab = np.empty((2, n))
+    ab[0], ab[1] = -1.0, 2.0
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (n, 5)):
+        b = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        x = meshsim._inverse_laplacian(b)
+        assert x.shape == shape
+        assert np.array_equal(x, scipy.linalg.solveh_banded(ab, b))
+
+
+def _reference_rhs(cfg, y, uL, gain):
+    """The moving-mesh RHS written out on its own: nodal differences by
+    np.diff, the 3-point stencil from its node weights, the smoothing passes
+    with explicit end rows and a banded solve for the mesh velocity.  Also
+    returns the size of the larger of the two terms phys and r' u_r that
+    make up the u rows."""
+    n = cfg.M - 2
+    r = np.concatenate([[0.0], y[n:], [cfg.L]])
+    u = np.concatenate([[0.0], y[:n], [uL]])
+    dr = np.diff(r)
+    m = np.sqrt(cfg.monitor_alpha + (np.diff(u) / dr) ** 2)
+    m = m + cfg.monitor_scale_weight * np.abs(0.5 * (u[:-1] + u[1:])) \
+        / (0.5 * (r[:-1] + r[1:]))
+    for _ in range(cfg.monitor_smooth_passes):
+        sm = np.empty_like(m)
+        sm[1:-1] = 0.25 * m[:-2] + 0.5 * m[1:-1] + 0.25 * m[2:]
+        sm[0] = 0.75 * m[0] + 0.25 * m[1]
+        sm[-1] = 0.75 * m[-1] + 0.25 * m[-2]
+        m = sm
+    m = m + cfg.uniform_fraction * np.sum(m * dr) / cfg.L
+    ab = np.empty((2, n))
+    ab[0], ab[1] = -1.0, 2.0
+    rdot = scipy.linalg.solveh_banded(ab, gain * np.diff(m * dr))
+
+    d, k = cfg.params.d, cfg.params.k
+    hm, hp = r[1:-1] - r[:-2], r[2:] - r[1:-1]
+    um, uc, up = u[:-2], u[1:-1], u[2:]
+    ur = (-hp / (hm * (hm + hp))) * um + ((hp - hm) / (hm * hp)) * uc \
+        + (hm / (hp * (hm + hp))) * up
+    urr = 2.0 * (um / (hm * (hm + hp)) - uc / (hm * hp) + up / (hp * (hm + hp)))
+    rc = r[1:-1]
+    phys = urr + (d - 1.0) / rc * ur \
+        - k * (d + k - 2.0) / (2.0 * rc * rc) * np.sin(2.0 * uc)
+    advection = rdot * ur
+    scale = max(np.max(np.abs(phys)), np.max(np.abs(advection)))
+    return np.concatenate([phys + advection, rdot]), scale
+
+
+def _rhs_states(trace):
+    """(state, gain) at the start, the middle and the end of a run to
+    sup|u_r| = 1e6, the last with the sharpened layer."""
+    snaps = trace.snapshots
+    return [(snaps[0], 0.5), (snaps[len(snaps) // 2], 0.5),
+            _sharpened_layer(trace)]
+
+
+def test_rhs_matches_reference(quick_trace):
+    # the stencil of _make_rhs works on the midpoint gradients, the
+    # reference on node weights: the two round differently.  At a sharpened
+    # layer phys and r' u_r nearly cancel (max|u'| is a sixth of max|phys|
+    # at the last state here), so the u rows are compared at the scale of
+    # those terms
+    cfg = quick_trace.config
+    n = cfg.M - 2
+    for state, gain in _rhs_states(quick_trace):
+        y = meshsim._pack(state)
+        f = meshsim._make_rhs(cfg, state.u[-1], gain)(state.t, y)
+        f_ref, scale = _reference_rhs(cfg, y, state.u[-1], gain)
+        u_err = np.max(np.abs(f[:n] - f_ref[:n])) / scale
+        r_err = np.max(np.abs(f[n:] - f_ref[n:])) / np.max(np.abs(f_ref[n:]))
+        assert u_err <= 1e-10 and r_err <= 1e-12, (state.t, u_err, r_err)
+
+
+def test_rhs_returns_fresh_arrays():
+    # scipy keeps the value of one call across the next (select_initial_step
+    # holds f0), so no call may hand back memory that a later one reuses
+    cfg = config(M=101)
+    state = initialize(cfg)
+    y = meshsim._pack(state)
+    rhs = meshsim._make_rhs(cfg, state.u[-1], gain=0.5)
+    f1 = rhs(0.0, y)
+    f1_copy = f1.copy()
+    y[: cfg.M - 2] *= 1.001
+    f2 = rhs(0.0, y)
+    assert not np.shares_memory(f1, f2)
+    assert np.array_equal(f1, f1_copy)
 
 
 def _dense_jacobian(J):
@@ -306,9 +398,10 @@ def test_quick_run_reaches_blowup(quick_trace):
 
 def test_quick_run_solver_counters(quick_trace):
     counters = quick_trace.solver
-    assert set(counters) == {"chunks", "nfev", "njev", "nlu", "jac_s", "lu_s"}
+    assert set(counters) == {"chunks", "nfev", "njev", "nlu", "rhs_s",
+                             "jac_s", "lu_s"}
     assert counters["njev"] >= counters["chunks"] >= 1
-    assert counters["jac_s"] > 0 and counters["lu_s"] > 0
+    assert counters["rhs_s"] > 0 and counters["jac_s"] > 0 and counters["lu_s"] > 0
     assert counters["nfev"] >= quick_trace.t.size - 1
 
 
