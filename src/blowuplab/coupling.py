@@ -18,6 +18,7 @@ rejected upstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,8 +44,6 @@ def g_function(profile, xi):
     """g(xi) = k(d+k-2)/2 * (sin(v) - v) >= 0, with the xi^{-3 gamma} tail
     formula used beyond the orbit's switch point."""
     consts = profile.consts
-    d, k = consts.params.d, consts.params.k
-    pref = 0.5 * k * (d + k - 2.0)
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 0
     xi = np.atleast_1d(xi)
@@ -53,17 +52,23 @@ def g_function(profile, xi):
     far = xi > xi_hi
     near = ~far
     if near.any():
-        v = 2.0 * eval_u(profile, xi[near]) - math.pi
-        # sin(v) - v cancels catastrophically for small |v|; switch to the
-        # Taylor series well before that happens
-        small = np.abs(v) < 1e-2
-        direct = np.sin(v) - v
-        v2 = v * v
-        series = -(v * v2 / 6.0) * (1.0 - v2 / 20.0 * (1.0 - v2 / 42.0))
-        out[near] = pref * np.where(small, series, direct)
+        out[near] = _g_of_v(consts, 2.0 * eval_u(profile, xi[near]) - math.pi)
     if far.any():
         out[far] = g_tail_coefficient(profile) * xi[far] ** (-3.0 * consts.gamma)
     return out[0] if scalar else out
+
+
+def _g_of_v(consts, v):
+    """g = k(d+k-2)/2 * (sin(v) - v) at v = 2U* - pi, a float or an array.
+    sin(v) - v cancels catastrophically for small |v|; the Taylor series
+    takes over well before that happens."""
+    k = consts.params.k
+    pref = 0.5 * k * (consts.params.d + k - 2.0)
+    v2 = v * v
+    series = -(v * v2 / 6.0) * (1.0 - v2 / 20.0 * (1.0 - v2 / 42.0))
+    if isinstance(v, float):   # the quad integrand: no numpy call overhead
+        return pref * (series if abs(v) < 1e-2 else math.sin(v) - v)
+    return pref * np.where(np.abs(v) < 1e-2, series, np.sin(v) - v)
 
 
 def g_tail_coefficient(profile):
@@ -77,21 +82,22 @@ def inner_integral(profile, upper=None):
     infinity with the closed-form tail (requires omega < 2*gamma).
 
     Evaluated in x = log(xi), where the integrand g(e^x) e^{(d-2-gamma) x}
-    decays exponentially in both directions; the piece below the stored
-    orbit uses g ~ g(0) and the piece above x_switch the xi^{-3 gamma}
-    tail, both in closed form."""
+    decays exponentially in both directions.  On the stored orbit g is read
+    off the interpolated v(x) directly; the piece below it uses g ~ g(0)
+    and the piece above x_switch the xi^{-3 gamma} tail, both in closed
+    form."""
     consts = profile.consts
     d = consts.params.d
     gam, om = consts.gamma, consts.omega
     p = d - 2.0 - gam  # == gamma + omega > 0
     x_lo = float(profile.x[0])
     x_sw = profile.x_switch
+    v_of_x = profile.v_interp
 
     def integrand(x):
-        xi = math.exp(x)
-        return float(g_function(profile, xi)) * xi**p
+        return _g_of_v(consts, float(v_of_x(x))) * math.exp(p * x)
 
-    g0 = 0.5 * consts.params.k * (d + consts.params.k - 2.0) * math.pi
+    g0 = _g_of_v(consts, -math.pi)
     x_up = x_sw if upper is None else min(x_sw, math.log(upper))
     val = 0.0
     if x_up > x_lo:
@@ -119,17 +125,26 @@ def inner_constant(profile, basis, n):
     return basis.c_origin[n] * inner_integral(profile)
 
 
+@functools.lru_cache(maxsize=8)
+def _laguerre_rule(order, alpha):
+    """Nodes and weights of the generalized Gauss-Laguerre rule, read-only."""
+    z, w = roots_genlaguerre(order, alpha)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
 def outer_integral(basis, N, n):
     """int_0^inf phi_N^3 phi_n y^{d-3} e^{-y^2/4} dy via a Gauss-Laguerre
-    rule matched to the y^{omega-2gamma-1} origin behavior (exact for the
-    Laguerre polynomial part)."""
+    rule matched to the y^{omega-2gamma-1} origin behavior.  One rule,
+    exact for the Laguerre polynomial part (degree 3N + n) of every
+    n <= basis.max_n, serves all of them."""
     consts = basis.consts
     d = consts.params.d
     gam, om = consts.gamma, consts.omega
     if om <= 2.0 * gam:
         raise RegimeMismatch("outer integral diverges for omega <= 2*gamma")
     alpha = 0.5 * (om - 2.0 * gam) - 1.0
-    z, w = roots_genlaguerre(2 * (3 * N + n) + 32, alpha)
+    z, w = _laguerre_rule(2 * (3 * N + max(n, basis.max_n)) + 32, alpha)
     a = basis._alpha
     LN = eval_genlaguerre(N, a, z)
     Ln = eval_genlaguerre(n, a, z)

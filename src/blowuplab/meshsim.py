@@ -456,10 +456,10 @@ class _JacPattern:
     group: np.ndarray     # differencing column of each state index
     cells: tuple          # (columns, in range) of the cell masses
     nodes: tuple          # (columns, in range) of the PDE stencil
-    mesh: tuple           # (columns, in range) of the mesh equations
     kl: int               # sub- and superdiagonals of the Newton matrix
     ku: int
     at: dict              # band-storage positions of each kind of entry
+    take: dict            # flat positions of the stencil and mesh entries
 
 
 @functools.lru_cache(maxsize=8)
@@ -481,7 +481,9 @@ def _jac_pattern(n, passes):
     bandwidths kl and ku are read off the entries, so they stay within
     3n-1 when the smoothing reaches across the whole mesh; `at` holds the
     flat positions of the entries in LAPACK band storage (transposed, so
-    that each column of the band is contiguous)."""
+    that each column of the band is contiguous), and `take` the flat
+    positions in _Jacobian.stencil and .mesh of the in-range entries, in
+    the same order."""
     width = min(max(2 * passes + 2, 3), n)
     k = np.arange(n)
     group = np.concatenate([1 + k % width, 1 + width + k % width])
@@ -494,6 +496,11 @@ def _jac_pattern(n, passes):
     cells = diagonals(n + 1, -passes - 1, passes)
     nodes = diagonals(n, -1, 1)
     mesh = diagonals(n, -passes - 1, passes + 1)
+
+    def gather(ok):
+        # flat positions of the ok entries of a (2,) + ok.shape array
+        pos = np.flatnonzero(ok)
+        return np.stack([pos, pos + ok.size])
 
     def blocks(row, cols, ok):
         # entries of row 3i + row at the u and r unknowns of cols[i][ok[i]]
@@ -515,7 +522,8 @@ def _jac_pattern(n, passes):
     ku = max(int(np.max(c - r)) for r, c in entries.values())
     ldab = 2 * kl + ku + 1
     at = {key: c * ldab + kl + ku + r - c for key, (r, c) in entries.items()}
-    return _JacPattern(width, group, cells, nodes, mesh, kl, ku, at)
+    take = {"stencil": gather(nodes[1]), "mesh": gather(mesh[1])}
+    return _JacPattern(width, group, cells, nodes, kl, ku, at, take)
 
 
 @dataclass
@@ -658,11 +666,11 @@ class _BandedBDF(BDF):
         pat, n = J.pattern, J.ur.size
         band = np.zeros((3 * n, 2 * pat.kl + pat.ku + 1))
         flat, at = band.reshape(-1), pat.at
-        flat[at["stencil"]] = J.b * J.stencil[:, pat.nodes[1]]
+        flat[at["stencil"]] = J.b * J.stencil.take(pat.take["stencil"])
         flat[at["diagonal"]] += J.a
         flat[at["ur"]] = J.ur
         flat[at["one"]] = 1.0
-        flat[at["mesh"]] = -J.b * J.mesh[:, pat.mesh[1]]
+        flat[at["mesh"]] = -J.b * J.mesh.take(pat.take["mesh"])
         flat[at["two"]] = 2.0
         flat[at["minus_one"]] = -1.0
         band, piv, _ = dgbtrf(band.T, pat.kl, pat.ku, overwrite_ab=True)

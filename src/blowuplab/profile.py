@@ -20,6 +20,7 @@ normalization C_s = 1 / sup_xi |dU*/dxi|.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -77,7 +78,12 @@ class ProfileSolution:
     x_switch: float      # beyond e^{x_switch} evalU uses the tail formula
     tolerance: float
     tail_residual: float
-    _v_interp: PchipInterpolator = field(repr=False, default=None)
+
+    @functools.cached_property
+    def v_interp(self):
+        """Monotone cubic interpolant of v(x) on the stored orbit, built on
+        first use: the outer-dominated chain never needs it."""
+        return PchipInterpolator(self.x, self.v)
 
     def to_csv(self, path):
         """Orbit export for the phase-portrait figure (columns x, v, vPrime)."""
@@ -171,7 +177,6 @@ def solve_profile(consts, x_min=None, x_max=None, tolerance=1e-11):
         x_switch=x_switch,
         tolerance=tolerance,
         tail_residual=tail.fit_residual,
-        _v_interp=PchipInterpolator(grid, v),
     )
     return profile
 
@@ -257,7 +262,7 @@ def eval_u(profile, xi):
         c = (d + k - 2.0) / (3.0 * (d + 4.0 * k - 2.0))
         out[near] = xi[near] ** k - c * xi[near] ** (3 * k)
     if mid.any():
-        out[mid] = 0.5 * (profile._v_interp(np.log(xi[mid])) + math.pi)
+        out[mid] = 0.5 * (profile.v_interp(np.log(xi[mid])) + math.pi)
     if far.any():
         t = profile.h * xi[far] ** (-gamma) * (
             1.0 + (profile.h_minus / profile.h) * xi[far] ** (-omega)

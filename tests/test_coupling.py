@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
+from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 from blowuplab import coupling
 from blowuplab.errors import RegimeMismatch
@@ -125,3 +126,52 @@ def test_truncated_inner_integral_monotone(profile_at):
     p = profile_at(8.0, 1)
     vals = [inner_integral(p, upper=up) for up in (1.0, 10.0, 1e4)]
     assert vals[0] < vals[1] < vals[2] < inner_integral(p)
+
+
+def _inner_integral_via_g_function(p, upper=None):
+    """inner_integral with the integrand taken through g_function(p, e^x),
+    and so through eval_u: the reference for the integrand on the orbit."""
+    c = p.consts
+    d, k = c.params.d, c.params.k
+    gam, om = c.gamma, c.omega
+    pw = d - 2.0 - gam
+    x_lo, x_sw = float(p.x[0]), p.x_switch
+
+    def integrand(x):
+        xi = math.exp(x)
+        return float(g_function(p, xi)) * xi**pw
+
+    x_up = x_sw if upper is None else min(x_sw, math.log(upper))
+    val = quad(integrand, x_lo, x_up, limit=400)[0] if x_up > x_lo else 0.0
+    val += 0.5 * k * (d + k - 2.0) * math.pi * math.exp(pw * min(x_lo, x_up)) / pw
+    A = g_tail_coefficient(p)
+    if upper is None:
+        val += A * math.exp((om - 2.0 * gam) * x_sw) / (2.0 * gam - om)
+    elif upper > math.exp(x_sw):
+        val += A * (upper ** (om - 2.0 * gam) - math.exp((om - 2.0 * gam) * x_sw)) \
+            / (om - 2.0 * gam)
+    return val
+
+
+@pytest.mark.parametrize("d,k", [(7.0, 1), (8.0, 1), (12.0, 2)])
+@pytest.mark.parametrize("upper", [None, 1.0, 10.0, 1e4])
+def test_inner_integral_on_orbit_matches_g_function(profile_at, d, k, upper):
+    p = profile_at(d, k)
+    assert inner_integral(p, upper=upper) == pytest.approx(
+        _inner_integral_via_g_function(p, upper), rel=1e-9)
+
+
+@pytest.mark.parametrize("d,k,N", [(9.0, 1, 1), (16.0, 2, 2)])
+def test_outer_integral_one_rule_matches_rule_per_n(basis_at, d, k, N):
+    """The shared rule of order 2(3N + max_n) + 32 against a rule of order
+    2(3N + n) + 32 for each n; both are exact for the polynomial part."""
+    basis = basis_at(d, k)
+    c = basis.consts
+    alpha = 0.5 * (c.omega - 2.0 * c.gamma) - 1.0
+    pref = 2.0 ** (d - 3.0 - 4.0 * c.gamma)
+    for n in range(basis.max_n + 1):
+        z, w = roots_genlaguerre(2 * (3 * N + n) + 32, alpha)
+        ref = basis.norm[N] ** 3 * basis.norm[n] * pref * np.sum(
+            w * eval_genlaguerre(N, basis._alpha, z) ** 3
+            * eval_genlaguerre(n, basis._alpha, z))
+        assert outer_integral(basis, N, n) == pytest.approx(ref, rel=1e-12)

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate._ivp.bdf
 import scipy.linalg
 from scipy.integrate._ivp.common import num_jac
+from scipy.linalg.lapack import dgbtrf
 
 from blowuplab import meshsim
 from blowuplab.errors import (
@@ -355,6 +356,40 @@ def test_newton_solve_matches_dense(kw):
 def test_newton_solve_matches_dense_sharpened_layer(quick_trace):
     state, gain = _sharpened_layer(quick_trace)
     assert _newton_error(quick_trace.config, state, gain) <= 1e-10
+
+
+def _mask_assembled_lu(J):
+    """The band and pivots of _BandedBDF.lu with the stencil and mesh
+    entries gathered by boolean in-range masks: the reference for its
+    integer gathers."""
+    pat, n = J.pattern, J.ur.size
+
+    def in_range(width):
+        cols = np.arange(n)[:, None] + np.arange(width) - width // 2
+        return (cols >= 0) & (cols < n)
+
+    band = np.zeros((3 * n, 2 * pat.kl + pat.ku + 1))
+    flat, at = band.reshape(-1), pat.at
+    flat[at["stencil"]] = J.b * J.stencil[:, in_range(3)]
+    flat[at["diagonal"]] += J.a
+    flat[at["ur"]] = J.ur
+    flat[at["one"]] = 1.0
+    flat[at["mesh"]] = -J.b * J.mesh[:, in_range(J.mesh.shape[2])]
+    flat[at["two"]] = 2.0
+    flat[at["minus_one"]] = -1.0
+    band, piv, _ = dgbtrf(band.T, pat.kl, pat.ku, overwrite_ab=True)
+    return band, piv
+
+
+@pytest.mark.parametrize("kw", JACOBIAN_CASES)
+def test_newton_band_gather_matches_masks(kw):
+    cfg = config(**kw)
+    state = initialize(cfg)
+    solver = meshsim._new_solver(cfg, state, 0.5, t_bound=state.t + 1.0)
+    A = solver.I - solver.h_abs * solver.J
+    band, piv = solver.lu(A)[:2]
+    ref_band, ref_piv = _mask_assembled_lu(A)
+    assert np.array_equal(band, ref_band) and np.array_equal(piv, ref_piv)
 
 
 def test_newton_band_clipped_to_matrix():

@@ -176,3 +176,12 @@ def test_orbit_csv_roundtrip(tmp_path, profile_at):
 
 def test_grid_size_constant():
     assert profile.GRID_SIZE >= 4000
+
+
+def test_interpolant_built_on_first_use(consts_at):
+    p = solve_profile(consts_at(9.0, 1))
+    assert "v_interp" not in vars(p)
+    eval_u(p, 1.0)
+    first = vars(p)["v_interp"]
+    eval_u(p, [0.5, 2.0])
+    assert p.v_interp is first
