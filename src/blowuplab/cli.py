@@ -10,8 +10,9 @@ Subcommands:
     basis-dump    eigenbasis table as CSV
 
 Every printed number is mirrored in a JSON artifact, and a run directory
-(config.json, trace.csv, snapshots/, fit.json, manifest.json) is the
-stable on-disk contract.  BLOWUPLAB_OUT overrides the output root.
+(config.json, trace.csv, snapshots/, fit.json, solver.jsonl with one line
+per chunk solver, manifest.json) is the stable on-disk contract.
+BLOWUPLAB_OUT overrides the output root.
 Exit codes: 0 success, 2 malformed config/arguments, 1 anything else.  A
 failing config in a sweep does not stop the others; the sweep exits with
 the code of its gravest failure.
@@ -213,13 +214,17 @@ def _run_one(config_path, out_root):
             fit = None
             fit_blob = {"error": type(exc).__name__, "message": str(exc)}
         _write_json(os.path.join(tmp_dir, "fit.json"), fit_blob)
+        with open(os.path.join(tmp_dir, "solver.jsonl"), "w") as fh:
+            for line in trace.chunk_log:
+                fh.write(json.dumps(line) + "\n")
         manifest = {
             "command": "simulate",
             "config_hash": _config_hash(config),
             "started": started,
             "finished": time.time(),
             "artifacts": [os.path.join(run_dir, p) for p in
-                          ("config.json", "trace.csv", "fit.json", *snap_names)],
+                          ("config.json", "trace.csv", "fit.json",
+                           "solver.jsonl", *snap_names)],
             "versions": {"blowuplab": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__},
             "solver": trace.solver,
@@ -264,6 +269,8 @@ def _sweep(configs, out_root, workers):
 def cmd_simulate(args):
     out_root = _out_root(args.out)
     configs = [args.config] + (args.sweep or [])
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     if len(configs) == 1:
         results, code = [_run_one(configs[0], out_root)], 0
     else:

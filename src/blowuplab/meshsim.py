@@ -22,7 +22,11 @@ difference pass (_differences) and shares them between the monitor, the
 reservation mass and the 3-point stencil, which is written on the midpoint
 gradients.  The matrix of the mesh-velocity solve, tridiag(-1, 2, -1),
 depends only on the node count: LAPACK's pttrf factors it once per size
-(cached), and each evaluation only back-substitutes with pttrs.
+(cached), and each evaluation only back-substitutes with pttrs.  The
+monitor's smoothing passes, (1/4, 1/2, 1/4) with the end cells repeated,
+are applied as one filter: p passes are one convolution of the cell
+monitor, mirrored at both ends, with the binomial taps C(2p, j)/4^p (see
+_smoothing_filter), equal to the passes up to roundoff.
 
 BDF gets the Jacobian in structured form (see _make_jac): every block is
 banded except the mesh velocity, which is the inverse Laplacian of a
@@ -35,7 +39,9 @@ term by Sherman-Morrison (Hairer & Wanner, Solving ODEs II, ch. VI), so a
 Newton step costs O(M).
 
 Blow-up observables (the origin gradient, the global max gradient, the
-energy, the mesh resolution) are recorded at every accepted step; rate
+energy, the mesh resolution) are recorded at every accepted step; the
+stepping loop takes only the gradients itself, and the rest of each row is
+computed once per solver chunk for all of its steps (_trace_rows).  Rate
 fitting recovers the power-law exponent 1/2 + beta or the logarithmic
 law from the trace.
 """
@@ -50,6 +56,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import BDF
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from scipy.optimize import minimize_scalar
@@ -71,6 +78,9 @@ TRACKING_MARGIN = 25.0
 #: sup-gradient growth factor per solver chunk; the collapse rate estimate
 #: is frozen within a chunk and stales by ~ this factor^(1/(1/2+beta))
 CHUNK_GROWTH = math.sqrt(2.0)
+
+#: the counters of a chunk solver (_BandedBDF) that a run records
+_SOLVER_COUNTERS = ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s")
 
 #: relative forward-difference step of the banded Jacobian parts
 _FD_STEP = np.finfo(float).eps ** 0.5
@@ -171,6 +181,13 @@ class RunTrace:
     # (lu_s), summed over the chunk solvers, and the number of chunks; empty
     # for a trace read back from csv
     solver: dict = field(default_factory=dict)
+    # one record per chunk solver, the lines of solver.jsonl: its start and
+    # end (t0, t1, sup_grad0, sup_grad1), the collapse rate qhat that set
+    # its gain, its accepted steps, its share of the counters above, its
+    # wall seconds and why it ended ("growth" when the sup gradient grew by
+    # CHUNK_GROWTH, else the run's stop reason); empty for a trace read
+    # back from csv
+    chunk_log: list = field(default_factory=list)
 
     def __post_init__(self):
         self.nodes_in_layer = np.asarray(self.nodes_in_layer).astype(int)
@@ -231,17 +248,18 @@ def _origin_gradient(r, u):
     return (u1 * r2 * r2 - u2 * r1 * r1) / (r1 * r2 * (r2 - r1))
 
 
-def _steepest(gmid, g0):
-    """sup |u_r| over the mesh (the largest midpoint or origin gradient) and
-    the cell of the largest midpoint gradient."""
-    a = np.abs(gmid)
+def _steepest(r, u):
+    """The origin gradient, sup |u_r| over the mesh (the largest midpoint or
+    origin gradient) and the cell of the largest midpoint gradient."""
+    g0 = _origin_gradient(r, u)
+    a = np.abs(_differences(r, u)[1])
     j = int(np.argmax(a))
-    return max(float(a[j]), abs(g0)), j
+    return g0, max(float(a[j]), abs(g0)), j
 
 
 def _sup_gradient(r, u):
     """sup |u_r| over the mesh."""
-    return _steepest(_differences(r, u)[1], _origin_gradient(r, u))[0]
+    return _steepest(r, u)[1]
 
 
 def _gain(config, gmax, qhat=0.0):
@@ -263,19 +281,46 @@ def _smoothed_monitor(config, r, u, gmid):
     dynamics that set the blow-up rate.  The |u|/r term equidistributes
     log-uniformly in r between those scales (its mass per decade of r is
     constant once u plateaus), the moving-mesh analogue of a geometrically
-    graded fixed mesh."""
+    graded fixed mesh.
+
+    The sum is smoothed by `monitor_smooth_passes` passes of (1/4, 1/2,
+    1/4) with the end cells repeated, applied as one filter.  A pass with
+    the end cells repeated is a pass over the half-sample-symmetric
+    extension m[-1-i] = m[i], m[N+i] = m[N-1-i] of the N cell values: the
+    filter is symmetric, so the extension stays symmetric and its values
+    beyond the ends are the repeated end cells.  p passes are then one
+    convolution of that extension with the binomial taps C(2p, j)/4^p, the
+    coefficients of ((1 + z)/2)^(2p); it equals the passes in exact
+    arithmetic and differs by roundoff only, about 1e-15 relative.  After
+    one pass the ends weigh (3/4, 1/4), as before."""
     m = np.sqrt(config.monitor_alpha + gmid * gmid)
     if config.monitor_scale_weight > 0.0:
         # |u|/r at the cell midpoint; the halves of both means cancel
         m += config.monitor_scale_weight * np.abs(u[:-1] + u[1:]) / (r[:-1] + r[1:])
-    # (1/4, 1/2, 1/4) passes; the padding repeats the end cells, so the end
-    # rows weigh (3/4, 1/4)
-    p = np.empty((m.shape[0] + 2,) + m.shape[1:])
-    p[1:-1] = m
-    for _ in range(config.monitor_smooth_passes):
-        p[0], p[-1] = p[1], p[-2]
-        p[1:-1] = 0.25 * (p[:-2] + p[2:]) + 0.5 * p[1:-1]
-    return p[1:-1]
+    passes = config.monitor_smooth_passes
+    if passes == 0:
+        return m
+    index, taps = _smoothing_filter(m.shape[0], passes)
+    pad = m.take(index, axis=0)
+    if m.ndim == 1:
+        return np.convolve(pad, taps, "valid")
+    return sliding_window_view(pad, taps.size, axis=0) @ taps
+
+
+@functools.lru_cache(maxsize=8)
+def _smoothing_filter(cells, passes):
+    """The reflect index and the binomial taps of `passes` smoothing passes
+    over `cells` cells as one filter (see _smoothed_monitor).  The index
+    gathers the half-sample-symmetric extension, `passes` cells beyond each
+    end; that extension has period 2 cells, so the index wraps modulo
+    2 cells and serves passes > cells too."""
+    k = np.arange(-passes, cells + passes) % (2 * cells)
+    index = np.where(k < cells, k, 2 * cells - 1 - k)
+    taps = np.array([math.comb(2 * passes, j) / 4 ** passes
+                     for j in range(2 * passes + 1)])
+    index.setflags(write=False)
+    taps.setflags(write=False)
+    return index, taps
 
 
 def _reservation(config, m, dr):
@@ -351,13 +396,27 @@ def _mesh_rhs(config, r, u, dr, gmid, gain):
 
 
 def _energy(config, r, u):
-    """Dirichlet energy by the midpoint rule."""
+    """Dirichlet energy by the midpoint rule, of one state or, along the
+    last axis, of states stacked as the rows of r and u."""
     d, k = config.params.d, config.params.k
-    dr, gmid = _differences(r, u)
-    rmid = 0.5 * (r[:-1] + r[1:])
-    umid = 0.5 * (u[:-1] + u[1:])
+    dr = r[..., 1:] - r[..., :-1]
+    gmid = (u[..., 1:] - u[..., :-1]) / dr
+    rmid = 0.5 * (r[..., :-1] + r[..., 1:])
+    umid = 0.5 * (u[..., :-1] + u[..., 1:])
     dens = gmid * gmid + k * (d + k - 2.0) * np.sin(umid) ** 2 / (rmid * rmid)
-    return 0.5 * float(np.sum(dens * rmid ** (d - 1.0) * dr))
+    return 0.5 * np.sum(dens * rmid ** (d - 1.0) * dr, axis=-1)
+
+
+def _trace_rows(config, t, r, u, g0, gmax, j):
+    """The TRACE_COLUMNS of states stacked as the rows of r and u, shape
+    (states, M), given their origin gradients g0, sup |u_r| gmax and
+    steepest cells j (see _steepest).  Every reduction runs along a row on
+    its own, so each row is bit for bit what its state gives alone."""
+    dr = r[:, 1:] - r[:, :-1]
+    rows = np.arange(t.size)
+    loc = np.where(np.abs(g0) >= gmax, 0.0, 0.5 * (r[rows, j] + r[rows, j + 1]))
+    return (t, g0, gmax, _energy(config, r, u), dr.min(axis=1), loc,
+            np.sum(r <= (5.0 / gmax)[:, None], axis=1))
 
 
 # ----------------------------------------------------------------------------
@@ -741,35 +800,35 @@ def _new_solver(config, state, gain, t_bound):
 
 def run(config, progress=None):
     """Step until sup|u_r| >= max_gradient or t >= t_max, recording
-    observables at every accepted step and snapshots on a gradient ladder."""
+    observables at every accepted step and snapshots on a gradient ladder.
+
+    Each step only takes what the loop needs (_steepest); the accepted
+    states of a chunk are held until the chunk ends and then turned into
+    trace rows at once (_trace_rows), so the buffer never outgrows a chunk.
+    Each chunk also leaves one record in RunTrace.chunk_log."""
     state = initialize(config)
     uL = state.u[-1]
 
-    rows = []
+    columns = []   # the _trace_rows of each chunk
+    held = []      # (t, r, u, g0, gmax, cell) of states not yet in columns
+    chunk_log = []
     snapshots = [MeshState(state.t, state.r.copy(), state.u.copy())]
     next_snap = 10.0 ** config.snapshot_decades
     stopped = "tmax"
 
-    def observe(t, r, u):
-        """Append the TRACE_COLUMNS of one state to rows; return sup |u_r|."""
-        dr, gmid = _differences(r, u)
-        g0 = _origin_gradient(r, u)
-        gmax, j = _steepest(gmid, g0)
-        rows.append((
-            t, g0, gmax, _energy(config, r, u), float(np.min(dr)),
-            0.0 if abs(g0) >= gmax else 0.5 * (r[j] + r[j + 1]),
-            int(np.sum(r <= 5.0 / gmax)),
-        ))
+    def observe(state):
+        """Hold a state for its trace row; return sup |u_r|."""
+        g0, gmax, j = _steepest(state.r, state.u)
+        held.append((state.t, state.r, state.u, g0, gmax, j))
         return gmax
 
-    gmax = observe(state.t, state.r, state.u)
-    counters = dict.fromkeys(("chunks", "nfev", "njev", "nlu"), 0)
-    counters.update(rhs_s=0.0, jac_s=0.0, lu_s=0.0)
+    gmax = observe(state)
     qhat = 0.0   # measured growth rate d log(sup u_r)/dt of the last chunk
     while True:
+        started = time.perf_counter()
         gain = _gain(config, gmax, qhat)
         chunk_limit = CHUNK_GROWTH * gmax  # refresh the frozen gain as the layer sharpens
-        t_chunk, g_chunk = state.t, gmax
+        t_chunk, g_chunk, steps = state.t, gmax, 0
         solver = _new_solver(config, state, gain, t_bound=config.t_max)
         while solver.status == "running":
             try:
@@ -782,7 +841,8 @@ def run(config, progress=None):
                     raise
                 stopped = "roundoff"
                 break
-            gmax = observe(state.t, state.r, state.u)
+            steps += 1
+            gmax = observe(state)
             if gmax >= next_snap:
                 snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy()))
                 next_snap = 10.0 ** (
@@ -796,18 +856,29 @@ def run(config, progress=None):
                 break
             if gmax >= chunk_limit:
                 break
-        counters["chunks"] += 1
-        for key in ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s"):
-            counters[key] += getattr(solver, key)
+        if held:   # empty when the chunk's first step failed
+            columns.append(_trace_rows(config, *map(np.array, zip(*held))))
+            held.clear()
+        done = stopped != "tmax" or solver.status == "finished"
+        chunk_log.append({
+            "t0": t_chunk, "t1": state.t, "sup_grad0": g_chunk,
+            "sup_grad1": gmax, "qhat": qhat, "gain": gain, "steps": steps,
+            **{key: getattr(solver, key) for key in _SOLVER_COUNTERS},
+            "wall_s": time.perf_counter() - started,
+            "end": stopped if done else "growth",
+        })
         if state.t > t_chunk and gmax > g_chunk:
             qhat = math.log(gmax / g_chunk) / (state.t - t_chunk)
-        if stopped != "tmax" or solver.status == "finished":
+        if done:
             break
 
     snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy()))
+    totals = {"chunks": len(chunk_log)}
+    for key in _SOLVER_COUNTERS:
+        totals[key] = sum(line[key] for line in chunk_log)
     return RunTrace(config=config, snapshots=snapshots, stopped=stopped,
-                    solver=counters,
-                    **dict(zip(TRACE_COLUMNS, np.array(rows).T)))
+                    solver=totals, chunk_log=chunk_log,
+                    **dict(zip(TRACE_COLUMNS, map(np.concatenate, zip(*columns)))))
 
 
 # ----------------------------------------------------------------------------

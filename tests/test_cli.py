@@ -22,6 +22,11 @@ def write_config(path, **overrides):
     return str(path)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("runs")
@@ -198,13 +203,14 @@ def test_bad_run_directory_exit_2(tmp_path, run_dir, capsys):
 
 
 def test_run_directory_layout(run_dir):
-    for name in ("config.json", "trace.csv", "fit.json", "manifest.json"):
+    for name in ("config.json", "trace.csv", "fit.json", "solver.jsonl",
+                 "manifest.json"):
         assert os.path.exists(os.path.join(run_dir, name))
     snaps = os.listdir(os.path.join(run_dir, "snapshots"))
     assert any(f.endswith(".csv") for f in snaps)
     assert any(f.endswith(".json") for f in snaps)
 
-    manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+    manifest = read_json(os.path.join(run_dir, "manifest.json"))
     assert manifest["command"] == "simulate"
     for artifact in manifest["artifacts"]:
         assert os.path.exists(artifact)
@@ -218,7 +224,7 @@ def test_run_directory_layout(run_dir):
     # the stop record is the last row of the trace
     stop = manifest["stop"]
     assert set(stop) == {"reason", "t", "sup_grad", "steps"}
-    config = json.load(open(os.path.join(run_dir, "config.json")))
+    config = read_json(os.path.join(run_dir, "config.json"))
     assert stop["reason"] == config["stopped"] == "blowup"
     trace = np.genfromtxt(os.path.join(run_dir, "trace.csv"), delimiter=",",
                           names=True)
@@ -226,23 +232,43 @@ def test_run_directory_layout(run_dir):
     assert stop["t"] == trace["t"][-1]
     assert stop["sup_grad"] == trace["sup_grad"][-1] >= 1e6
 
-    fit = json.load(open(os.path.join(run_dir, "fit.json")))
+    fit = read_json(os.path.join(run_dir, "fit.json"))
     assert fit["kind"] == "power"
     assert 0.05 < fit["beta"] < 0.25
+
+
+def test_solver_log(run_dir):
+    # one line per chunk solver; they add up to the manifest's totals
+    manifest = read_json(os.path.join(run_dir, "manifest.json"))
+    path = os.path.join(run_dir, "solver.jsonl")
+    assert path in manifest["artifacts"]
+    with open(path) as fh:
+        lines = [json.loads(line) for line in fh]
+    solver = manifest["solver"]
+    assert len(lines) == solver["chunks"]
+    assert sum(line["steps"] for line in lines) == manifest["stop"]["steps"]
+    for key in ("nfev", "njev", "nlu"):
+        assert sum(line[key] for line in lines) == solver[key], key
+    assert list(lines[0]) == ["t0", "t1", "sup_grad0", "sup_grad1", "qhat",
+                              "gain", "steps", "nfev", "njev", "nlu", "rhs_s",
+                              "jac_s", "lu_s", "wall_s", "end"]
+    assert {line["end"] for line in lines[:-1]} == {"growth"}
+    assert lines[-1]["end"] == manifest["stop"]["reason"] == "blowup"
+    assert lines[-1]["t1"] == manifest["stop"]["t"]
 
 
 def test_fit_command(run_dir, capsys):
     assert cli.main(["fit", "--run", run_dir, "--kind", "power"]) == 0
     printed = capsys.readouterr().out
     blob = json.loads(printed)
-    refit = json.load(open(os.path.join(run_dir, "fit.json")))
+    refit = read_json(os.path.join(run_dir, "fit.json"))
     assert refit["beta"] == pytest.approx(blob["beta"])
 
 
 def test_compare_command(run_dir, capsys):
     assert cli.main(["compare", "--run", run_dir]) == 0
     printed = capsys.readouterr().out
-    report = json.load(open(os.path.join(run_dir, "compare.json")))
+    report = read_json(os.path.join(run_dir, "compare.json"))
     assert report["status"] == "ok"
     assert report["predicted_beta"] == pytest.approx(0.1306019, abs=5e-8)
     assert f"{report['relative_error']:.4f}" in printed
@@ -262,7 +288,7 @@ def test_compare_writes_overlay(tmp_path, capsys):
     run = out / os.listdir(out)[0]
     assert cli.main(["compare", "--run", str(run)]) == 0
     capsys.readouterr()
-    report = json.load(open(run / "compare.json"))
+    report = read_json(run / "compare.json")
     assert report["overlay"] == str(run / "overlay.csv")
     overlay = np.genfromtxt(report["overlay"], delimiter=",", names=True)
     assert overlay.dtype.names == ("y", "f_numeric", "f_ansatz")
@@ -301,7 +327,7 @@ def test_compare_no_blowup(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     run = [d for d in os.listdir(tmp_path) if d.startswith("run_")][0]
     assert cli.main(["compare", "--run", str(tmp_path / run)]) == 0
-    report = json.load(open(tmp_path / run / "compare.json"))
+    report = read_json(tmp_path / run / "compare.json")
     assert report["status"] == "NoBlowup"
     capsys.readouterr()
 
@@ -326,7 +352,7 @@ def test_rerun_replaces_run_directory(tmp_path, capsys):
     assert len(os.listdir(out)) == 1
     run = out / os.listdir(out)[0]
     assert run.name.startswith("run_")
-    manifest = json.load(open(run / "manifest.json"))
+    manifest = read_json(run / "manifest.json")
     assert all(os.path.exists(artifact) for artifact in manifest["artifacts"])
     capsys.readouterr()
 
@@ -339,6 +365,18 @@ def test_simulate_sweep(tmp_path, capsys):
     dirs = [d for d in os.listdir(tmp_path) if d.startswith("run_")]
     assert len(dirs) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_simulate_bad_workers_exit_2(workers, tmp_path, capsys):
+    cfgs = [write_config(tmp_path / f"c{j}.json", t_max=1e-3, M=101 + j)
+            for j in range(2)]
+    for argv in (["--config", cfgs[0]], ["--config", cfgs[0], "--sweep", cfgs[1]]):
+        assert cli.main(["simulate", *argv, "--out", str(tmp_path),
+                         "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--workers" in err
+    assert not [d for d in os.listdir(tmp_path) if d.startswith(("run_", "."))]
 
 
 def test_simulate_sweep_keeps_good_runs(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -422,6 +423,37 @@ def test_monitor_positive_and_massive():
     assert m.size == state.r.size - 1
 
 
+def _smoothing_passes(m, passes):
+    """(1/4, 1/2, 1/4) passes with the end cells repeated, one at a time:
+    the reference for the one-filter form of _smoothed_monitor."""
+    p = np.empty((m.shape[0] + 2,) + m.shape[1:])
+    p[1:-1] = m
+    for _ in range(passes):
+        p[0], p[-1] = p[1], p[-2]
+        p[1:-1] = 0.25 * (p[:-2] + p[2:]) + 0.5 * p[1:-1]
+    return p[1:-1]
+
+
+@pytest.mark.parametrize("M", [64, 161])
+@pytest.mark.parametrize("passes", [0, 1, 4, 100])
+def test_smoothing_filter_matches_passes(M, passes):
+    # passes = 100 reaches across the 63 cells of M = 64 more than once
+    cfg = config(M=M, monitor_smooth_passes=passes)
+    raw = config(M=M, monitor_smooth_passes=0)
+    state = initialize(cfg)
+    rng = np.random.default_rng(M + passes)
+    # a sharp layer, and a block of perturbed states as _make_jac passes
+    u = state.u + np.arctan(state.r / 1e-3)
+    blocks = ((state.r, u), (np.repeat(state.r[:, None], 21, axis=1),
+              u[:, None] * (1.0 + 1e-3 * rng.standard_normal((M, 21)))))
+    for r, u in blocks:
+        gmid = meshsim._differences(r, u)[1]
+        m = meshsim._smoothed_monitor(cfg, r, u, gmid)
+        ref = _smoothing_passes(meshsim._smoothed_monitor(raw, r, u, gmid), passes)
+        assert m.shape == ref.shape == gmid.shape
+        assert np.max(np.abs(m - ref) / ref) <= 2e-15, (M, passes, r.ndim)
+
+
 # ----------------------------------------------------------------------------
 # runs and traces
 
@@ -438,6 +470,53 @@ def test_quick_run_solver_counters(quick_trace):
     assert counters["njev"] >= counters["chunks"] >= 1
     assert counters["rhs_s"] > 0 and counters["jac_s"] > 0 and counters["lu_s"] > 0
     assert counters["nfev"] >= quick_trace.t.size - 1
+    # one chunk_log record per chunk solver, and they add up to the totals
+    log = quick_trace.chunk_log
+    assert len(log) == counters["chunks"]
+    for key in ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s"):
+        assert sum(line[key] for line in log) == counters[key], key
+    assert sum(line["steps"] for line in log) == quick_trace.t.size - 1
+    assert [line["end"] for line in log] == ["growth"] * (len(log) - 1) + ["blowup"]
+    for prev, line in zip(log, log[1:]):
+        assert (line["t0"], line["sup_grad0"]) == (prev["t1"], prev["sup_grad1"])
+        assert line["sup_grad1"] >= meshsim.CHUNK_GROWTH * line["sup_grad0"] \
+            or line["end"] != "growth"
+
+
+def _observe_one(cfg, t, r, u):
+    """The trace row of one state as run() took it at every step before the
+    rows were taken per chunk: the reference for _trace_rows."""
+    d, k = cfg.params.d, cfg.params.k
+    dr = r[1:] - r[:-1]
+    gmid = (u[1:] - u[:-1]) / dr
+    g0 = meshsim._origin_gradient(r, u)
+    a = np.abs(gmid)
+    j = int(np.argmax(a))
+    gmax = max(float(a[j]), abs(g0))
+    rmid = 0.5 * (r[:-1] + r[1:])
+    umid = 0.5 * (u[:-1] + u[1:])
+    dens = gmid * gmid + k * (d + k - 2.0) * np.sin(umid) ** 2 / (rmid * rmid)
+    energy = 0.5 * float(np.sum(dens * rmid ** (d - 1.0) * dr))
+    return (t, g0, gmax, energy, float(np.min(dr)),
+            0.0 if abs(g0) >= gmax else 0.5 * (r[j] + r[j + 1]),
+            int(np.sum(r <= 5.0 / gmax)))
+
+
+def test_trace_rows_match_per_state(quick_trace):
+    # the snapshots have their steepest gradient at the origin; r - sin(r)
+    # has it at r = L
+    cfg = quick_trace.config
+    snaps = quick_trace.snapshots + [
+        initialize(replace(cfg, initial_data="r-sin(r)"))]
+    steepest = [meshsim._steepest(s.r, s.u) for s in snaps]
+    got = meshsim._trace_rows(
+        cfg, np.array([s.t for s in snaps]), np.array([s.r for s in snaps]),
+        np.array([s.u for s in snaps]), *map(np.array, zip(*steepest)))
+    ref = np.array([_observe_one(cfg, s.t, s.r, s.u) for s in snaps]).T
+    assert len(got) == len(meshsim.TRACE_COLUMNS)
+    for name, col, ref_col in zip(meshsim.TRACE_COLUMNS, got, ref):
+        assert np.array_equal(col, ref_col), name
+    assert np.count_nonzero(got[5]) == 1
 
 
 def test_quick_run_energy_monotone(quick_trace):
@@ -466,6 +545,8 @@ def test_tiny_tmax_flags_no_blowup():
     trace = run(config(M=101, t_max=1e-3))
     assert trace.stopped == "tmax"
     assert trace.no_blowup
+    assert trace.chunk_log[-1]["end"] == "tmax"
+    assert trace.chunk_log[-1]["t1"] == trace.t[-1] == 1e-3
     with pytest.raises(NoBlowup):
         fit_power(trace)
 
@@ -481,6 +562,9 @@ def test_roundoff_stop_keeps_accepted_steps():
     last = trace.snapshots[-1]
     assert last.t == trace.t[-1]
     assert meshsim._sup_gradient(last.r, last.u) == trace.sup_grad[-1]
+    # the rows of every chunk are kept, also when the last chunk took no step
+    assert trace.chunk_log[-1]["end"] == "roundoff"
+    assert sum(line["steps"] for line in trace.chunk_log) == trace.t.size - 1
 
 
 def test_failed_step_not_retried(monkeypatch):
