@@ -80,11 +80,6 @@ def _pipeline(d, k, N):
     return consts, prof, basis, coup, law
 
 
-def _default_N(consts):
-    """The generic construction index: the smallest admissible N."""
-    return max(classify(consts).min_admissible_N, 1)
-
-
 # ----------------------------------------------------------------------------
 # predict
 
@@ -174,12 +169,18 @@ def _config_hash(config):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _auto_fit(config, trace):
-    """Fit the law selected by the spectrum of (d, k): logarithmic when the
-    generic index is neutral, power otherwise."""
+def _generic_law(config):
+    """Constants, the generic construction index N (the smallest admissible
+    one) and whether its rate law is logarithmic (N neutral)."""
     consts = derive(config.params)
-    N = _default_N(consts)
-    if eigenvalue(consts, N).lam == 0:
+    N = max(classify(consts).min_admissible_N, 1)
+    return consts, N, eigenvalue(consts, N).lam == 0
+
+
+def _auto_fit(config, trace):
+    """Fit the law selected by the spectrum of (d, k)."""
+    consts, _, log_law = _generic_law(config)
+    if log_law:
         return meshsim.fit_log(trace, delta=consts.delta)
     return meshsim.fit_power(trace)
 
@@ -359,18 +360,25 @@ def _overlay_csv(path, run_dir, T, prof, basis, N):
 def cmd_compare(args):
     config, trace = _load_run(args.run)
     # a run without snapshots or a bad second run is a malformed argument,
-    # caught before any work
+    # caught before any work; the second run's log-law C is compared with
+    # the first's, so both must be log-law runs at one (d, k)
     if not os.path.isdir(os.path.join(args.run, "snapshots")):
         raise ConfigError(f"run directory {args.run} has no snapshots/")
-    trace2 = _load_run(args.run2)[1] if args.run2 else None
+    trace2 = None
+    if args.run2:
+        config2, trace2 = _load_run(args.run2)
+        p, p2 = config.params, config2.params
+        if p2 != p or not _generic_law(config)[2]:
+            raise ConfigError(
+                f"--run2 needs two log-law runs at one (d, k), got d={p.d:g}, "
+                f"k={p.k} and d={p2.d:g}, k={p2.k}")
     report = {"run": args.run, "d": config.params.d, "k": config.params.k}
     if trace.no_blowup:
         report["status"] = "NoBlowup"
         print(json.dumps(report, indent=2))
         _write_json(os.path.join(args.run, "compare.json"), report)
         return 0
-    consts = derive(config.params)
-    N = _default_N(consts)
+    consts, N = _generic_law(config)[:2]
     prof, basis, coup, law = _pipeline(config.params.d, config.params.k, N)[1:]
     report["status"] = "ok"
     if law.kind == "power":
@@ -463,7 +471,7 @@ def build_parser():
 
     p = sub.add_parser("compare", help="prediction vs. experiment report")
     p.add_argument("--run", required=True)
-    p.add_argument("--run2", help="second run for C-universality check")
+    p.add_argument("--run2", help="second log-law run at the same (d, k)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("profile-dump", help="boundary-layer orbit CSV")

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
-from .errors import DegenerateRegime, RegimeMismatch
+from .errors import RegimeMismatch
 from .params import Regime
 from .profile import eval_u
 
@@ -117,14 +117,6 @@ def inner_integral(profile, upper=None):
     return val
 
 
-def inner_constant(profile, basis, n):
-    """D_n in the inner-dominated regime: c_n times the profile integral."""
-    consts = profile.consts
-    if consts.regime is not Regime.INNER_DOMINATED:
-        raise RegimeMismatch("inner_constant requires omega < 2*gamma")
-    return basis.c_origin[n] * inner_integral(profile)
-
-
 @functools.lru_cache(maxsize=8)
 def _laguerre_rule(order, alpha):
     """Nodes and weights of the generalized Gauss-Laguerre rule, read-only."""
@@ -158,13 +150,6 @@ def _outer_prefactor(profile, basis, N):
     return 2.0 * k * (d + k - 2.0) * profile.h**3 / (3.0 * basis.c_origin[N] ** 3)
 
 
-def outer_constant(profile, basis, N, n):
-    """D_n in the outer-dominated regime (the paper's T_n)."""
-    if basis.consts.regime is not Regime.OUTER_DOMINATED:
-        raise RegimeMismatch("outer_constant requires omega > 2*gamma")
-    return _outer_prefactor(profile, basis, N) * outer_integral(basis, N, n)
-
-
 def outer_integral_truncated(basis, N, n, y_lo):
     """Adaptive evaluation of the outer integral on [y_lo, inf)."""
     d = basis.consts.params.d
@@ -192,21 +177,19 @@ def dominance_diagnostic(profile, basis, N, eps, K=None):
     return I_inn, I_out
 
 
-def coupling_constants(profile, basis, N, max_n=None):
-    """Dispatch D_n for n <= max_n to the regime's integral and attach the
-    raw-integral diagnostics."""
+def coupling_constants(profile, basis, N):
+    """D_n for n <= basis.max_n from the regime's integral, with the raw
+    integral (for n = N in the outer regime) as a diagnostic."""
     consts = profile.consts
-    if abs(consts.omega - 2.0 * consts.gamma) < 1e-12:
-        raise DegenerateRegime("omega == 2*gamma: both integrals diverge")
-    if max_n is None:
-        max_n = basis.max_n
     if consts.regime is Regime.INNER_DOMINATED:
         base = inner_integral(profile)
-        D = np.array([basis.c_origin[n] * base for n in range(max_n + 1)])
+        D = basis.c_origin * base
         diagnostics = {"inner_integral": base}
     else:
-        D = np.array([outer_constant(profile, basis, N, n) for n in range(max_n + 1)])
-        diagnostics = {"outer_integral_N": outer_integral(basis, N, N)}
+        outer = np.array([outer_integral(basis, N, n)
+                          for n in range(basis.max_n + 1)])
+        D = _outer_prefactor(profile, basis, N) * outer
+        diagnostics = {"outer_integral_N": float(outer[N])}
     return CouplingConstants(
         regime=consts.regime,
         N=N,

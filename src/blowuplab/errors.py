@@ -32,11 +32,7 @@ class TailFitIllConditioned(BlowupLabError):
 
 
 class QuadratureNotConverged(BlowupLabError):
-    """Orthonormality residual did not reach target at maximum node count."""
-
-
-class DivergentIntegrand(BlowupLabError):
-    """Declared small-y exponents make the weighted integrand non-integrable."""
+    """Gram residual of the eigenbasis above the orthonormality target."""
 
 
 class BlowupOfEpsilon(BlowupLabError):

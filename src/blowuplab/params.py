@@ -83,7 +83,8 @@ class Classification:
     stability_bound: float        # (d-2-omega)/4, always > k/2
 
     def unstable_directions(self, N):
-        """Effective codimension of the construction with index N."""
+        """Effective codimension of the construction with index N: N
+        matching constraints, one removed by the blow-up-time gauge."""
         return N - 1
 
 

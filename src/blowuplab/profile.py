@@ -153,10 +153,7 @@ def solve_profile(consts, x_min=None, x_max=None, tolerance=1e-11):
     v, vp = orbit(grid, [v0, vp0]).T
 
     scale = np.maximum(np.abs(vp), 1e-280)
-    rel_viol = max(
-        float(np.max(np.maximum(-consts.params.k * np.sin(v) - vp, 0.0) / scale)),
-        float(np.max(np.maximum(vp + consts.gamma * np.sin(v), 0.0) / scale)),
-    )
+    rel_viol = float(np.max(_trapping_excursions(consts, v, vp) / scale))
     if rel_viol > 1e4 * tolerance + 1e-9:
         raise TrappingViolation(
             f"orbit left trapping region by relative margin {rel_viol:.3e}"
@@ -271,11 +268,17 @@ def eval_u(profile, xi):
     return out[0] if scalar else out
 
 
+def _trapping_excursions(consts, v, vp):
+    """The pointwise excursions below and above S, (-k sin v - v')_+ and
+    (v' + gamma sin v)_+, as the two rows of one array."""
+    sin_v = np.sin(v)
+    return np.maximum([-consts.params.k * sin_v - vp, vp + consts.gamma * sin_v], 0.0)
+
+
 def check_trapping_arrays(consts, v, vp):
     """Worst excursion from S and inward-flux samples along its boundary."""
     k, gamma = consts.params.k, consts.gamma
-    lower = float(np.max(np.maximum(-k * np.sin(v) - vp, 0.0)))
-    upper = float(np.max(np.maximum(vp + gamma * np.sin(v), 0.0)))
+    lower, upper = np.max(_trapping_excursions(consts, v, vp), axis=1).tolist()
     vv = np.linspace(-math.pi, 0.0, 41)[1:-1]
     flux = [
         (float(a), float(-k * k * math.sin(a) * (1 - math.cos(a))),

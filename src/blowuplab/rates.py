@@ -211,11 +211,6 @@ def an_requirement(traj, lam_n, Dn):
     return -Dn * float(_tail_sums(traj, lam_n)[0])
 
 
-def codimension(N):
-    """N matching constraints, one removed by the blow-up-time gauge."""
-    return {"constraints": N, "effective_unstable": N - 1}
-
-
 @dataclass
 class AnsatzSnapshot:
     s: float | None

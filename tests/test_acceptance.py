@@ -113,8 +113,8 @@ def test_criterion_2_spectral_suite(asym):
             scale = max(float(np.max(np.abs(b.phi(n, y)))), 1.0)
             worst_eig = max(worst_eig, float(np.max(np.abs(resid))) / scale)
         for n in range(b.max_n + 1):
-            # analytically <phi_n,phi_n> = 1/2, so the re-normalized N_n is
-            # sqrt(2) times the closed-form constant up to quadrature error
+            # the closed form normalizes <phi_n,phi_n> to 1/2, so the
+            # orthonormal N_n is sqrt(2) times it
             closed = math.sqrt(2.0) * spectral.closed_form_norm(n, c.omega) \
                 * spectral.laguerre_at_zero(n, c.omega / 2.0)
             worst_cn = max(worst_cn, abs(b.c_origin[n] / closed - 1.0))
@@ -286,7 +286,7 @@ def test_criterion_9_ansatz_overlay(asym, d8_fine):
         if snap.t >= T:
             continue
         tau = T - snap.t
-        g0 = (snap.u[1] - snap.u[0]) / (snap.r[1] - snap.r[0])
+        g0 = meshsim._origin_gradient(snap.r, snap.u)
         eps = 1.0 / (p.Cs * math.sqrt(tau) * abs(g0))
         if not 0.0 < eps <= 0.1:
             continue

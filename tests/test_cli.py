@@ -277,6 +277,68 @@ def test_compare_command(run_dir, capsys):
     assert plot.size > 100
 
 
+def log_law_run(root, d=7, k=1, C=0.225, s0=-0.436, T=0.229):
+    """A run directory at (d, k) without snapshots whose trace follows the
+    log law sqrt(T-t) dr_u0 = C (-log(T-t) - s0) exactly."""
+    run = root / f"log_run_{d}d{k}k_{C}"
+    (run / "snapshots").mkdir(parents=True)
+    (run / "config.json").write_text(
+        json.dumps({"d": d, "k": k, "stopped": "blowup"}))
+    tau = np.geomspace(1e-1, 1e-9, 2400)
+    g = C * (-np.log(tau) - s0) / np.sqrt(tau)
+    write_table(run / "trace.csv", TRACE_COLUMNS,
+                (T - tau, g, g, np.linspace(1.0, 0.5, tau.size), 1.0 / g,
+                 np.zeros_like(tau), np.full(tau.size, 50)))
+    return str(run)
+
+
+def test_fit_log_law_run(tmp_path, capsys):
+    # --kind log and the automatic choice at d=7 (neutral N=1) give the
+    # same log-law fit, which recovers the generator
+    run = log_law_run(tmp_path)
+    fits = []
+    for kind in ("log", "auto"):
+        assert cli.main(["fit", "--run", run, "--kind", kind]) == 0
+        fits.append(json.loads(capsys.readouterr().out))
+        assert read_json(os.path.join(run, "fit.json")) == fits[-1]
+    assert fits[0] == fits[1]
+    assert fits[0]["kind"] == "log"
+    assert fits[0]["C"] == pytest.approx(0.225, abs=1e-3)
+    assert fits[0]["T"] == pytest.approx(0.229, abs=1e-6)
+
+
+def test_compare_second_log_law_run(tmp_path, capsys):
+    run, run2 = log_law_run(tmp_path), log_law_run(tmp_path, C=0.2259)
+    assert cli.main(["compare", "--run", run, "--run2", run2]) == 0
+    printed = capsys.readouterr().out
+    report = read_json(os.path.join(run, "compare.json"))
+    assert report["run2"] == run2
+    assert report["fit"]["C"] == pytest.approx(0.225, abs=1e-3)
+    assert report["C2"] == pytest.approx(0.2259, abs=1e-3)
+    assert report["C_agreement"] == pytest.approx(
+        abs(report["fit"]["C"] - report["C2"])
+        / min(report["fit"]["C"], report["C2"]))
+    assert f"C agreement across runs: {report['C_agreement']:.2%}" in printed
+    assert report["predicted_C"] == pytest.approx(0.22268, abs=1e-5)
+
+
+def test_compare_second_run_mismatch_exit_2(tmp_path, run_dir, capsys):
+    # the second run must be a log-law run at the first run's (d, k): a
+    # different d, a different k, or a power-law pair exit 2 before any work
+    log7 = log_law_run(tmp_path)
+    for run, run2 in ((log7, run_dir), (run_dir, log7),
+                      (log7, log_law_run(tmp_path, k=2)),
+                      (run_dir, run_dir)):
+        report = os.path.join(run, "compare.json")
+        before = os.stat(report).st_mtime_ns if os.path.exists(report) else None
+        assert cli.main(["compare", "--run", run, "--run2", run2]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --run2 ") and err.count("\n") == 1
+        after = os.stat(report).st_mtime_ns if os.path.exists(report) else None
+        assert after == before
+
+
 def test_compare_writes_overlay(tmp_path, capsys):
     # deep enough (sup|u_r| = 1e8) that eps at the last snapshot is small and
     # compare writes the profile-vs-ansatz overlay through eval_u

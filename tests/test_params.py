@@ -99,6 +99,7 @@ def test_classification():
     assert cls8.neutral_index is None
     assert cls8.min_admissible_N == 1
     assert cls8.unstable_directions(1) == 0
+    assert cls8.unstable_directions(3) == 2
 
 
 def test_param_validation():

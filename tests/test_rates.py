@@ -11,7 +11,6 @@ from blowuplab.rates import (
     ReducedConstants,
     an_requirement,
     assemble_ansatz,
-    codimension,
     coefficient_flow,
     matched_aN,
     predict_rate,
@@ -171,11 +170,6 @@ def test_coefficient_flow_tuned_initial_data_below_N(consts_at, profile_at,
     assert traj.s[j] == pytest.approx(30.0)
     assert ratio[j] / ratio[0] == pytest.approx(
         exact_ratio(traj.s[j]) / exact_ratio(0.0), abs=1e-3)
-
-
-def test_codimension():
-    assert codimension(1) == {"constraints": 1, "effective_unstable": 0}
-    assert codimension(3)["effective_unstable"] == 2
 
 
 def test_ansatz_jump_small(consts_at, profile_at, basis_at):

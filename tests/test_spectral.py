@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blowuplab import spectral
-from blowuplab.errors import DivergentIntegrand
+from blowuplab.errors import QuadratureNotConverged
 from blowuplab.spectral import closed_form_norm, laguerre_at_zero
 
 from conftest import POINTS
@@ -46,8 +46,7 @@ def test_eigen_residual(basis_at, d, k):
 
 @pytest.mark.parametrize("d,k", POINTS)
 def test_c_origin_closed_form(basis_at, consts_at, d, k):
-    # c_n = N_n L_n^{(w/2)}(0) where the rescaling of N_n relative to its
-    # closed form is the measured diagonal of the closed-form Gram matrix
+    # c_n = N_n L_n^{(w/2)}(0) with N_n sqrt(2) times the closed form
     basis = basis_at(d, k)
     c = consts_at(d, k)
     alpha = c.omega / 2.0
@@ -55,7 +54,7 @@ def test_c_origin_closed_form(basis_at, consts_at, d, k):
         ratio = basis.norm[n] / closed_form_norm(n, c.omega)
         expected = ratio * closed_form_norm(n, c.omega) * laguerre_at_zero(n, alpha)
         assert basis.c_origin[n] == pytest.approx(expected, rel=1e-10)
-    # the closed form normalizes <phi,phi> to 1/2, so the rescale is ~sqrt(2)
+    # the closed form normalizes <phi,phi> to 1/2, so the factor is sqrt(2)
     ratios = basis.norm / [closed_form_norm(n, c.omega)
                            for n in range(basis.max_n + 1)]
     assert np.allclose(ratios, np.sqrt(2.0), rtol=1e-6)
@@ -93,23 +92,12 @@ def test_projection_recovers_coefficients(basis_at):
     assert np.allclose(a, expect, atol=1e-8)
 
 
-def test_inner_product_divergence_guard(basis_at):
-    basis = basis_at(8.0, 1)
-    f = lambda y: y ** (-4.0)
-    with pytest.raises(DivergentIntegrand):
-        basis.inner_product(f, f, f_exponent=-4.0, g_exponent=-4.0)
-
-
-def test_inner_product_adaptive_fallback(basis_at):
-    # total power more singular than y^{-2 gamma} but still integrable
-    basis = basis_at(8.0, 1)
-    gam = basis.consts.gamma
-    p = -gam - 0.4
-    f = lambda y: np.asarray(y) ** p
-    val = basis.inner_product(f, f, f_exponent=p, g_exponent=p)
-    # reference: straight adaptive quadrature
-    ref = basis._adaptive_inner(f, f)
-    assert val == pytest.approx(ref, rel=1e-8)
+def test_gram_residual_guard(consts_at, monkeypatch):
+    # the one rule is exact, so only a broken rule or N_n trips the guard;
+    # with a zero target the roundoff of the Gram matrix does
+    monkeypatch.setattr(spectral, "ORTHO_TARGET", 0.0)
+    with pytest.raises(QuadratureNotConverged):
+        spectral.build_basis(consts_at(8.0, 1))
 
 
 def test_basis_csv(tmp_path, basis_at):
