@@ -177,11 +177,13 @@ def _generic_law(config):
     return consts, N, eigenvalue(consts, N).lam == 0
 
 
-def _auto_fit(config, trace):
-    """Fit the law selected by the spectrum of (d, k)."""
-    consts, _, log_law = _generic_law(config)
-    if log_law:
-        return meshsim.fit_log(trace, delta=consts.delta)
+def _auto_fit(config, trace, kind="auto"):
+    """Fit the law of `kind`, "power" or "log"; with "auto" the law selected
+    by the spectrum of (d, k)."""
+    if kind == "auto":
+        kind = "log" if _generic_law(config)[2] else "power"
+    if kind == "log":
+        return meshsim.fit_log(trace, delta=derive(config.params).delta)
     return meshsim.fit_power(trace)
 
 
@@ -308,12 +310,7 @@ def _load_run(run_dir):
 
 def cmd_fit(args):
     config, trace = _load_run(args.run)
-    if args.kind == "power":
-        fit = meshsim.fit_power(trace)
-    elif args.kind == "log":
-        fit = meshsim.fit_log(trace, delta=derive(config.params).delta)
-    else:
-        fit = _auto_fit(config, trace)
+    fit = _auto_fit(config, trace, args.kind)
     print(fit.to_json())
     _write_json(os.path.join(args.run, "fit.json"), json.loads(fit.to_json()))
     return 0
@@ -344,14 +341,11 @@ def _overlay_csv(path, run_dir, T, prof, basis, N):
     data = np.genfromtxt(os.path.join(snap_dir, best + ".csv"),
                          delimiter=",", names=True)
     state = meshsim.MeshState(t=float(t_best), r=data["r"], u=data["u"])
-    g0 = meshsim._origin_gradient(state.r, state.u)
-    tau = T - state.t
-    eps = 1.0 / (prof.Cs * math.sqrt(tau) * abs(g0))
-    if not 0.0 < eps <= 0.1:
+    ss = meshsim.to_self_similar(state, T, prof.Cs)
+    if not 0.0 < ss.eps <= 0.1:
         return False
-    ss = meshsim.to_self_similar(state, T)
-    mask = (ss.y >= eps * 1e-2) & (ss.y <= 2.0)
-    ansatz = rates.assemble_ansatz(prof, basis, N, eps, y_grid=ss.y[mask])
+    mask = (ss.y >= ss.eps * 1e-2) & (ss.y <= 2.0)
+    ansatz = rates.assemble_ansatz(prof, basis, N, ss.eps, y_grid=ss.y[mask])
     write_table(path, ("y", "f_numeric", "f_ansatz"),
                 (ss.y[mask], ss.f[mask], ansatz.f))
     return True
@@ -364,7 +358,6 @@ def cmd_compare(args):
     # the first's, so both must be log-law runs at one (d, k)
     if not os.path.isdir(os.path.join(args.run, "snapshots")):
         raise ConfigError(f"run directory {args.run} has no snapshots/")
-    trace2 = None
     if args.run2:
         config2, trace2 = _load_run(args.run2)
         p, p2 = config.params, config2.params
@@ -372,17 +365,19 @@ def cmd_compare(args):
             raise ConfigError(
                 f"--run2 needs two log-law runs at one (d, k), got d={p.d:g}, "
                 f"k={p.k} and d={p2.d:g}, k={p2.k}")
+        if trace2.no_blowup:
+            raise ConfigError(f"--run2 {args.run2} did not blow up")
     report = {"run": args.run, "d": config.params.d, "k": config.params.k}
     if trace.no_blowup:
         report["status"] = "NoBlowup"
         print(json.dumps(report, indent=2))
         _write_json(os.path.join(args.run, "compare.json"), report)
         return 0
-    consts, N = _generic_law(config)[:2]
+    N = _generic_law(config)[1]
     prof, basis, coup, law = _pipeline(config.params.d, config.params.k, N)[1:]
     report["status"] = "ok"
-    if law.kind == "power":
-        fit = meshsim.fit_power(trace)
+    fit = _auto_fit(config, trace)
+    if fit.kind == "power":
         beta_pred = law.exponent - 0.5
         report["fit"] = {"beta": fit.beta, "T": fit.T,
                          "uncertainty": fit.uncertainty}
@@ -391,7 +386,6 @@ def cmd_compare(args):
         print(f"beta: fitted {fit.beta:.5f} vs predicted {beta_pred:.5f} "
               f"(relative error {report['relative_error']:.2%})")
     else:
-        fit = meshsim.fit_log(trace, delta=consts.delta)
         # the trace measures 1/R, so the fitted slope is the reciprocal of
         # the rate-law prefactor Cs*CN
         C_pred = 1.0 / law.prefactor
@@ -402,8 +396,8 @@ def cmd_compare(args):
         report["C_ratio"] = fit.C / C_pred
         print(f"C: fitted {fit.C:.5f} vs predicted {C_pred:.5f} "
               f"(relative error {report['relative_error']:.2%})")
-        if trace2 is not None:
-            fit2 = meshsim.fit_log(trace2, delta=consts.delta)
+        if args.run2:
+            fit2 = _auto_fit(config2, trace2)
             agree = abs(fit.C - fit2.C) / min(fit.C, fit2.C)
             report["run2"] = args.run2
             report["C2"] = fit2.C

@@ -60,6 +60,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import BDF
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from scipy.optimize import minimize_scalar
+from scipy.sparse import csc_array
 
 from .errors import (
     BadInitialData,
@@ -257,11 +258,6 @@ def _steepest(r, u):
     return g0, max(float(a[j]), abs(g0)), j
 
 
-def _sup_gradient(r, u):
-    """sup |u_r| over the mesh."""
-    return _steepest(r, u)[1]
-
-
 def _gain(config, gmax, qhat=0.0):
     """Mesh gain at sup |u_r| = gmax.  The node-relaxation rate is
     gain * monitor ~ gain * gmax; it is tied to the observed collapse rate
@@ -294,13 +290,9 @@ def _smoothed_monitor(config, r, u, gmid):
     arithmetic and differs by roundoff only, about 1e-15 relative.  After
     one pass the ends weigh (3/4, 1/4), as before."""
     m = np.sqrt(config.monitor_alpha + gmid * gmid)
-    if config.monitor_scale_weight > 0.0:
-        # |u|/r at the cell midpoint; the halves of both means cancel
-        m += config.monitor_scale_weight * np.abs(u[:-1] + u[1:]) / (r[:-1] + r[1:])
-    passes = config.monitor_smooth_passes
-    if passes == 0:
-        return m
-    index, taps = _smoothing_filter(m.shape[0], passes)
+    # |u|/r at the cell midpoint; the halves of both means cancel
+    m += config.monitor_scale_weight * np.abs(u[:-1] + u[1:]) / (r[:-1] + r[1:])
+    index, taps = _smoothing_filter(m.shape[0], config.monitor_smooth_passes)
     pad = m.take(index, axis=0)
     if m.ndim == 1:
         return np.convolve(pad, taps, "valid")
@@ -330,9 +322,8 @@ def _reservation(config, m, dr):
     return config.uniform_fraction * mass / config.L
 
 
-def _monitor(config, r, u):
+def _monitor(config, r, u, dr, gmid):
     """Smoothed midpoint monitor with the uniform reservation added."""
-    dr, gmid = _differences(r, u)
     m = _smoothed_monitor(config, r, u, gmid)
     return m + _reservation(config, m, dr)
 
@@ -391,8 +382,7 @@ def _mesh_rhs(config, r, u, dr, gmid, gain):
     the node-redistribution rate uniform across wavelengths; a pointwise
     relaxation moves mass between distant mesh regions slower by the square
     of the node count and starves a collapsing layer of nodes."""
-    m = _smoothed_monitor(config, r, u, gmid)
-    return _mesh_velocity((m + _reservation(config, m, dr)) * dr, gain)
+    return _mesh_velocity(_monitor(config, r, u, dr, gmid) * dr, gain)
 
 
 def _energy(config, r, u):
@@ -468,8 +458,9 @@ def initialize(config):
     if abs(u[0]) > 1e-14:
         raise BadInitialData("initial data must satisfy u(0) = 0")
     for _ in range(6):
-        m = _monitor(config, r, u)
-        cum = np.concatenate([[0.0], np.cumsum(m * np.diff(r))])
+        dr, gmid = _differences(r, u)
+        m = _monitor(config, r, u, dr, gmid)
+        cum = np.concatenate([[0.0], np.cumsum(m * dr)])
         levels = np.linspace(0.0, cum[-1], config.M)
         r = np.interp(levels, cum, r)
         r[0], r[-1] = 0.0, config.L
@@ -692,7 +683,9 @@ class _BandedBDF(BDF):
     which at a sharpened layer makes the solve some 1e4 times more
     accurate than with w itself.  Step size, order and Newton iteration
     are scipy's.  rhs_s, jac_s and lu_s count the wall seconds spent in RHS
-    evaluations, in Jacobian builds and in factorisations and solves."""
+    evaluations, in Jacobian builds and in factorisations and solves.
+    scipy's constructor gets an empty sparse Jacobian, so that it makes no
+    dense 2n x 2n identity (118 MB at M = 1921); the first is built after."""
 
     def __init__(self, fun, *args, **kwargs):
         self.rhs_s = self.jac_s = self.lu_s = 0.0
@@ -705,9 +698,10 @@ class _BandedBDF(BDF):
 
         # wrapped before scipy's constructor, whose evaluations count too
         super().__init__(timed, *args, **kwargs)
-        # scipy binds a dense lu, solve_lu and identity to each instance
+        # scipy binds an lu, solve_lu and identity to each instance
         del self.lu, self.solve_lu
         self.I = 1.0
+        self.J = self.jac(self.t, self.y)
 
     def _validate_jac(self, jac, sparsity):
         def timed(t, y):
@@ -717,7 +711,7 @@ class _BandedBDF(BDF):
             self.njev += 1
             return J
 
-        return timed, timed(self.t, self.y)
+        return timed, csc_array((self.n, self.n))
 
     def lu(self, J):
         start = time.perf_counter()
@@ -772,7 +766,7 @@ def _advance(config, solver, uL):
 def step(config, state, dt_max=np.inf):
     """Advance one accepted implicit step; mostly a testing convenience,
     run() takes its steps through the same _advance."""
-    gain = _gain(config, _sup_gradient(state.r, state.u))
+    gain = _gain(config, _steepest(state.r, state.u)[1])
     solver = _new_solver(config, state, gain, t_bound=state.t + dt_max)
     return _advance(config, solver, state.u[-1])
 
@@ -884,17 +878,16 @@ def run(config, progress=None):
 # ----------------------------------------------------------------------------
 # rate fitting
 
-def _subsample_log(t, g, per_decade=120):
-    """Thin the trace to roughly uniform spacing in log(g) before
-    differencing, to suppress step-to-step noise.  Returns kept indices."""
-    keep = [0]
-    last = math.log10(g[0])
-    for j in range(1, t.size):
+def _subsample_log(g):
+    """Indices that thin the rows with g > 0 to about 120 per decade, evenly
+    in log(g), to suppress step-to-step noise before differencing."""
+    keep, last = [], -math.inf
+    for j in np.flatnonzero(g):
         lg = math.log10(g[j])
-        if lg - last >= 1.0 / per_decade:
+        if lg - last >= 1.0 / 120:
             keep.append(j)
             last = lg
-    return np.array(keep)
+    return np.array(keep, dtype=int)
 
 
 #: a scale counts as resolved while at least this many nodes sit inside it
@@ -902,40 +895,36 @@ MIN_LAYER_NODES = 20
 
 
 def _resolved_window(trace):
-    """Kept (subsampled) indices of the resolved part of the trace: the
-    longest contiguous stretch with enough nodes inside the layer.  The
-    recorded gradient is not trustworthy outside it."""
-    idx = _subsample_log(trace.t, np.abs(trace.dr_u0))
+    """The samples of every rate fit, t and |u_r(0)| at the kept rows of the
+    first longest contiguous stretch with enough nodes inside the layer:
+    the recorded gradient is not trustworthy outside it.  NoBlowup if the
+    run did not blow up."""
+    if trace.no_blowup:
+        raise NoBlowup("trace ended before the stop criterion")
+    g = np.abs(trace.dr_u0)
+    idx = _subsample_log(g)
     ok = trace.nodes_in_layer[idx] >= MIN_LAYER_NODES
-    best, run, start, best_start = 0, 0, 0, 0
-    for j, flag in enumerate(ok):
-        if flag:
-            if run == 0:
-                start = j
-            run += 1
-            if run > best:
-                best, best_start = run, start
-        else:
-            run = 0
-    if best < 12:
+    # (start, end) of each run of resolved samples
+    runs = np.flatnonzero(np.diff(np.concatenate(([False], ok, [False]))))
+    runs = runs.reshape(-1, 2)
+    lengths = runs[:, 1] - runs[:, 0]
+    if not np.any(lengths >= 12):
         raise WindowTooShort("no resolved stretch of 12+ samples in the trace")
-    return idx[best_start:best_start + best]
+    start, end = runs[np.argmax(lengths)]
+    idx = idx[start:end]
+    return trace.t[idx], g[idx]
 
 
-def fit_power(trace, window_decades=3.0):
+def fit_power(trace):
     """Power-law fit from the log-derivative of the origin gradient.
 
     q(t) = d log(dr_u0)/dt equals (1/2+beta)/(T-t) for a pure power law,
-    so 1/q is linear in t with root T; a line fit over the late resolved
-    window gives T and beta.  The fit is done in time centered on the
-    window start -- the raw times agree to many digits near blow-up and
-    would cancel catastrophically in the normal equations."""
-    if trace.no_blowup:
-        raise NoBlowup("trace ended before the stop criterion")
-    idx = _resolved_window(trace)
-    t = trace.t[idx]
-    g = np.abs(trace.dr_u0[idx])
-    mask = g >= g[-1] / 10.0**window_decades
+    so 1/q is linear in t with root T; a line fit over the last three
+    decades of the resolved window gives T and beta.  The fit is done in
+    time centered on the window start -- the raw times agree to many digits
+    near blow-up and would cancel catastrophically in the normal equations."""
+    t, g = _resolved_window(trace)
+    mask = g >= g[-1] / 1e3
     t, g = t[mask], g[mask]
     if t.size < 12:
         raise WindowTooShort("fewer than 12 samples in the power-fit window")
@@ -973,16 +962,13 @@ def fit_power(trace, window_decades=3.0):
                      window=(float(t[0]), float(t[-1])))
 
 
-def fit_log(trace, delta=1.0, window_efolds=6.0):
-    """Logarithmic-law fit: sqrt(T-t) dr_u0 = C (-log(T-t) - s0)^{1/delta}.
+def fit_log(trace, delta=1.0):
+    """Logarithmic-law fit: sqrt(T-t) dr_u0 = C (-log(T-t) - s0)^{1/delta}
+    over the last six e-folds of T - t in the resolved window.
 
     With T fixed the model is linear in -log(T-t) after raising to the
     delta power, so an inner linear solve sits under a 1-D search over T."""
-    if trace.no_blowup:
-        raise NoBlowup("trace ended before the stop criterion")
-    idx = _resolved_window(trace)
-    t = trace.t[idx]
-    g = np.abs(trace.dr_u0[idx])
+    t, g = _resolved_window(trace)
     t_end = t[-1]
     # parabolic scaling puts T - t_end near 1/sup_grad^2 scale
     dt_guess = (1.0 / g[-1]) ** 2
@@ -991,7 +977,7 @@ def fit_log(trace, delta=1.0, window_efolds=6.0):
         """x = -log(T-t) and z = (sqrt(T-t) g)^delta over the window, and the
         line z ~ a + b x; None if the window holds fewer than 20 samples."""
         x = -np.log(T - t)
-        mask = x >= x[-1] - window_efolds
+        mask = x >= x[-1] - 6.0
         if np.sum(mask) < 20:
             return None
         x, z = x[mask], (np.sqrt(T - t[mask]) * g[mask]) ** delta
@@ -1033,16 +1019,21 @@ class SelfSimilarSnapshot:
     s: float
     y: np.ndarray
     f: np.ndarray
+    eps: float   # the inner-layer scale
 
 
-def to_self_similar(state, T):
+def to_self_similar(state, T, Cs):
     """Rescale a snapshot to (y, s, f) variables for spectral projection and
-    comparison with the matched ansatz."""
+    comparison with the matched ansatz, with the inner-layer scale eps of
+    R = Cs sqrt(T-t) eps for R = 1/|u_r(0)|, Cs the stationary profile's:
+    eps = 1/(Cs sqrt(T-t) |u_r(0)|), inf where u_r(0) = 0."""
     if state.t >= T:
         raise ValueError("snapshot time must precede the blow-up time")
     tau = T - state.t
+    g0 = abs(_origin_gradient(state.r, state.u))
     return SelfSimilarSnapshot(
         s=-math.log(tau),
         y=state.r / math.sqrt(tau),
         f=state.u.copy(),
+        eps=1.0 / (Cs * math.sqrt(tau) * g0) if g0 > 0 else math.inf,
     )

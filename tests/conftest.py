@@ -1,9 +1,30 @@
+import math
+
+import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import eval_genlaguerre
 
 from blowuplab import params, profile, spectral
 
 #: parameter points exercised throughout the suite
 POINTS = [(7.0, 1), (8.0, 1), (9.0, 1), (12.0, 2)]
+
+
+def c_origin_by_quadrature(consts, n):
+    """c_n = L_n^(omega/2)(0) / sqrt(<y^-gamma L_n(y^2/4), same>_rho), the
+    norm by adaptive quadrature: independent of the closed-form N_n and of
+    the Gauss-Laguerre rule that build_basis uses.  y^(d-1-2 gamma) is
+    y^-2gamma y^(d-1) in one power."""
+    d, alpha = consts.params.d, consts.omega / 2.0
+
+    def integrand(y):
+        return (y ** (d - 1.0 - 2.0 * consts.gamma)
+                * eval_genlaguerre(n, alpha, 0.25 * y * y) ** 2
+                * math.exp(-0.25 * y * y))
+
+    norm2 = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+    return eval_genlaguerre(n, alpha, 0.0) / math.sqrt(norm2)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ import pytest
 from blowuplab import coupling, meshsim, params, profile, rates, spectral
 from blowuplab.params import ModelParams, classify, derive, eigenvalue
 
+from conftest import c_origin_by_quadrature
+
 BETA1_D8 = 0.1306019
 BETA1_D9 = 0.195194
 C_D7_PAPER_SCALE = 0.2250
@@ -113,11 +115,9 @@ def test_criterion_2_spectral_suite(asym):
             scale = max(float(np.max(np.abs(b.phi(n, y)))), 1.0)
             worst_eig = max(worst_eig, float(np.max(np.abs(resid))) / scale)
         for n in range(b.max_n + 1):
-            # the closed form normalizes <phi_n,phi_n> to 1/2, so the
-            # orthonormal N_n is sqrt(2) times it
-            closed = math.sqrt(2.0) * spectral.closed_form_norm(n, c.omega) \
-                * spectral.laguerre_at_zero(n, c.omega / 2.0)
-            worst_cn = max(worst_cn, abs(b.c_origin[n] / closed - 1.0))
+            # against the norm by quadrature, not the closed form
+            worst_cn = max(worst_cn, abs(
+                b.c_origin[n] / c_origin_by_quadrature(c, n) - 1.0))
     ok = worst_gram <= 1e-8 and worst_eig <= 1e-6 and worst_cn <= 1e-7
     report(2, "eigenbasis orthonormality / eigen-residual / c_n closed form",
            ok, f"gram {worst_gram:.1e} eig {worst_eig:.1e} cn {worst_cn:.1e}")
@@ -285,16 +285,13 @@ def test_criterion_9_ansatz_overlay(asym, d8_fine):
     for snap in d8_fine.snapshots:
         if snap.t >= T:
             continue
-        tau = T - snap.t
-        g0 = meshsim._origin_gradient(snap.r, snap.u)
-        eps = 1.0 / (p.Cs * math.sqrt(tau) * abs(g0))
-        if not 0.0 < eps <= 0.1:
+        ss = meshsim.to_self_similar(snap, T, p.Cs)
+        if not 0.0 < ss.eps <= 0.1:
             continue
-        ss = meshsim.to_self_similar(snap, T)
-        mask = (ss.y >= 2 * eps) & (ss.y <= 1.0)
+        mask = (ss.y >= 2 * ss.eps) & (ss.y <= 1.0)
         if int(mask.sum()) < 10:
             continue
-        ansatz = rates.assemble_ansatz(p, b, N, eps, y_grid=ss.y[mask])
+        ansatz = rates.assemble_ansatz(p, b, N, ss.eps, y_grid=ss.y[mask])
         sups.append((ss.s, float(np.max(np.abs(ss.f[mask] - ansatz.f)))))
     ok = len(sups) >= 3 and all(b2 < a2 for (_, a2), (_, b2)
                                 in zip(sups, sups[1:]))

@@ -277,13 +277,14 @@ def test_compare_command(run_dir, capsys):
     assert plot.size > 100
 
 
-def log_law_run(root, d=7, k=1, C=0.225, s0=-0.436, T=0.229):
+def log_law_run(root, d=7, k=1, C=0.225, s0=-0.436, T=0.229,
+                stopped="blowup"):
     """A run directory at (d, k) without snapshots whose trace follows the
     log law sqrt(T-t) dr_u0 = C (-log(T-t) - s0) exactly."""
     run = root / f"log_run_{d}d{k}k_{C}"
     (run / "snapshots").mkdir(parents=True)
     (run / "config.json").write_text(
-        json.dumps({"d": d, "k": k, "stopped": "blowup"}))
+        json.dumps({"d": d, "k": k, "stopped": stopped}))
     tau = np.geomspace(1e-1, 1e-9, 2400)
     g = C * (-np.log(tau) - s0) / np.sqrt(tau)
     write_table(run / "trace.csv", TRACE_COLUMNS,
@@ -323,12 +324,14 @@ def test_compare_second_log_law_run(tmp_path, capsys):
 
 
 def test_compare_second_run_mismatch_exit_2(tmp_path, run_dir, capsys):
-    # the second run must be a log-law run at the first run's (d, k): a
-    # different d, a different k, or a power-law pair exit 2 before any work
+    # the second run must be a log-law run at the first run's (d, k) that
+    # blew up: a different d, a different k, a power-law pair or a second
+    # run stopped at t_max exit 2 before any work
     log7 = log_law_run(tmp_path)
     for run, run2 in ((log7, run_dir), (run_dir, log7),
                       (log7, log_law_run(tmp_path, k=2)),
-                      (run_dir, run_dir)):
+                      (run_dir, run_dir),
+                      (log7, log_law_run(tmp_path, C=0.2259, stopped="tmax"))):
         report = os.path.join(run, "compare.json")
         before = os.stat(report).st_mtime_ns if os.path.exists(report) else None
         assert cli.main(["compare", "--run", run, "--run2", run2]) == 2
@@ -382,6 +385,19 @@ def test_overlay_takes_latest_snapshot(tmp_path):
     r_back = overlay["y"] * math.sqrt(T - 0.2)
     assert np.allclose(overlay["f_numeric"], 2.0 * np.arctan(r_back / 1e-5),
                        rtol=1e-8, atol=1e-12)
+
+
+def test_simulate_zero_origin_gradient(tmp_path, capsys):
+    # u = 0 near the origin: the first trace row has u_r(0) = 0, which the
+    # fit skips instead of failing the finished run
+    cfg = write_config(tmp_path / "flat.json", M=161,
+                       initial_data=[[0, 0.5, 2], [0, 0, 3]])
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    run = tmp_path / [d for d in os.listdir(tmp_path) if d.startswith("run_")][0]
+    assert "beta=" in capsys.readouterr().out
+    trace = np.genfromtxt(run / "trace.csv", delimiter=",", names=True)
+    assert trace["dr_u0"][0] == 0.0
+    assert 0.05 < read_json(run / "fit.json")["beta"] < 0.25
 
 
 def test_compare_no_blowup(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -415,10 +416,28 @@ def test_no_dense_lu(monkeypatch):
     assert trace.solver["nlu"] >= 1 and trace.t.size > 1
 
 
+def test_chunk_solver_memory_linear():
+    # a chunk solver holds no 2n x 2n dense array: scipy's dense identity
+    # alone is 118 MB at M = 1921, the whole solver after one step ~7 MB
+    cfg = config(M=1921)
+    state = initialize(cfg)
+    gain = meshsim._gain(cfg, meshsim._steepest(state.r, state.u)[1])
+    tracemalloc.start()
+    try:
+        solver = meshsim._new_solver(cfg, state, gain, t_bound=1.0)
+        solver.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solver.status == "running" and solver.njev == 1
+    assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_monitor_positive_and_massive():
     cfg = config(M=201)
     state = initialize(cfg)
-    m = meshsim._monitor(cfg, state.r, state.u)
+    m = meshsim._monitor(cfg, state.r, state.u,
+                         *meshsim._differences(state.r, state.u))
     assert np.all(m > 0)
     assert m.size == state.r.size - 1
 
@@ -452,6 +471,20 @@ def test_smoothing_filter_matches_passes(M, passes):
         ref = _smoothing_passes(meshsim._smoothed_monitor(raw, r, u, gmid), passes)
         assert m.shape == ref.shape == gmid.shape
         assert np.max(np.abs(m - ref) / ref) <= 2e-15, (M, passes, r.ndim)
+
+
+def test_bare_monitor_bits():
+    # no smoothing passes and no |u|/r term: the filter is the one tap 1.0
+    # and the term adds 0.0, so the monitor is sqrt(alpha + u_r^2) bit for bit
+    cfg = config(M=64, monitor_smooth_passes=0, monitor_scale_weight=0.0)
+    state = initialize(config(M=64))
+    u = state.u + np.arctan(state.r / 1e-3)
+    r2 = np.repeat(state.r[:, None], 5, axis=1)
+    u2 = u[:, None] * np.linspace(0.5, 1.5, 5)
+    for r, u in ((state.r, u), (r2, u2)):
+        gmid = meshsim._differences(r, u)[1]
+        assert np.array_equal(meshsim._smoothed_monitor(cfg, r, u, gmid),
+                              np.sqrt(1.0 + gmid * gmid))
 
 
 # ----------------------------------------------------------------------------
@@ -561,7 +594,7 @@ def test_roundoff_stop_keeps_accepted_steps():
     fit_power(trace)
     last = trace.snapshots[-1]
     assert last.t == trace.t[-1]
-    assert meshsim._sup_gradient(last.r, last.u) == trace.sup_grad[-1]
+    assert meshsim._steepest(last.r, last.u)[1] == trace.sup_grad[-1]
     # the rows of every chunk are kept, also when the last chunk took no step
     assert trace.chunk_log[-1]["end"] == "roundoff"
     assert sum(line["steps"] for line in trace.chunk_log) == trace.t.size - 1
@@ -642,19 +675,69 @@ def test_fit_window_guard():
         fit_power(trace)
 
 
+def _longest_run_loop(ok):
+    """(start, length) of the first longest run of True in ok, by the
+    run-length loop that _resolved_window replaced: its reference."""
+    best, run, start, best_start = 0, 0, 0, 0
+    for j, flag in enumerate(ok):
+        if flag:
+            if run == 0:
+                start = j
+            run += 1
+            if run > best:
+                best, best_start = run, start
+        else:
+            run = 0
+    return best_start, best
+
+
+def test_resolved_window_matches_loop():
+    # resolved stretches of random lengths, and equal ones of 4 to 40
+    # samples: too short, ties, and resolved throughout
+    trace = synthetic_trace(0.25, lambda tau: tau ** -0.6306)
+    idx = meshsim._subsample_log(np.abs(trace.dr_u0))
+    rng = np.random.default_rng(7)
+    for case in range(40):
+        ok = rng.random(idx.size) < 0.97 if case % 2 else \
+            np.tile(np.arange(40) < 4 + case, idx.size // 40 + 1)[:idx.size]
+        trace.nodes_in_layer[idx] = np.where(ok, 50, 5)
+        start, length = _longest_run_loop(ok)
+        if length < 12:
+            with pytest.raises(WindowTooShort):
+                meshsim._resolved_window(trace)
+            continue
+        t, g = meshsim._resolved_window(trace)
+        kept = idx[start:start + length]
+        assert np.array_equal(t, trace.t[kept])
+        assert np.array_equal(g, np.abs(trace.dr_u0[kept]))
+
+
+def test_fit_skips_zero_origin_gradient():
+    # rows before the origin moves have u_r(0) = 0: the fit starts after them
+    trace = synthetic_trace(0.25, lambda tau: tau ** -0.6306)
+    trace.dr_u0[:200] = 0.0
+    idx = meshsim._subsample_log(np.abs(trace.dr_u0))
+    assert idx[0] == 200
+    assert abs(fit_power(trace).beta - 0.1306) < 1e-3
+
+
 # ----------------------------------------------------------------------------
 # self-similar rescaling
 
 def test_to_self_similar_s_value():
     state = MeshState(t=0.25 - math.exp(-13.0), r=np.linspace(0, 2, 11),
                       u=np.linspace(0, 2, 11))
-    snap = to_self_similar(state, T=0.25)
+    snap = to_self_similar(state, T=0.25, Cs=0.5)
     assert snap.s == pytest.approx(13.0)
     assert snap.y[0] == 0.0
     assert np.allclose(snap.f, state.u)
+    # u_r(0) = 1, so eps = 1/(Cs sqrt(T-t))
+    assert snap.eps == pytest.approx(2.0 * math.exp(6.5), rel=1e-12)
+    flat = replace(state, u=np.zeros(11))
+    assert to_self_similar(flat, T=0.25, Cs=0.5).eps == math.inf
 
 
 def test_to_self_similar_rejects_late_time():
     state = MeshState(t=0.3, r=np.linspace(0, 2, 11), u=np.linspace(0, 2, 11))
     with pytest.raises(ValueError):
-        to_self_similar(state, T=0.25)
+        to_self_similar(state, T=0.25, Cs=0.5)

@@ -5,7 +5,7 @@ from blowuplab import spectral
 from blowuplab.errors import QuadratureNotConverged
 from blowuplab.spectral import closed_form_norm, laguerre_at_zero
 
-from conftest import POINTS
+from conftest import POINTS, c_origin_by_quadrature
 
 
 @pytest.mark.parametrize("d,k", POINTS)
@@ -46,14 +46,12 @@ def test_eigen_residual(basis_at, d, k):
 
 @pytest.mark.parametrize("d,k", POINTS)
 def test_c_origin_closed_form(basis_at, consts_at, d, k):
-    # c_n = N_n L_n^{(w/2)}(0) with N_n sqrt(2) times the closed form
+    # c_n = N_n L_n^{(w/2)}(0) against c_n with the norm by quadrature
     basis = basis_at(d, k)
     c = consts_at(d, k)
-    alpha = c.omega / 2.0
     for n in range(basis.max_n + 1):
-        ratio = basis.norm[n] / closed_form_norm(n, c.omega)
-        expected = ratio * closed_form_norm(n, c.omega) * laguerre_at_zero(n, alpha)
-        assert basis.c_origin[n] == pytest.approx(expected, rel=1e-10)
+        assert basis.c_origin[n] == pytest.approx(
+            c_origin_by_quadrature(c, n), rel=1e-10)
     # the closed form normalizes <phi,phi> to 1/2, so the factor is sqrt(2)
     ratios = basis.norm / [closed_form_norm(n, c.omega)
                            for n in range(basis.max_n + 1)]
