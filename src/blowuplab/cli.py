@@ -208,7 +208,8 @@ def _run_one(config_path, out_root):
         for j, snap in enumerate(trace.snapshots):
             base = os.path.join("snapshots", f"snap_{j:03d}")
             snap.to_csv(os.path.join(tmp_dir, base + ".csv"))
-            _write_json(os.path.join(tmp_dir, base + ".json"), {"t": snap.t, "index": j})
+            _write_json(os.path.join(tmp_dir, base + ".json"),
+                        {"t": snap.t, "t_left": snap.t_left, "index": j})
             snap_names.append(base + ".csv")
         try:
             fit = _auto_fit(config, trace)
@@ -316,32 +317,32 @@ def cmd_fit(args):
     return 0
 
 
-def _d7_plot_csv(path, trace, T):
-    mask = trace.t < T
-    x = -np.log(T - trace.t[mask])
-    y = np.sqrt(T - trace.t[mask]) * np.abs(trace.dr_u0[mask])
-    write_table(path, ("neg_log_T_minus_t", "sqrt_T_minus_t_dr_u0"), (x, y))
+def _rate_plot_csv(path, trace, tau):
+    mask = trace.t_left > -tau
+    left = trace.t_left[mask] + tau   # T - t
+    write_table(path, ("neg_log_T_minus_t", "sqrt_T_minus_t_dr_u0"),
+                (-np.log(left), np.sqrt(left) * np.abs(trace.dr_u0[mask])))
 
 
-def _overlay_csv(path, run_dir, T, prof, basis, N):
+def _overlay_csv(path, run_dir, tau, prof, basis, N):
     """Latest usable snapshot against the matched ansatz, in (y, f).  The
-    snapshot is the one with the largest t < T, whatever the order of the
-    file names."""
+    snapshot is the one with the least t_left > -tau (T - t > 0), whatever
+    the order of the file names."""
     snap_dir = os.path.join(run_dir, "snapshots")
-    best, t_best = None, -math.inf
+    best, t_left = None, math.inf
     for meta in os.listdir(snap_dir):
         if not meta.endswith(".json"):
             continue
         with open(os.path.join(snap_dir, meta)) as fh:
-            t = json.load(fh)["t"]
-        if t_best < t < T:
-            best, t_best = meta[:-5], t
+            snap = json.load(fh)
+        if -tau < snap["t_left"] < t_left:
+            best, t_left = (meta[:-5], snap["t"]), snap["t_left"]
     if best is None:
         return False
-    data = np.genfromtxt(os.path.join(snap_dir, best + ".csv"),
+    data = np.genfromtxt(os.path.join(snap_dir, best[0] + ".csv"),
                          delimiter=",", names=True)
-    state = meshsim.MeshState(t=float(t_best), r=data["r"], u=data["u"])
-    ss = meshsim.to_self_similar(state, T, prof.Cs)
+    state = meshsim.MeshState(t=best[1], r=data["r"], u=data["u"], t_left=t_left)
+    ss = meshsim.to_self_similar(state, tau, prof.Cs)
     if not 0.0 < ss.eps <= 0.1:
         return False
     mask = (ss.y >= ss.eps * 1e-2) & (ss.y <= 2.0)
@@ -404,10 +405,10 @@ def cmd_compare(args):
             report["C_agreement"] = agree
             print(f"C agreement across runs: {agree:.2%}")
     plot_path = os.path.join(args.run, "rate_plot.csv")
-    _d7_plot_csv(plot_path, trace, fit.T)
+    _rate_plot_csv(plot_path, trace, fit.tau)
     report["rate_plot"] = plot_path
     overlay_path = os.path.join(args.run, "overlay.csv")
-    if _overlay_csv(overlay_path, args.run, fit.T, prof, basis, N):
+    if _overlay_csv(overlay_path, args.run, fit.tau, prof, basis, N):
         report["overlay"] = overlay_path
     print(f"report relative error: {report['relative_error']:.4f}")
     _write_json(os.path.join(args.run, "compare.json"), report)

@@ -26,7 +26,7 @@ depends only on the node count: LAPACK's pttrf factors it once per size
 monitor's smoothing passes, (1/4, 1/2, 1/4) with the end cells repeated,
 are applied as one filter: p passes are one convolution of the cell
 monitor, mirrored at both ends, with the binomial taps C(2p, j)/4^p (see
-_smoothing_filter), equal to the passes up to roundoff.
+_smoothing_filter), equal to the passes up to rounding.
 
 BDF gets the Jacobian in structured form (see _make_jac): every block is
 banded except the mesh velocity, which is the inverse Laplacian of a
@@ -86,6 +86,14 @@ _SOLVER_COUNTERS = ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s")
 #: relative forward-difference step of the banded Jacobian parts
 _FD_STEP = np.finfo(float).eps ** 0.5
 
+#: alpha of the arclength monitor sqrt(alpha + u_r^2)
+MONITOR_ALPHA = 1.0
+#: absolute tolerance of u, and of each node relative to its local spacing
+ATOL_U = 1e-9
+ATOL_R_REL = 1e-4
+#: a snapshot is taken every this many decades of sup|u_r|
+SNAPSHOT_DECADES = 0.5
+
 INITIAL_DATA_FAMILIES = {
     "r": lambda r: r,
     "r+sin(r)": lambda r: r + np.sin(r),
@@ -99,17 +107,13 @@ class SimConfig:
     L: float = 2.0
     M: int = 201                      # mesh nodes including both boundaries
     initial_data: str | tuple = "r"   # family name or (r, u) tables
-    monitor_alpha: float = 1.0
     monitor_scale_weight: float = 1.0  # |u|/r term weight (see _smoothed_monitor)
     monitor_smooth_passes: int = 4
     uniform_fraction: float = 0.1     # monitor mass reserved for the outer region
     tau: float = 0.1                  # mesh relaxation time at unit gradient
     rtol: float = 1e-7
-    atol_u: float = 1e-9
-    atol_r_rel: float = 1e-4          # node atol relative to the local spacing scale
     max_gradient: float = 1e8         # stop criterion on sup |u_r|
     t_max: float = 10.0
-    snapshot_decades: float = 0.5     # snapshot every this many decades of sup|u_r|
 
     def __post_init__(self):
         if self.M < 64:
@@ -119,12 +123,10 @@ class SimConfig:
             raise ValueError("max_gradient must be >= 1e6")
         if not 0 < self.L < math.inf:
             raise ValueError("L must be positive and finite")
-        for name in ("tau", "rtol", "atol_u", "atol_r_rel", "t_max",
-                     "snapshot_decades"):
+        for name in ("tau", "rtol", "t_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("uniform_fraction", "monitor_alpha",
-                     "monitor_scale_weight"):
+        for name in ("uniform_fraction", "monitor_scale_weight"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         passes = self.monitor_smooth_passes
@@ -149,10 +151,10 @@ class SimConfig:
 
 
 #: the per-step observables of a run, in trace.csv column order; the first
-#: five are the stable contract, the trailing two let the rate fits recover
-#: their resolved window after a reload
+#: five are the stable contract, the next two let the rate fits recover
+#: their resolved window after a reload, and t_left gives every T - t
 TRACE_COLUMNS = ("t", "dr_u0", "sup_grad", "energy", "min_dx",
-                 "sup_grad_loc", "nodes_in_layer")
+                 "sup_grad_loc", "nodes_in_layer", "t_left")
 
 
 @dataclass
@@ -160,6 +162,7 @@ class MeshState:
     t: float
     r: np.ndarray   # strictly increasing, r[0]=0, r[-1]=L
     u: np.ndarray   # u[0]=0, u[-1] fixed
+    t_left: float = math.nan   # time to the last trace row, on a run's snapshots
 
     def to_csv(self, path):
         write_table(path, ("r", "u"), (self.r, self.u))
@@ -175,17 +178,18 @@ class RunTrace:
     min_dx: np.ndarray
     sup_grad_loc: np.ndarray  # location of the max gradient
     nodes_in_layer: np.ndarray  # nodes with r <= 5 / sup_grad
+    t_left: np.ndarray       # time to the last row, > 0 and decreasing to 0
     snapshots: list = field(default_factory=list)
-    stopped: str = "blowup"      # "blowup" | "roundoff" | "tmax"
+    stopped: str = "blowup"      # "blowup" | "tmax"
     # BDF counters nfev/njev/nlu and the wall seconds in RHS evaluations
     # (rhs_s), in Jacobian builds (jac_s) and in factorisations and solves
     # (lu_s), summed over the chunk solvers, and the number of chunks; empty
     # for a trace read back from csv
     solver: dict = field(default_factory=dict)
     # one record per chunk solver, the lines of solver.jsonl: its start and
-    # end (t0, t1, sup_grad0, sup_grad1), the collapse rate qhat that set
-    # its gain, its accepted steps, its share of the counters above, its
-    # wall seconds and why it ended ("growth" when the sup gradient grew by
+    # end (t0, t1, sup_grad0, sup_grad1), its exact duration dt, the
+    # collapse rate qhat that set its gain, its accepted steps, its share of
+    # the counters above, its wall seconds and why it ended ("growth" when the sup gradient grew by
     # CHUNK_GROWTH, else the run's stop reason); empty for a trace read
     # back from csv
     chunk_log: list = field(default_factory=list)
@@ -195,10 +199,7 @@ class RunTrace:
 
     @property
     def no_blowup(self):
-        # "roundoff" means the time increments ahead of the singularity fell
-        # below the resolution of double-precision t -- which only happens
-        # well inside a blow-up, so the trace is still fittable
-        return self.stopped not in ("blowup", "roundoff")
+        return self.stopped != "blowup"
 
     def to_csv(self, path):
         write_table(path, TRACE_COLUMNS,
@@ -216,7 +217,8 @@ def trace_from_csv(path, config=None, stopped="blowup"):
 @dataclass
 class FitResult:
     kind: str                  # "power" | "log"
-    T: float
+    T: float                   # t at the last trace row + tau
+    tau: float                 # T - t at the last trace row
     beta: float | None = None
     C: float | None = None
     s0: float | None = None
@@ -287,9 +289,9 @@ def _smoothed_monitor(config, r, u, gmid):
     beyond the ends are the repeated end cells.  p passes are then one
     convolution of that extension with the binomial taps C(2p, j)/4^p, the
     coefficients of ((1 + z)/2)^(2p); it equals the passes in exact
-    arithmetic and differs by roundoff only, about 1e-15 relative.  After
+    arithmetic and differs by rounding only, about 1e-15 relative.  After
     one pass the ends weigh (3/4, 1/4), as before."""
-    m = np.sqrt(config.monitor_alpha + gmid * gmid)
+    m = np.sqrt(MONITOR_ALPHA + gmid * gmid)
     # |u|/r at the cell midpoint; the halves of both means cancel
     m += config.monitor_scale_weight * np.abs(u[:-1] + u[1:]) / (r[:-1] + r[1:])
     index, taps = _smoothing_filter(m.shape[0], config.monitor_smooth_passes)
@@ -398,10 +400,10 @@ def _energy(config, r, u):
 
 
 def _trace_rows(config, t, r, u, g0, gmax, j):
-    """The TRACE_COLUMNS of states stacked as the rows of r and u, shape
-    (states, M), given their origin gradients g0, sup |u_r| gmax and
-    steepest cells j (see _steepest).  Every reduction runs along a row on
-    its own, so each row is bit for bit what its state gives alone."""
+    """The TRACE_COLUMNS but t_left of states stacked as the rows of r and
+    u, shape (states, M), given their origin gradients g0, sup |u_r| gmax
+    and steepest cells j (see _steepest).  Every reduction runs along a row
+    on its own, so each row is bit for bit what its state gives alone."""
     dr = r[:, 1:] - r[:, :-1]
     rows = np.arange(t.size)
     loc = np.where(np.abs(g0) >= gmax, 0.0, 0.5 * (r[rows, j] + r[rows, j + 1]))
@@ -750,40 +752,41 @@ class _BandedBDF(BDF):
         return out
 
 
-def _advance(config, solver, uL):
-    """Take one step of `solver` and return the accepted MeshState;
-    StepSizeUnderflow if the step failed, MeshTangling if it left the nodes
-    out of order."""
+def _advance(config, solver, uL, t0):
+    """Take one step of `solver`, whose clock starts at 0 at the absolute
+    time t0, and return the accepted MeshState; StepSizeUnderflow if the
+    step failed, MeshTangling if it left the nodes out of order."""
     solver.step()
     if solver.status == "failed":
         raise StepSizeUnderflow("implicit step failed; increase M or tolerances")
     r, u = _unpack(config, solver.y, uL)
     if np.any(r[1:] <= r[:-1]):
         raise MeshTangling("node ordering violated; increase M")
-    return MeshState(t=solver.t, r=r, u=u)
+    return MeshState(t=t0 + solver.t, r=r, u=u)
 
 
 def step(config, state, dt_max=np.inf):
     """Advance one accepted implicit step; mostly a testing convenience,
     run() takes its steps through the same _advance."""
     gain = _gain(config, _steepest(state.r, state.u)[1])
-    solver = _new_solver(config, state, gain, t_bound=state.t + dt_max)
-    return _advance(config, solver, state.u[-1])
+    solver = _new_solver(config, state, gain, t_bound=dt_max)
+    return _advance(config, solver, state.u[-1], state.t)
 
 
 def _new_solver(config, state, gain, t_bound):
+    """A solver from `state` on its own clock, from 0 (the RHS is autonomous)."""
     n = config.M - 2
     atol = np.empty(2 * n)
-    atol[:n] = config.atol_u
+    atol[:n] = ATOL_U
     spacing = np.diff(state.r)
     local = np.minimum(spacing[:-1], spacing[1:])
-    atol[n:] = config.atol_r_rel * local
+    atol[n:] = ATOL_R_REL * local
     # the inverse-Laplacian mesh velocity couples every node pair, but the
     # Newton matrix is banded once the velocity is an unknown of its own:
     # _make_jac gives the Jacobian in parts and _BandedBDF solves with them
     return _BandedBDF(
         _make_rhs(config, state.u[-1], gain),
-        state.t,
+        0.0,
         _pack(state),
         t_bound=t_bound,
         rtol=config.rtol,
@@ -799,49 +802,44 @@ def run(config, progress=None):
     Each step only takes what the loop needs (_steepest); the accepted
     states of a chunk are held until the chunk ends and then turned into
     trace rows at once (_trace_rows), so the buffer never outgrows a chunk.
-    Each chunk also leaves one record in RunTrace.chunk_log."""
+    Each chunk solver counts its own time from 0 (_new_solver), which gives
+    t_left.  Each chunk also leaves one record in RunTrace.chunk_log."""
     state = initialize(config)
     uL = state.u[-1]
 
     columns = []   # the _trace_rows of each chunk
-    held = []      # (t, r, u, g0, gmax, cell) of states not yet in columns
+    thetas = []    # the chunk-local times of the rows of each chunk
+    held = []      # (t, r, u, g0, gmax, cell, theta) of states not yet in columns
     chunk_log = []
     snapshots = [MeshState(state.t, state.r.copy(), state.u.copy())]
-    next_snap = 10.0 ** config.snapshot_decades
+    snap_rows = [0]   # the trace row of each snapshot
+    next_snap = 10.0 ** SNAPSHOT_DECADES
     stopped = "tmax"
 
-    def observe(state):
+    def observe(state, theta):
         """Hold a state for its trace row; return sup |u_r|."""
         g0, gmax, j = _steepest(state.r, state.u)
-        held.append((state.t, state.r, state.u, g0, gmax, j))
+        held.append((state.t, state.r, state.u, g0, gmax, j, theta))
         return gmax
 
-    gmax = observe(state)
+    gmax = observe(state, 0.0)
     qhat = 0.0   # measured growth rate d log(sup u_r)/dt of the last chunk
     while True:
         started = time.perf_counter()
         gain = _gain(config, gmax, qhat)
         chunk_limit = CHUNK_GROWTH * gmax  # refresh the frozen gain as the layer sharpens
         t_chunk, g_chunk, steps = state.t, gmax, 0
-        solver = _new_solver(config, state, gain, t_bound=config.t_max)
+        solver = _new_solver(config, state, gain, t_bound=config.t_max - t_chunk)
         while solver.status == "running":
-            try:
-                state = _advance(config, solver, uL)
-            except StepSizeUnderflow:
-                # deep in the collapse T - t can shrink below the spacing of
-                # representable times near t; the integrator then has no
-                # step left to take, whatever its tolerance, and the run is over
-                if gmax < 1e3:
-                    raise
-                stopped = "roundoff"
-                break
+            state = _advance(config, solver, uL, t_chunk)
             steps += 1
-            gmax = observe(state)
+            gmax = observe(state, solver.t)
             if gmax >= next_snap:
                 snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy()))
+                snap_rows.append(sum(map(len, thetas)) + len(held) - 1)
                 next_snap = 10.0 ** (
-                    math.floor(math.log10(gmax) / config.snapshot_decades + 1)
-                    * config.snapshot_decades
+                    math.floor(math.log10(gmax) / SNAPSHOT_DECADES + 1)
+                    * SNAPSHOT_DECADES
                 )
             if progress is not None:
                 progress(state.t, gmax)
@@ -850,28 +848,39 @@ def run(config, progress=None):
                 break
             if gmax >= chunk_limit:
                 break
-        if held:   # empty when the chunk's first step failed
-            columns.append(_trace_rows(config, *map(np.array, zip(*held))))
-            held.clear()
+        *rows, theta = map(np.array, zip(*held))
+        columns.append(_trace_rows(config, *rows))
+        thetas.append(theta)
+        held.clear()
         done = stopped != "tmax" or solver.status == "finished"
         chunk_log.append({
-            "t0": t_chunk, "t1": state.t, "sup_grad0": g_chunk,
+            "t0": t_chunk, "t1": state.t, "dt": solver.t, "sup_grad0": g_chunk,
             "sup_grad1": gmax, "qhat": qhat, "gain": gain, "steps": steps,
             **{key: getattr(solver, key) for key in _SOLVER_COUNTERS},
             "wall_s": time.perf_counter() - started,
             "end": stopped if done else "growth",
         })
-        if state.t > t_chunk and gmax > g_chunk:
-            qhat = math.log(gmax / g_chunk) / (state.t - t_chunk)
+        if gmax > g_chunk:
+            qhat = math.log(gmax / g_chunk) / solver.t
         if done:
             break
 
-    snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy()))
+    # a chunk's rows lie theta[-1] - theta before its end, plus the later
+    # chunks' exact durations: no absolute times, which stop being distinct
+    # near the blow-up, are subtracted
+    parts, after = [], 0.0
+    for theta in reversed(thetas):
+        parts.append(after + (theta[-1] - theta))
+        after += theta[-1]
+    t_left = np.concatenate(parts[::-1])
+    for snap, row in zip(snapshots, snap_rows):
+        snap.t_left = float(t_left[row])
+    snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy(), t_left=0.0))
     totals = {"chunks": len(chunk_log)}
     for key in _SOLVER_COUNTERS:
         totals[key] = sum(line[key] for line in chunk_log)
     return RunTrace(config=config, snapshots=snapshots, stopped=stopped,
-                    solver=totals, chunk_log=chunk_log,
+                    solver=totals, chunk_log=chunk_log, t_left=t_left,
                     **dict(zip(TRACE_COLUMNS, map(np.concatenate, zip(*columns)))))
 
 
@@ -895,10 +904,10 @@ MIN_LAYER_NODES = 20
 
 
 def _resolved_window(trace):
-    """The samples of every rate fit, t and |u_r(0)| at the kept rows of the
-    first longest contiguous stretch with enough nodes inside the layer:
-    the recorded gradient is not trustworthy outside it.  NoBlowup if the
-    run did not blow up."""
+    """The samples of every rate fit, the rows and |u_r(0)| at the kept rows
+    of the first longest contiguous stretch with enough nodes inside the
+    layer: the recorded gradient is not trustworthy outside it.  NoBlowup if
+    the run did not blow up."""
     if trace.no_blowup:
         raise NoBlowup("trace ended before the stop criterion")
     g = np.abs(trace.dr_u0)
@@ -912,7 +921,7 @@ def _resolved_window(trace):
         raise WindowTooShort("no resolved stretch of 12+ samples in the trace")
     start, end = runs[np.argmax(lengths)]
     idx = idx[start:end]
-    return trace.t[idx], g[idx]
+    return idx, g[idx]
 
 
 def fit_power(trace):
@@ -920,16 +929,15 @@ def fit_power(trace):
 
     q(t) = d log(dr_u0)/dt equals (1/2+beta)/(T-t) for a pure power law,
     so 1/q is linear in t with root T; a line fit over the last three
-    decades of the resolved window gives T and beta.  The fit is done in
-    time centered on the window start -- the raw times agree to many digits
-    near blow-up and would cancel catastrophically in the normal equations."""
-    t, g = _resolved_window(trace)
+    decades of the resolved window gives beta and tau = T - t at the last
+    row.  Time is -t_left, which is exact however close the rows are to T."""
+    idx, g = _resolved_window(trace)
     mask = g >= g[-1] / 1e3
-    t, g = t[mask], g[mask]
-    if t.size < 12:
+    idx, g = idx[mask], g[mask]
+    if idx.size < 12:
         raise WindowTooShort("fewer than 12 samples in the power-fit window")
-    t0 = t[0]
-    tm = 0.5 * (t[1:] + t[:-1]) - t0
+    t = -trace.t_left[idx]
+    tm = 0.5 * (t[1:] + t[:-1])
     q = np.diff(np.log(g)) / np.diff(t)
     good = q > 0
     tm, q = tm[good], q[good]
@@ -939,10 +947,10 @@ def fit_power(trace):
     (b, a), cov = np.polyfit(tm, invq, 1, cov=True)
     if b >= 0:
         raise DegenerateFit("1/q does not decrease toward blow-up")
-    # 1/q = (T - t)/(1/2+beta): slope -1/(1/2+beta), root at t = T
+    # 1/q = (tau - t)/(1/2+beta): slope -1/(1/2+beta), root at t = tau
     expo = -1.0 / b
     beta = expo - 0.5
-    T = t0 - a / b
+    tau = -a / b
     resid = float(np.sqrt(np.mean((a + b * tm - invq) ** 2)))
     dbeta = math.sqrt(max(float(cov[0, 0]), 0.0)) / (b * b)
     # the statistical error bar is far too optimistic when the local
@@ -957,37 +965,38 @@ def fit_power(trace):
                 betas.append(-1.0 / bh - 0.5)
     if len(betas) == 2:
         dbeta = max(dbeta, 0.5 * abs(betas[0] - betas[1]))
-    return FitResult(kind="power", T=T, beta=beta, residual=resid,
-                     uncertainty=dbeta,
-                     window=(float(t[0]), float(t[-1])))
+    return FitResult(kind="power", T=float(trace.t[-1]) + tau, tau=tau,
+                     beta=beta, residual=resid, uncertainty=dbeta,
+                     window=(float(trace.t[idx[0]]), float(trace.t[idx[-1]])))
 
 
 def fit_log(trace, delta=1.0):
     """Logarithmic-law fit: sqrt(T-t) dr_u0 = C (-log(T-t) - s0)^{1/delta}
     over the last six e-folds of T - t in the resolved window.
 
-    With T fixed the model is linear in -log(T-t) after raising to the
-    delta power, so an inner linear solve sits under a 1-D search over T."""
-    t, g = _resolved_window(trace)
-    t_end = t[-1]
-    # parabolic scaling puts T - t_end near 1/sup_grad^2 scale
-    dt_guess = (1.0 / g[-1]) ** 2
+    With T - t = t_left + tau and tau fixed the model is linear in
+    -log(T-t) after raising to the delta power, so an inner linear solve
+    sits under a 1-D search over tau, the T - t of the last row."""
+    idx, g = _resolved_window(trace)
+    t_left = trace.t_left[idx]
+    # parabolic scaling puts tau near 1/u_r(0)^2 at the last row
+    tau_guess = trace.dr_u0[-1] ** -2.0
 
-    def line_fit(T):
+    def line_fit(tau):
         """x = -log(T-t) and z = (sqrt(T-t) g)^delta over the window, and the
         line z ~ a + b x; None if the window holds fewer than 20 samples."""
-        x = -np.log(T - t)
+        x = -np.log(t_left + tau)
         mask = x >= x[-1] - 6.0
         if np.sum(mask) < 20:
             return None
-        x, z = x[mask], (np.sqrt(T - t[mask]) * g[mask]) ** delta
+        x, z = x[mask], (np.sqrt(t_left[mask] + tau) * g[mask]) ** delta
         b, a = np.polyfit(x, z, 1)
         return x, z, a, b
 
-    def misfit(log_dt):
-        fit = line_fit(t_end + math.exp(log_dt))
+    def misfit(log_tau):
+        fit = line_fit(math.exp(log_tau))
         # the model slope is C^delta > 0; negative-slope minima are
-        # spurious branches of the T search
+        # spurious branches of the tau search
         if fit is None or fit[3] <= 0:
             return 1e30
         x, z, a, b = fit
@@ -995,21 +1004,21 @@ def fit_log(trace, delta=1.0):
 
     res = minimize_scalar(
         misfit,
-        bounds=(math.log(dt_guess * 1e-3), math.log(dt_guess * 1e5)),
+        bounds=(math.log(tau_guess * 1e-3), math.log(tau_guess * 1e5)),
         method="bounded",
         options={"xatol": 1e-12},
     )
     if not res.success or res.fun >= 1e29:
         raise DegenerateFit("outer search over T failed")
-    # misfit(res.x) is finite, so the window at T is full and its slope positive
-    T = t_end + math.exp(res.x)
-    x, z, a, b = line_fit(T)
+    # misfit(res.x) is finite, so the window at tau is full and its slope positive
+    tau = math.exp(res.x)
+    x, z, a, b = line_fit(tau)
     C = b ** (1.0 / delta)
     s0 = -a / b
     ss_res = float(np.sum((z - (a + b * x)) ** 2))
     ss_tot = float(np.sum((z - np.mean(z)) ** 2))
-    return FitResult(kind="log", T=T, C=C, s0=s0,
-                     residual=math.sqrt(ss_res / x.size),
+    return FitResult(kind="log", T=float(trace.t[-1]) + tau, tau=tau, C=C,
+                     s0=s0, residual=math.sqrt(ss_res / x.size),
                      r_squared=1.0 - ss_res / ss_tot,
                      window=(float(x[0]), float(x[-1])))
 
@@ -1022,18 +1031,18 @@ class SelfSimilarSnapshot:
     eps: float   # the inner-layer scale
 
 
-def to_self_similar(state, T, Cs):
+def to_self_similar(state, tau, Cs):
     """Rescale a snapshot to (y, s, f) variables for spectral projection and
-    comparison with the matched ansatz, with the inner-layer scale eps of
-    R = Cs sqrt(T-t) eps for R = 1/|u_r(0)|, Cs the stationary profile's:
-    eps = 1/(Cs sqrt(T-t) |u_r(0)|), inf where u_r(0) = 0."""
-    if state.t >= T:
+    comparison with the matched ansatz, at T - t = t_left + tau (FitResult),
+    with the inner-layer scale eps = 1/(Cs sqrt(T-t) |u_r(0)|) (inf where
+    u_r(0) = 0) of R = Cs sqrt(T-t) eps, R = 1/|u_r(0)|, Cs the profile's."""
+    left = state.t_left + tau
+    if not left > 0:
         raise ValueError("snapshot time must precede the blow-up time")
-    tau = T - state.t
     g0 = abs(_origin_gradient(state.r, state.u))
     return SelfSimilarSnapshot(
-        s=-math.log(tau),
-        y=state.r / math.sqrt(tau),
+        s=-math.log(left),
+        y=state.r / math.sqrt(left),
         f=state.u.copy(),
-        eps=1.0 / (Cs * math.sqrt(tau) * g0) if g0 > 0 else math.inf,
+        eps=1.0 / (Cs * math.sqrt(left) * g0) if g0 > 0 else math.inf,
     )

@@ -192,7 +192,7 @@ def coefficient_flow(traj, lam_n, Dn, an0):
     written as B(0) e^{-lambda_n s} - B(s) with the backward sums B of
     _tail_sums: the growing mode then carries a_n(0) + D_n B(0), which is
     exactly 0 for the tuned a_n(0) = an_requirement(...), and no cancellation
-    against e^{|lambda_n| s} is left to roundoff."""
+    against e^{|lambda_n| s} is left to rounding error."""
     s = traj.s
     if lam_n >= 0:
         c = traj.constants

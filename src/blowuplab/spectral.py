@@ -97,7 +97,7 @@ class EigenBasis:
 
     def apply_operator(self, n, y):
         """A phi_n evaluated from the analytic derivatives (equals
-        lambda_n phi_n up to roundoff)."""
+        lambda_n phi_n up to rounding error)."""
         d = self.consts.params.d
         k = self.consts.params.k
         y = np.asarray(y, dtype=float)

@@ -280,12 +280,12 @@ def test_criterion_8_prediction_closure(asym, d7_runs):
 @pytest.mark.slow
 def test_criterion_9_ansatz_overlay(asym, d8_fine):
     c, p, b, cc, N = asym[(8.0, 1)]
-    T = meshsim.fit_power(d8_fine).T
+    tau = meshsim.fit_power(d8_fine).tau
     sups = []
     for snap in d8_fine.snapshots:
-        if snap.t >= T:
+        if snap.t_left + tau <= 0:
             continue
-        ss = meshsim.to_self_similar(snap, T, p.Cs)
+        ss = meshsim.to_self_similar(snap, tau, p.Cs)
         if not 0.0 < ss.eps <= 0.1:
             continue
         mask = (ss.y >= 2 * ss.eps) & (ss.y <= 1.0)

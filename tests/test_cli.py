@@ -81,10 +81,15 @@ def test_simulate_malformed_configs(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(missing),
                      "--out", str(tmp_path)]) == 2
 
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text('{"d": 8, "k": 1, "meshiness": 3}')
-    assert cli.main(["simulate", "--config", str(unknown),
-                     "--out", str(tmp_path)]) == 2
+    # the monitor alpha, the absolute tolerances and the snapshot spacing
+    # are module constants, not config keys
+    for key in ("meshiness", "monitor_alpha", "atol_u", "atol_r_rel",
+                "snapshot_decades"):
+        unknown = tmp_path / "unknown.json"
+        unknown.write_text(json.dumps({"d": 8, "k": 1, key: 1.0}))
+        assert cli.main(["simulate", "--config", str(unknown),
+                         "--out", str(tmp_path)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
@@ -93,7 +98,6 @@ def test_simulate_malformed_configs(tmp_path, capsys):
 
     for bad in ('{"d": 8, "k": 1, "M": "abc"}', '{"d": 8, "k": 1, "M": 1e400}',
                 '{"d": 8, "k": 1, "rtol": 0}',
-                '{"d": 8, "k": 1, "snapshot_decades": 0}',
                 '{"d": NaN, "k": 1}', '{"d": Infinity, "k": 1}',
                 '{"d": 2, "k": 1}',
                 '{"d": 8, "k": 1, "initial_data": 5}',
@@ -103,7 +107,6 @@ def test_simulate_malformed_configs(tmp_path, capsys):
                 '{"d": 8, "k": 1, "initial_data": [[0, 2, 1], [0, 1, 2]]}',
                 '{"d": 8, "k": 1, "L": NaN}',
                 '{"d": 8, "k": 1, "max_gradient": NaN}',
-                '{"d": 8, "k": 1, "monitor_alpha": -1}',
                 '{"d": 8, "k": 1, "monitor_scale_weight": -1}',
                 '{"d": 8, "k": 1, "monitor_smooth_passes": -1}',
                 '{"d": 8, "k": 1, "M": 201.7}',
@@ -163,12 +166,12 @@ def test_config_schema_round_trip(tmp_path):
 def test_config_hash_pinned(tmp_path):
     # run-directory names must not move when the config code changes
     assert cli._config_hash(SimConfig(ModelParams(d=8.0, k=1))) \
-        == "7902e418309ae582"
+        == "beabbdbcfb5edc60"
     path = write_config(tmp_path / "cfg.json", M=161)
-    assert cli._config_hash(cli._load_config(path)) == "81ee89ccc87e694b"
+    assert cli._config_hash(cli._load_config(path)) == "9a3bb84a49957867"
     # an integral float is the integer
     path = write_config(tmp_path / "cfg_float.json", M=161.0, k=1.0)
-    assert cli._config_hash(cli._load_config(path)) == "81ee89ccc87e694b"
+    assert cli._config_hash(cli._load_config(path)) == "9a3bb84a49957867"
 
 
 def test_bad_run_directory_exit_2(tmp_path, run_dir, capsys):
@@ -231,6 +234,13 @@ def test_run_directory_layout(run_dir):
     assert stop["steps"] == trace.size - 1
     assert stop["t"] == trace["t"][-1]
     assert stop["sup_grad"] == trace["sup_grad"][-1] >= 1e6
+    # each snapshot carries the t_left of its trace row; the last row's is 0
+    assert trace["t_left"][-1] == 0.0
+    for name in snaps:
+        if name.endswith(".json"):
+            meta = read_json(os.path.join(run_dir, "snapshots", name))
+            row = np.flatnonzero(trace["t_left"] == meta["t_left"])
+            assert row.size == 1 and trace["t"][row[0]] == meta["t"], name
 
     fit = read_json(os.path.join(run_dir, "fit.json"))
     assert fit["kind"] == "power"
@@ -249,9 +259,9 @@ def test_solver_log(run_dir):
     assert sum(line["steps"] for line in lines) == manifest["stop"]["steps"]
     for key in ("nfev", "njev", "nlu"):
         assert sum(line[key] for line in lines) == solver[key], key
-    assert list(lines[0]) == ["t0", "t1", "sup_grad0", "sup_grad1", "qhat",
-                              "gain", "steps", "nfev", "njev", "nlu", "rhs_s",
-                              "jac_s", "lu_s", "wall_s", "end"]
+    assert list(lines[0]) == ["t0", "t1", "dt", "sup_grad0", "sup_grad1",
+                              "qhat", "gain", "steps", "nfev", "njev", "nlu",
+                              "rhs_s", "jac_s", "lu_s", "wall_s", "end"]
     assert {line["end"] for line in lines[:-1]} == {"growth"}
     assert lines[-1]["end"] == manifest["stop"]["reason"] == "blowup"
     assert lines[-1]["t1"] == manifest["stop"]["t"]
@@ -289,7 +299,7 @@ def log_law_run(root, d=7, k=1, C=0.225, s0=-0.436, T=0.229,
     g = C * (-np.log(tau) - s0) / np.sqrt(tau)
     write_table(run / "trace.csv", TRACE_COLUMNS,
                 (T - tau, g, g, np.linspace(1.0, 0.5, tau.size), 1.0 / g,
-                 np.zeros_like(tau), np.full(tau.size, 50)))
+                 np.zeros_like(tau), np.full(tau.size, 50), tau - tau[-1]))
     return str(run)
 
 
@@ -366,25 +376,39 @@ def test_overlay_takes_latest_snapshot(tmp_path):
     # past 999 snapshots the names no longer sort by time: snap_1000 sorts
     # before snap_999 and is the later one; the overlay must use it
     prof, basis = cli._pipeline(8.0, 1, 1)[1:3]
-    T = 0.2 + 1e-6
+    tau = 1e-6
     r = np.concatenate([[0.0], np.geomspace(1e-9, 2.0, 400)])
     snap_dir = tmp_path / "snapshots"
     snap_dir.mkdir()
-    # (index, t, layer width); both are steep enough for an overlay
-    snaps = ((999, 0.1, 1e-3), (1000, 0.2, 1e-5))
-    for j, t, width in snaps:
+    # (index, t_left, layer width); both are steep enough for an overlay
+    snaps = ((999, 0.1, 1e-3), (1000, 0.0, 1e-5))
+    for j, t_left, width in snaps:
         write_table(snap_dir / f"snap_{j:03d}.csv", ("r", "u"),
                     (r, 2.0 * np.arctan(r / width)))
         (snap_dir / f"snap_{j:03d}.json").write_text(
-            json.dumps({"t": t, "index": j}))
+            json.dumps({"t": 0.2 - t_left, "t_left": t_left, "index": j}))
     path = tmp_path / "overlay.csv"
-    assert cli._overlay_csv(str(path), str(tmp_path), T, prof, basis, 1)
+    assert cli._overlay_csv(str(path), str(tmp_path), tau, prof, basis, 1)
     overlay = np.genfromtxt(path, delimiter=",", names=True)
     assert overlay.size > 10
-    # f_numeric against y is snap_1000's profile at y = r / sqrt(T - 0.2)
-    r_back = overlay["y"] * math.sqrt(T - 0.2)
+    # f_numeric against y is snap_1000's profile at y = r / sqrt(T - t)
+    r_back = overlay["y"] * math.sqrt(tau)
     assert np.allclose(overlay["f_numeric"], 2.0 * np.arctan(r_back / 1e-5),
                        rtol=1e-8, atol=1e-12)
+
+
+def test_run_directory_without_t_left_exit_2(tmp_path, capsys):
+    # a trace.csv written before the t_left column: one error line naming it
+    run = log_law_run(tmp_path)
+    trace = np.genfromtxt(os.path.join(run, "trace.csv"), delimiter=",",
+                          names=True)
+    old = TRACE_COLUMNS[:-1]
+    write_table(os.path.join(run, "trace.csv"), old, [trace[c] for c in old])
+    for argv in (["fit", "--run", run], ["compare", "--run", run]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, argv
+        assert err.startswith("error: ") and "t_left" in err, argv
 
 
 def test_simulate_zero_origin_gradient(tmp_path, capsys):

@@ -55,15 +55,13 @@ def test_config_validation():
         config(max_gradient=1e5)
     for bad in ({"rtol": 0.0}, {"rtol": -1e-6}, {"tau": 0.0},
                 {"t_max": -1.0}, {"t_max": 0.0}, {"uniform_fraction": -0.5},
-                {"snapshot_decades": 0.0}, {"tau": math.nan},
-                {"atol_u": 0.0}, {"atol_r_rel": -1e-4}, {"L": math.nan}, {"L": math.inf},
-                {"max_gradient": math.nan}, {"monitor_alpha": -1.0},
-                {"monitor_alpha": math.nan}, {"monitor_scale_weight": -1.0},
+                {"tau": math.nan}, {"L": math.nan}, {"L": math.inf},
+                {"max_gradient": math.nan}, {"monitor_scale_weight": -1.0},
                 {"monitor_smooth_passes": -1}, {"monitor_smooth_passes": -2},
                 {"monitor_smooth_passes": 2.5}):
         with pytest.raises(ValueError):
             config(**bad)
-    config(uniform_fraction=0.0, monitor_alpha=0.0, monitor_scale_weight=0.0,
+    config(uniform_fraction=0.0, monitor_scale_weight=0.0,
            monitor_smooth_passes=0)
 
 
@@ -190,7 +188,7 @@ def _reference_rhs(cfg, y, uL, gain):
     r = np.concatenate([[0.0], y[n:], [cfg.L]])
     u = np.concatenate([[0.0], y[:n], [uL]])
     dr = np.diff(r)
-    m = np.sqrt(cfg.monitor_alpha + (np.diff(u) / dr) ** 2)
+    m = np.sqrt(meshsim.MONITOR_ALPHA + (np.diff(u) / dr) ** 2)
     m = m + cfg.monitor_scale_weight * np.abs(0.5 * (u[:-1] + u[1:])) \
         / (0.5 * (r[:-1] + r[1:]))
     for _ in range(cfg.monitor_smooth_passes):
@@ -297,7 +295,7 @@ def _jac_error(cfg, state, gain):
     """Distance of the Jacobian BDF was given from scipy's dense
     finite-difference one (see _block_error)."""
     y = meshsim._pack(state)
-    solver = meshsim._new_solver(cfg, state, gain, t_bound=state.t + 1.0)
+    solver = meshsim._new_solver(cfg, state, gain, t_bound=1.0)
     J = _dense_jacobian(solver.J)
     rhs = meshsim._make_rhs(cfg, state.u[-1], gain)
     J_ref, _ = num_jac(rhs, state.t, y, rhs(state.t, y), solver.atol, None)
@@ -308,7 +306,7 @@ def _newton_error(cfg, state, gain, extra_c=()):
     """Largest distance (see _block_error) of the banded Newton solve of
     (I - c J) x = b from a dense solve, for c from 1/100 to 100 times the
     first step BDF selects and for each of extra_c."""
-    solver = meshsim._new_solver(cfg, state, gain, t_bound=state.t + 1.0)
+    solver = meshsim._new_solver(cfg, state, gain, t_bound=1.0)
     n = cfg.M - 2
     J = _dense_jacobian(solver.J)
     b = np.random.default_rng(0).standard_normal(2 * n)
@@ -387,7 +385,7 @@ def _mask_assembled_lu(J):
 def test_newton_band_gather_matches_masks(kw):
     cfg = config(**kw)
     state = initialize(cfg)
-    solver = meshsim._new_solver(cfg, state, 0.5, t_bound=state.t + 1.0)
+    solver = meshsim._new_solver(cfg, state, 0.5, t_bound=1.0)
     A = solver.I - solver.h_abs * solver.J
     band, piv = solver.lu(A)[:2]
     ref_band, ref_piv = _mask_assembled_lu(A)
@@ -546,7 +544,8 @@ def test_trace_rows_match_per_state(quick_trace):
         cfg, np.array([s.t for s in snaps]), np.array([s.r for s in snaps]),
         np.array([s.u for s in snaps]), *map(np.array, zip(*steepest)))
     ref = np.array([_observe_one(cfg, s.t, s.r, s.u) for s in snaps]).T
-    assert len(got) == len(meshsim.TRACE_COLUMNS)
+    # t_left needs the whole run (see run), the other columns one state each
+    assert len(got) == len(meshsim.TRACE_COLUMNS) - 1
     for name, col, ref_col in zip(meshsim.TRACE_COLUMNS, got, ref):
         assert np.array_equal(col, ref_col), name
     assert np.count_nonzero(got[5]) == 1
@@ -584,20 +583,42 @@ def test_tiny_tmax_flags_no_blowup():
         fit_power(trace)
 
 
-def test_roundoff_stop_keeps_accepted_steps():
-    # far past the gradients the time floor allows: the run stops at the
-    # first failed step and keeps every step accepted before it
+def test_deep_run_reaches_max_gradient():
+    # far past sup|u_r| ~ 1e8, where the absolute times of the last rows
+    # coincide: each chunk solver's own clock keeps stepping to the stop
     trace = run(config(M=64, max_gradient=1e12))
-    assert trace.stopped == "roundoff"
-    assert not trace.no_blowup
-    assert 1e6 < trace.sup_grad[-1] < 1e12
-    fit_power(trace)
-    last = trace.snapshots[-1]
-    assert last.t == trace.t[-1]
-    assert meshsim._steepest(last.r, last.u)[1] == trace.sup_grad[-1]
-    # the rows of every chunk are kept, also when the last chunk took no step
-    assert trace.chunk_log[-1]["end"] == "roundoff"
+    assert trace.stopped == "blowup"
+    assert trace.sup_grad[-1] >= 1e12
+    assert trace.t[-1] == trace.t[-2]
+    # t_left is exact where t is not: positive, strictly decreasing, 0 last
+    t_left = trace.t_left
+    assert np.all(t_left[:-1] > 0) and t_left[-1] == 0.0
+    assert np.all(np.diff(t_left) < 0)
+    assert t_left[0] == pytest.approx(sum(line["dt"] for line in trace.chunk_log),
+                                      rel=1e-12)
+    # the snapshots carry the t_left of their rows
+    rows = {t: j for j, t in enumerate(trace.t_left)}
+    for snap in trace.snapshots:
+        j = rows[snap.t_left]
+        assert snap.t == trace.t[j]
+        assert meshsim._steepest(snap.r, snap.u)[1] == trace.sup_grad[j]
+    assert trace.snapshots[-1].t_left == 0.0
+    # the rows of every chunk are kept
+    assert trace.chunk_log[-1]["end"] == "blowup"
     assert sum(line["steps"] for line in trace.chunk_log) == trace.t.size - 1
+
+
+def test_log_fit_stable_under_roundoff(monkeypatch):
+    # the sim-neutral-d7 benchmark config: a change of ATOL_U by parts in 1e9
+    # changes the rounding of every step; the fitted C must not move beyond
+    # that level (it moved 1e-3 while the fits used absolute times)
+    cfg = config(d=7.0, L=math.pi, M=241, rtol=1e-6, max_gradient=1e6,
+                 initial_data="r-sin(r)")
+    Cs = []
+    for k in range(3):
+        monkeypatch.setattr(meshsim, "ATOL_U", 1e-9 * (1.0 + k * 1e-9))
+        Cs.append(fit_log(run(cfg)).C)
+    assert (max(Cs) - min(Cs)) / min(Cs) <= 1e-6, Cs
 
 
 def test_failed_step_not_retried(monkeypatch):
@@ -639,6 +660,8 @@ def test_snapshot_csv_roundtrip(tmp_path, quick_trace):
 # fits on synthetic traces (the fitters must recover their own generators)
 
 def synthetic_trace(T, gfun, tau_hi=1e-1, tau_lo=1e-9, per_decade=300):
+    """Rows at T - t = tau from tau_hi down to tau_lo; t_left is exact, t is
+    T - tau in double precision."""
     n = int(per_decade * math.log10(tau_hi / tau_lo))
     tau = np.geomspace(tau_hi, tau_lo, n)
     t = T - tau
@@ -647,25 +670,51 @@ def synthetic_trace(T, gfun, tau_hi=1e-1, tau_lo=1e-9, per_decade=300):
         config=config(), t=t, dr_u0=g, sup_grad=g,
         sup_grad_loc=np.zeros_like(t), energy=np.linspace(1.0, 0.5, n),
         min_dx=1.0 / g, nodes_in_layer=np.full(n, 50),
-        snapshots=[], stopped="blowup",
+        t_left=tau - tau[-1], snapshots=[], stopped="blowup",
     )
 
 
-def test_fit_power_recovers_generator():
-    trace = synthetic_trace(0.25, lambda tau: tau ** -0.6306)
+def power_generator(tau):
+    return tau ** -0.6306
+
+
+def log_generator(C=0.225, s0=-0.436):
+    return lambda tau: C * (-np.log(tau) - s0) / np.sqrt(tau)
+
+
+def check_power_fit(trace, T):
     fit = fit_power(trace)
     assert abs(fit.beta - 0.1306) < 1e-3
-    assert abs(fit.T - 0.25) < 1e-6
+    assert abs(fit.T - T) < 1e-6
+    return fit
 
 
-def test_fit_log_recovers_generator():
-    C, s0, T = 0.225, -0.436, 0.229
-    trace = synthetic_trace(T, lambda tau: C * (-np.log(tau) - s0) / np.sqrt(tau))
+def check_log_fit(trace, T, C=0.225, s0=-0.436):
     fit = fit_log(trace)
     assert abs(fit.C - C) < 1e-3
     assert abs(fit.s0 - s0) < 1e-3
     assert abs(fit.T - T) < 1e-6
     assert fit.r_squared > 0.999999
+    return fit
+
+
+def test_fit_power_recovers_generator():
+    check_power_fit(synthetic_trace(0.25, power_generator), 0.25)
+
+
+def test_fit_log_recovers_generator():
+    check_log_fit(synthetic_trace(0.229, log_generator()), 0.229)
+
+
+def test_fits_recover_generators_on_quantized_time():
+    # T - t down to 1e-20, far below the spacing of doubles near T = 0.25
+    # (2.8e-17): the last rows share one t, and only t_left tells them apart
+    for check, gen in ((check_power_fit, power_generator),
+                       (check_log_fit, log_generator())):
+        trace = synthetic_trace(0.25, gen, tau_lo=1e-20)
+        assert np.sum(trace.t == 0.25) > 100
+        fit = check(trace, 0.25)
+        assert fit.tau == pytest.approx(1e-20, rel=1e-2)
 
 
 def test_fit_window_guard():
@@ -706,9 +755,9 @@ def test_resolved_window_matches_loop():
             with pytest.raises(WindowTooShort):
                 meshsim._resolved_window(trace)
             continue
-        t, g = meshsim._resolved_window(trace)
+        rows, g = meshsim._resolved_window(trace)
         kept = idx[start:start + length]
-        assert np.array_equal(t, trace.t[kept])
+        assert np.array_equal(rows, kept)
         assert np.array_equal(g, np.abs(trace.dr_u0[kept]))
 
 
@@ -725,19 +774,23 @@ def test_fit_skips_zero_origin_gradient():
 # self-similar rescaling
 
 def test_to_self_similar_s_value():
-    state = MeshState(t=0.25 - math.exp(-13.0), r=np.linspace(0, 2, 11),
-                      u=np.linspace(0, 2, 11))
-    snap = to_self_similar(state, T=0.25, Cs=0.5)
+    # T - t = t_left + tau = e^-13
+    state = MeshState(t=0.25, r=np.linspace(0, 2, 11), u=np.linspace(0, 2, 11),
+                      t_left=0.75 * math.exp(-13.0))
+    snap = to_self_similar(state, tau=0.25 * math.exp(-13.0), Cs=0.5)
     assert snap.s == pytest.approx(13.0)
     assert snap.y[0] == 0.0
     assert np.allclose(snap.f, state.u)
     # u_r(0) = 1, so eps = 1/(Cs sqrt(T-t))
     assert snap.eps == pytest.approx(2.0 * math.exp(6.5), rel=1e-12)
     flat = replace(state, u=np.zeros(11))
-    assert to_self_similar(flat, T=0.25, Cs=0.5).eps == math.inf
+    assert to_self_similar(flat, tau=0.25 * math.exp(-13.0), Cs=0.5).eps == math.inf
 
 
 def test_to_self_similar_rejects_late_time():
-    state = MeshState(t=0.3, r=np.linspace(0, 2, 11), u=np.linspace(0, 2, 11))
-    with pytest.raises(ValueError):
-        to_self_similar(state, T=0.25, Cs=0.5)
+    # T - t <= 0, and a state that is no snapshot of a run (t_left unset)
+    r = np.linspace(0, 2, 11)
+    for t_left, tau in ((1e-3, -2e-3), (0.0, 0.0), (math.nan, 1.0)):
+        state = MeshState(t=0.3, r=r, u=r, t_left=t_left)
+        with pytest.raises(ValueError):
+            to_self_similar(state, tau=tau, Cs=0.5)
