@@ -325,31 +325,37 @@ def _rate_plot_csv(path, trace, tau):
 
 
 def _overlay_csv(path, run_dir, tau, prof, basis, N):
-    """Latest usable snapshot against the matched ansatz, in (y, f).  The
-    snapshot is the one with the least t_left > -tau (T - t > 0), whatever
-    the order of the file names."""
+    """Latest usable snapshot against the matched ansatz, in (y, f); returns
+    the compare.json entry, {"overlay": path} or {"no_overlay": why not}.
+    The snapshot is the one with the least t_left > -tau (T - t > 0),
+    whatever the order of the file names.  ConfigError if a snapshot
+    cannot be read."""
     snap_dir = os.path.join(run_dir, "snapshots")
     best, t_left = None, math.inf
-    for meta in os.listdir(snap_dir):
-        if not meta.endswith(".json"):
-            continue
-        with open(os.path.join(snap_dir, meta)) as fh:
-            snap = json.load(fh)
-        if -tau < snap["t_left"] < t_left:
-            best, t_left = (meta[:-5], snap["t"]), snap["t_left"]
-    if best is None:
-        return False
-    data = np.genfromtxt(os.path.join(snap_dir, best[0] + ".csv"),
-                         delimiter=",", names=True)
-    state = meshsim.MeshState(t=best[1], r=data["r"], u=data["u"], t_left=t_left)
+    try:
+        for meta in os.listdir(snap_dir):
+            if not meta.endswith(".json"):
+                continue
+            with open(os.path.join(snap_dir, meta)) as fh:
+                snap = json.load(fh)
+            if -tau < snap["t_left"] < t_left:
+                best, t_left = (meta[:-5], snap["t"]), snap["t_left"]
+        if best is None:
+            return {"no_overlay": f"no snapshot before T (tau = {tau:.3e})"}
+        data = np.genfromtxt(os.path.join(snap_dir, best[0] + ".csv"),
+                             delimiter=",", names=True)
+        r, u = data["r"], data["u"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read snapshot in {snap_dir}: {exc!r}") from exc
+    state = meshsim.MeshState(t=best[1], r=r, u=u, t_left=t_left)
     ss = meshsim.to_self_similar(state, tau, prof.Cs)
     if not 0.0 < ss.eps <= 0.1:
-        return False
+        return {"no_overlay": f"eps = {ss.eps:.3e} at {best[0]} is outside (0, 0.1]"}
     mask = (ss.y >= ss.eps * 1e-2) & (ss.y <= 2.0)
     ansatz = rates.assemble_ansatz(prof, basis, N, ss.eps, y_grid=ss.y[mask])
     write_table(path, ("y", "f_numeric", "f_ansatz"),
                 (ss.y[mask], ss.f[mask], ansatz.f))
-    return True
+    return {"overlay": path}
 
 
 def cmd_compare(args):
@@ -407,9 +413,8 @@ def cmd_compare(args):
     plot_path = os.path.join(args.run, "rate_plot.csv")
     _rate_plot_csv(plot_path, trace, fit.tau)
     report["rate_plot"] = plot_path
-    overlay_path = os.path.join(args.run, "overlay.csv")
-    if _overlay_csv(overlay_path, args.run, fit.tau, prof, basis, N):
-        report["overlay"] = overlay_path
+    report.update(_overlay_csv(os.path.join(args.run, "overlay.csv"),
+                               args.run, fit.tau, prof, basis, N))
     print(f"report relative error: {report['relative_error']:.4f}")
     _write_json(os.path.join(args.run, "compare.json"), report)
     return 0

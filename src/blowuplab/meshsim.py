@@ -86,8 +86,15 @@ _SOLVER_COUNTERS = ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s")
 #: relative forward-difference step of the banded Jacobian parts
 _FD_STEP = np.finfo(float).eps ** 0.5
 
-#: alpha of the arclength monitor sqrt(alpha + u_r^2)
+#: the fixed mesh policy: alpha of the arclength monitor sqrt(alpha + u_r^2),
+#: the weight of its |u|/r term and its smoothing passes (_smoothed_monitor),
+#: its mass share kept for the outer region (_reservation), and the
+#: node-relaxation time at unit gradient (_gain)
 MONITOR_ALPHA = 1.0
+MONITOR_SCALE_WEIGHT = 1.0
+SMOOTH_PASSES = 4
+UNIFORM_FRACTION = 0.1
+RELAXATION_TIME = 0.1
 #: absolute tolerance of u, and of each node relative to its local spacing
 ATOL_U = 1e-9
 ATOL_R_REL = 1e-4
@@ -107,10 +114,6 @@ class SimConfig:
     L: float = 2.0
     M: int = 201                      # mesh nodes including both boundaries
     initial_data: str | tuple = "r"   # family name or (r, u) tables
-    monitor_scale_weight: float = 1.0  # |u|/r term weight (see _smoothed_monitor)
-    monitor_smooth_passes: int = 4
-    uniform_fraction: float = 0.1     # monitor mass reserved for the outer region
-    tau: float = 0.1                  # mesh relaxation time at unit gradient
     rtol: float = 1e-7
     max_gradient: float = 1e8         # stop criterion on sup |u_r|
     t_max: float = 10.0
@@ -123,15 +126,9 @@ class SimConfig:
             raise ValueError("max_gradient must be >= 1e6")
         if not 0 < self.L < math.inf:
             raise ValueError("L must be positive and finite")
-        for name in ("tau", "rtol", "t_max"):
+        for name in ("rtol", "t_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("uniform_fraction", "monitor_scale_weight"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
-        passes = self.monitor_smooth_passes
-        if not (isinstance(passes, (int, np.integer)) and passes >= 0):
-            raise ValueError("monitor_smooth_passes must be a non-negative integer")
 
     def to_dict(self):
         """The config as written to config.json and hashed into the run
@@ -260,16 +257,16 @@ def _steepest(r, u):
     return g0, max(float(a[j]), abs(g0)), j
 
 
-def _gain(config, gmax, qhat=0.0):
+def _gain(gmax, qhat=0.0):
     """Mesh gain at sup |u_r| = gmax.  The node-relaxation rate is
     gain * monitor ~ gain * gmax; it is tied to the observed collapse rate
     qhat with a fixed margin, so the mesh tracks the layer without making
     the system orders of magnitude stiffer than the physics (which starves
-    BDF of step size), and never drops below 1/tau."""
-    return max(TRACKING_MARGIN * qhat, 1.0 / config.tau) / (1.0 + gmax)
+    BDF of step size), and never drops below 1/RELAXATION_TIME."""
+    return max(TRACKING_MARGIN * qhat, 1.0 / RELAXATION_TIME) / (1.0 + gmax)
 
 
-def _smoothed_monitor(config, r, u, gmid):
+def _smoothed_monitor(r, u, gmid):
     """Spatially smoothed midpoint monitor, before the uniform reservation.
 
     The arclength part sqrt(alpha + u_r^2) concentrates nodes in the
@@ -281,9 +278,9 @@ def _smoothed_monitor(config, r, u, gmid):
     constant once u plateaus), the moving-mesh analogue of a geometrically
     graded fixed mesh.
 
-    The sum is smoothed by `monitor_smooth_passes` passes of (1/4, 1/2,
-    1/4) with the end cells repeated, applied as one filter.  A pass with
-    the end cells repeated is a pass over the half-sample-symmetric
+    The sum is smoothed by SMOOTH_PASSES passes of (1/4, 1/2, 1/4) with the
+    end cells repeated, applied as one filter.  A pass with the end cells
+    repeated is a pass over the half-sample-symmetric
     extension m[-1-i] = m[i], m[N+i] = m[N-1-i] of the N cell values: the
     filter is symmetric, so the extension stays symmetric and its values
     beyond the ends are the repeated end cells.  p passes are then one
@@ -293,8 +290,8 @@ def _smoothed_monitor(config, r, u, gmid):
     one pass the ends weigh (3/4, 1/4), as before."""
     m = np.sqrt(MONITOR_ALPHA + gmid * gmid)
     # |u|/r at the cell midpoint; the halves of both means cancel
-    m += config.monitor_scale_weight * np.abs(u[:-1] + u[1:]) / (r[:-1] + r[1:])
-    index, taps = _smoothing_filter(m.shape[0], config.monitor_smooth_passes)
+    m += MONITOR_SCALE_WEIGHT * np.abs(u[:-1] + u[1:]) / (r[:-1] + r[1:])
+    index, taps = _smoothing_filter(m.shape[0])
     pad = m.take(index, axis=0)
     if m.ndim == 1:
         return np.convolve(pad, taps, "valid")
@@ -302,31 +299,30 @@ def _smoothed_monitor(config, r, u, gmid):
 
 
 @functools.lru_cache(maxsize=8)
-def _smoothing_filter(cells, passes):
-    """The reflect index and the binomial taps of `passes` smoothing passes
-    over `cells` cells as one filter (see _smoothed_monitor).  The index
-    gathers the half-sample-symmetric extension, `passes` cells beyond each
-    end; that extension has period 2 cells, so the index wraps modulo
-    2 cells and serves passes > cells too."""
-    k = np.arange(-passes, cells + passes) % (2 * cells)
-    index = np.where(k < cells, k, 2 * cells - 1 - k)
-    taps = np.array([math.comb(2 * passes, j) / 4 ** passes
-                     for j in range(2 * passes + 1)])
+def _smoothing_filter(cells):
+    """The reflect index and the binomial taps of the SMOOTH_PASSES
+    smoothing passes over `cells` cells as one filter (see
+    _smoothed_monitor).  The index gathers the half-sample-symmetric
+    extension, SMOOTH_PASSES cells beyond each end (M >= 64 gives more
+    cells than that)."""
+    index = np.pad(np.arange(cells), SMOOTH_PASSES, mode="symmetric")
+    taps = np.array([math.comb(2 * SMOOTH_PASSES, j) / 4 ** SMOOTH_PASSES
+                     for j in range(2 * SMOOTH_PASSES + 1)])
     index.setflags(write=False)
     taps.setflags(write=False)
     return index, taps
 
 
 def _reservation(config, m, dr):
-    """Monitor level that spreads `uniform_fraction` of the monitor mass
+    """Monitor level that spreads UNIFORM_FRACTION of the monitor mass
     sum(m dr) evenly over [0, L]."""
     mass = (m * dr).sum(axis=0)
-    return config.uniform_fraction * mass / config.L
+    return UNIFORM_FRACTION * mass / config.L
 
 
 def _monitor(config, r, u, dr, gmid):
     """Smoothed midpoint monitor with the uniform reservation added."""
-    m = _smoothed_monitor(config, r, u, gmid)
+    m = _smoothed_monitor(r, u, gmid)
     return m + _reservation(config, m, dr)
 
 
@@ -502,8 +498,7 @@ def _make_rhs(config, uL, gain):
 @dataclass(frozen=True)
 class _JacPattern:
     """Column groups of the grouped differences and the layout of the
-    banded Newton matrix, for n interior nodes and `passes` monitor
-    smoothing passes (see _jac_pattern)."""
+    banded Newton matrix, for n interior nodes (see _jac_pattern)."""
     width: int            # columns of one block perturbed in turn
     group: np.ndarray     # differencing column of each state index
     cells: tuple          # (columns, in range) of the cell masses
@@ -515,13 +510,13 @@ class _JacPattern:
 
 
 @functools.lru_cache(maxsize=8)
-def _jac_pattern(n, passes):
-    """The _JacPattern for n interior nodes and `passes` smoothing passes.
+def _jac_pattern(n):
+    """The _JacPattern for n interior nodes.
 
-    The smoothed monitor mass of cell j (between interior nodes j-1 and j)
-    depends on interior nodes j-passes-1 .. j+passes, the mesh equation of
-    node i (the difference of the masses of cells i+1 and i) on
-    i-passes-1 .. i+passes+1, and the stencil at node i on i-1 .. i+1.
+    With p = SMOOTH_PASSES, the smoothed monitor mass of cell j (between
+    interior nodes j-1 and j) depends on interior nodes j-p-1 .. j+p, the
+    mesh equation of node i (the difference of the masses of cells i+1 and
+    i) on i-p-1 .. i+p+1, and the stencil at node i on i-1 .. i+1.
     Each is kept in diagonal storage: entry [i, j] belongs to column
     cols[i, j] (clipped into range; `ok` marks the real ones), in each of
     the u and r blocks.  Within a block, columns equal modulo `width` never
@@ -530,13 +525,13 @@ def _jac_pattern(n, passes):
 
     The Newton matrix orders its unknowns per node as (u_i, r_i, w_i), at
     3i, 3i+1, 3i+2, with w the mesh-velocity unknown of _BandedBDF.  Its
-    bandwidths kl and ku are read off the entries, so they stay within
-    3n-1 when the smoothing reaches across the whole mesh; `at` holds the
+    bandwidths kl and ku are read off the entries; `at` holds the
     flat positions of the entries in LAPACK band storage (transposed, so
     that each column of the band is contiguous), and `take` the flat
     positions in _Jacobian.stencil and .mesh of the in-range entries, in
     the same order."""
-    width = min(max(2 * passes + 2, 3), n)
+    p = SMOOTH_PASSES
+    width = 2 * p + 2
     k = np.arange(n)
     group = np.concatenate([1 + k % width, 1 + width + k % width])
 
@@ -545,9 +540,9 @@ def _jac_pattern(n, passes):
         ok = (cols >= 0) & (cols < n)
         return np.clip(cols, 0, n - 1), ok
 
-    cells = diagonals(n + 1, -passes - 1, passes)
+    cells = diagonals(n + 1, -p - 1, p)
     nodes = diagonals(n, -1, 1)
-    mesh = diagonals(n, -passes - 1, passes + 1)
+    mesh = diagonals(n, -p - 1, p + 1)
 
     def gather(ok):
         # flat positions of the ok entries of a (2,) + ok.shape array
@@ -596,7 +591,7 @@ class _Jacobian:
     pattern: _JacPattern
     stencil: np.ndarray   # (2, n, 3)
     ur: np.ndarray        # (n,)
-    mesh: np.ndarray      # (2, n, 2 * passes + 3)
+    mesh: np.ndarray      # (2, n, 2 * SMOOTH_PASSES + 3)
     g: np.ndarray         # (n,)
     s: np.ndarray         # (2, n)
     a: float = 0.0
@@ -632,8 +627,8 @@ def _make_jac(config, uL, gain, atol):
     grouped forward differences with scipy's num_jac step,
     sqrt(eps) * max(|y|, atol)."""
     n = config.M - 2
-    pat = _jac_pattern(n, config.monitor_smooth_passes)
-    share = config.uniform_fraction / config.L
+    pat = _jac_pattern(n)
+    share = UNIFORM_FRACTION / config.L
     diag = np.arange(2 * n)
 
     def quotients(f, h, cols, ok):
@@ -649,7 +644,7 @@ def _make_jac(config, uL, gain, atol):
         h = Y[diag, pat.group] - y
         r, u = _unpack(config, Y, uL)
         dr, gmid = _differences(r, u)
-        m = _smoothed_monitor(config, r, u, gmid)
+        m = _smoothed_monitor(r, u, gmid)
         # the reservation held at its value at y
         c = (m + _reservation(config, m[:, 0], dr[:, 0])) * dr
         dc = quotients(c, h, *pat.cells)
@@ -768,7 +763,7 @@ def _advance(config, solver, uL, t0):
 def step(config, state, dt_max=np.inf):
     """Advance one accepted implicit step; mostly a testing convenience,
     run() takes its steps through the same _advance."""
-    gain = _gain(config, _steepest(state.r, state.u)[1])
+    gain = _gain(_steepest(state.r, state.u)[1])
     solver = _new_solver(config, state, gain, t_bound=dt_max)
     return _advance(config, solver, state.u[-1], state.t)
 
@@ -826,7 +821,7 @@ def run(config, progress=None):
     qhat = 0.0   # measured growth rate d log(sup u_r)/dt of the last chunk
     while True:
         started = time.perf_counter()
-        gain = _gain(config, gmax, qhat)
+        gain = _gain(gmax, qhat)
         chunk_limit = CHUNK_GROWTH * gmax  # refresh the frozen gain as the layer sharpens
         t_chunk, g_chunk, steps = state.t, gmax, 0
         solver = _new_solver(config, state, gain, t_bound=config.t_max - t_chunk)
@@ -875,7 +870,9 @@ def run(config, progress=None):
     t_left = np.concatenate(parts[::-1])
     for snap, row in zip(snapshots, snap_rows):
         snap.t_left = float(t_left[row])
-    snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy(), t_left=0.0))
+    # the last row closes the snapshots, unless it already is a rung's
+    if snap_rows[-1] != t_left.size - 1:
+        snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy(), 0.0))
     totals = {"chunks": len(chunk_log)}
     for key in _SOLVER_COUNTERS:
         totals[key] = sum(line[key] for line in chunk_log)

@@ -41,17 +41,6 @@ GRID_SIZE = 12000
 TAIL_WINDOW_FRACTION = 0.3
 
 
-def default_x_min(k):
-    # truncation error of the 2-term origin series is O(e^{5 k x_min})
-    return -12.0 / k
-
-
-def default_x_max(consts):
-    # e^{-omega x_max} < 1e-10 relative to the leading tail term keeps the
-    # two-exponential fit well conditioned
-    return max(12.0, math.log(1e10) / consts.omega)
-
-
 @dataclass
 class TailFit:
     h: float
@@ -125,17 +114,17 @@ def lsoda(rhs, y0, t, rtol, atol, what):
             raise IntegrationFailed(f"{what} integration failed: {exc}") from None
 
 
-def solve_profile(consts, x_min=None, x_max=None, tolerance=1e-11):
+def solve_profile(consts, tolerance=1e-11):
     """Integrate the heteroclinic orbit and package it with tail and slope
     constants.  Raises TrappingViolation if the computed orbit exits the
     trapping region by more than the integration error allows, and
     IntegrationFailed if LSODA fails, as it does for tolerance below about
     2.2e-13 (it runs at tolerance/10 and rejects rtol below 100 machine
     epsilons)."""
-    if x_min is None:
-        x_min = default_x_min(consts.params.k)
-    if x_max is None:
-        x_max = default_x_max(consts)
+    # the origin series errs by O(e^{5 k x_min}); e^{-omega x_max} < 1e-10
+    # relative to the leading tail term keeps the tail fit well conditioned
+    x_min = -12.0 / consts.params.k
+    x_max = max(12.0, math.log(1e10) / consts.omega)
     v0, vp0 = _origin_series(consts, x_min)
 
     # the orbit amplitude decays like e^{-gamma x}; absolute tolerance must

@@ -67,7 +67,11 @@ class EpsilonTrajectory:
         return u ** (-1.0 / c.delta)
 
 
-def solve_epsilon(constants, eps0, s_max=60.0, rtol=1e-10, n_samples=2001):
+#: samples of an eps trajectory on [0, s_max]
+EPS_SAMPLES = 2001
+
+
+def solve_epsilon(constants, eps0, s_max=60.0, rtol=1e-10):
     """Integrate the eps ODE in l = log eps,
 
         gamma dl/ds = -lambda_N - b e^{delta l},
@@ -89,7 +93,7 @@ def solve_epsilon(constants, eps0, s_max=60.0, rtol=1e-10, n_samples=2001):
     def rhs(s, ell):
         return ((-lam - b * math.exp(delta * ell.item())) / gamma,)
 
-    s_grid = np.linspace(0.0, s_max, n_samples)
+    s_grid = np.linspace(0.0, s_max, EPS_SAMPLES)
     ell = lsoda(rhs, [math.log(eps0)], s_grid, rtol, rtol, "eps")
     eps = np.exp(ell[:, 0])
     if np.any(eps > 1.5 * eps0) or eps[-1] > eps[0]:
@@ -213,7 +217,6 @@ def an_requirement(traj, lam_n, Dn):
 
 @dataclass
 class AnsatzSnapshot:
-    s: float | None
     eps: float
     K: float
     y: np.ndarray
@@ -221,7 +224,7 @@ class AnsatzSnapshot:
     jump: float          # |f_inn(K) - f_out(K)|
 
 
-def assemble_ansatz(profile, basis, N, eps, y_grid=None, s=None):
+def assemble_ansatz(profile, basis, N, eps, y_grid=None):
     """Global approximate solution: rescaled profile below K = sqrt(eps),
     equatorial map minus the matched eigenmode above it."""
     from .profile import eval_u
@@ -239,5 +242,5 @@ def assemble_ansatz(profile, basis, N, eps, y_grid=None, s=None):
     f[~inner] = 0.5 * math.pi - amp * basis.phi(N, y_grid[~inner])
     f_inn_K = float(eval_u(profile, K / eps))
     f_out_K = 0.5 * math.pi - amp * float(basis.phi(N, K))
-    return AnsatzSnapshot(s=s, eps=eps, K=K, y=y_grid, f=f,
+    return AnsatzSnapshot(eps=eps, K=K, y=y_grid, f=f,
                           jump=abs(f_inn_K - f_out_K))

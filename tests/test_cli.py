@@ -81,10 +81,11 @@ def test_simulate_malformed_configs(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(missing),
                      "--out", str(tmp_path)]) == 2
 
-    # the monitor alpha, the absolute tolerances and the snapshot spacing
-    # are module constants, not config keys
+    # the mesh policy, the absolute tolerances and the snapshot spacing are
+    # module constants, not config keys
     for key in ("meshiness", "monitor_alpha", "atol_u", "atol_r_rel",
-                "snapshot_decades"):
+                "snapshot_decades", "monitor_scale_weight",
+                "monitor_smooth_passes", "uniform_fraction", "tau"):
         unknown = tmp_path / "unknown.json"
         unknown.write_text(json.dumps({"d": 8, "k": 1, key: 1.0}))
         assert cli.main(["simulate", "--config", str(unknown),
@@ -107,10 +108,8 @@ def test_simulate_malformed_configs(tmp_path, capsys):
                 '{"d": 8, "k": 1, "initial_data": [[0, 2, 1], [0, 1, 2]]}',
                 '{"d": 8, "k": 1, "L": NaN}',
                 '{"d": 8, "k": 1, "max_gradient": NaN}',
-                '{"d": 8, "k": 1, "monitor_scale_weight": -1}',
-                '{"d": 8, "k": 1, "monitor_smooth_passes": -1}',
                 '{"d": 8, "k": 1, "M": 201.7}',
-                '{"d": 8, "k": 1, "monitor_smooth_passes": 2.5}',
+                '{"d": 8, "k": 1, "t_max": 0}',
                 '{"d": 8, "k": 1.5}'):
         path = tmp_path / "bad.json"
         path.write_text(bad)
@@ -166,12 +165,12 @@ def test_config_schema_round_trip(tmp_path):
 def test_config_hash_pinned(tmp_path):
     # run-directory names must not move when the config code changes
     assert cli._config_hash(SimConfig(ModelParams(d=8.0, k=1))) \
-        == "beabbdbcfb5edc60"
+        == "11bddd87b5304ada"
     path = write_config(tmp_path / "cfg.json", M=161)
-    assert cli._config_hash(cli._load_config(path)) == "9a3bb84a49957867"
+    assert cli._config_hash(cli._load_config(path)) == "d2472ec14d9659e0"
     # an integral float is the integer
     path = write_config(tmp_path / "cfg_float.json", M=161.0, k=1.0)
-    assert cli._config_hash(cli._load_config(path)) == "9a3bb84a49957867"
+    assert cli._config_hash(cli._load_config(path)) == "d2472ec14d9659e0"
 
 
 def test_bad_run_directory_exit_2(tmp_path, run_dir, capsys):
@@ -202,6 +201,40 @@ def test_bad_run_directory_exit_2(tmp_path, run_dir, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (bare / "compare.json").exists()
     assert cli.main(["fit", "--run", str(bare)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("broken", ["not_json", "no_t_left", "no_csv"])
+def test_compare_bad_snapshot_exit_2(tmp_path, run_dir, capsys, broken):
+    # a snapshot JSON that is not JSON or lacks t_left, or the overlay's
+    # snapshot table gone: one error line
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    snaps = run / "snapshots"
+    if broken == "no_csv":
+        for path in snaps.glob("*.csv"):
+            path.unlink()
+    else:
+        (snaps / "snap_000.json").write_text(
+            "{oops" if broken == "not_json" else '{"t": 0.2, "index": 0}')
+    assert cli.main(["compare", "--run", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read snapshot") and err.count("\n") == 1
+
+
+def test_run_directory_with_removed_keys_loads(tmp_path, run_dir, capsys):
+    # a run directory written while the mesh policy was configurable: its
+    # config.json keeps those keys, which fit and compare pass over
+    run = tmp_path / "old_run"
+    shutil.copytree(run_dir, run)
+    saved = read_json(run / "config.json")
+    saved.update(monitor_scale_weight=1.0, monitor_smooth_passes=4,
+                 uniform_fraction=0.1, tau=0.1)
+    (run / "config.json").write_text(json.dumps(saved))
+    config, _ = cli._load_run(str(run))
+    assert config == cli._load_run(run_dir)[0]
+    for argv in (["fit", "--run", str(run)], ["compare", "--run", str(run)]):
+        assert cli.main(argv) == 0, argv
     capsys.readouterr()
 
 
@@ -247,6 +280,18 @@ def test_run_directory_layout(run_dir):
     assert 0.05 < fit["beta"] < 0.25
 
 
+def test_snapshot_files_distinct(run_dir):
+    # one file pair per snapshot, in index order, each row once: t_left
+    # decreases strictly to 0 (the run stops on the sup|u_r| = 1e6 rung)
+    snap_dir = os.path.join(run_dir, "snapshots")
+    metas = sorted((read_json(os.path.join(snap_dir, name))
+                    for name in os.listdir(snap_dir) if name.endswith(".json")),
+                   key=lambda meta: meta["index"])
+    assert [meta["index"] for meta in metas] == list(range(len(metas)))
+    t_left = np.array([meta["t_left"] for meta in metas])
+    assert np.all(np.diff(t_left) < 0) and t_left[-1] == 0.0
+
+
 def test_solver_log(run_dir):
     # one line per chunk solver; they add up to the manifest's totals
     manifest = read_json(os.path.join(run_dir, "manifest.json"))
@@ -285,6 +330,8 @@ def test_compare_command(run_dir, capsys):
     plot = np.genfromtxt(report["rate_plot"], delimiter=",", names=True)
     assert "neg_log_T_minus_t" in plot.dtype.names
     assert plot.size > 100
+    # an overlay, or the reason there is none
+    assert ("overlay" in report) != ("no_overlay" in report)
 
 
 def log_law_run(root, d=7, k=1, C=0.225, s0=-0.436, T=0.229,
@@ -388,13 +435,32 @@ def test_overlay_takes_latest_snapshot(tmp_path):
         (snap_dir / f"snap_{j:03d}.json").write_text(
             json.dumps({"t": 0.2 - t_left, "t_left": t_left, "index": j}))
     path = tmp_path / "overlay.csv"
-    assert cli._overlay_csv(str(path), str(tmp_path), tau, prof, basis, 1)
+    assert cli._overlay_csv(str(path), str(tmp_path), tau, prof, basis, 1) \
+        == {"overlay": str(path)}
     overlay = np.genfromtxt(path, delimiter=",", names=True)
     assert overlay.size > 10
     # f_numeric against y is snap_1000's profile at y = r / sqrt(T - t)
     r_back = overlay["y"] * math.sqrt(tau)
     assert np.allclose(overlay["f_numeric"], 2.0 * np.arctan(r_back / 1e-5),
                        rtol=1e-8, atol=1e-12)
+
+
+def test_overlay_reason(tmp_path):
+    # no overlay: every snapshot at or after the fitted T, or the latest
+    # one before it with eps outside (0, 0.1]
+    prof, basis = cli._pipeline(8.0, 1, 1)[1:3]
+    r = np.concatenate([[0.0], np.geomspace(1e-9, 2.0, 400)])
+    snap_dir = tmp_path / "snapshots"
+    snap_dir.mkdir()
+    write_table(snap_dir / "snap_000.csv", ("r", "u"), (r, 2.0 * np.arctan(r)))
+    (snap_dir / "snap_000.json").write_text(
+        json.dumps({"t": 0.1, "t_left": 0.1, "index": 0}))
+    path = tmp_path / "overlay.csv"
+    for tau, reason in ((-0.2, "no snapshot before T"),
+                        (1e-6, "eps = ")):
+        entry = cli._overlay_csv(str(path), str(tmp_path), tau, prof, basis, 1)
+        assert entry["no_overlay"].startswith(reason), entry
+        assert not path.exists()
 
 
 def test_run_directory_without_t_left_exit_2(tmp_path, capsys):

@@ -53,16 +53,16 @@ def test_config_validation():
         config(M=32)
     with pytest.raises(ValueError):
         config(max_gradient=1e5)
-    for bad in ({"rtol": 0.0}, {"rtol": -1e-6}, {"tau": 0.0},
-                {"t_max": -1.0}, {"t_max": 0.0}, {"uniform_fraction": -0.5},
-                {"tau": math.nan}, {"L": math.nan}, {"L": math.inf},
-                {"max_gradient": math.nan}, {"monitor_scale_weight": -1.0},
-                {"monitor_smooth_passes": -1}, {"monitor_smooth_passes": -2},
-                {"monitor_smooth_passes": 2.5}):
+    for bad in ({"rtol": 0.0}, {"rtol": -1e-6}, {"rtol": math.nan},
+                {"t_max": -1.0}, {"t_max": 0.0}, {"L": math.nan},
+                {"L": math.inf}, {"max_gradient": math.nan}):
         with pytest.raises(ValueError):
             config(**bad)
-    config(uniform_fraction=0.0, monitor_scale_weight=0.0,
-           monitor_smooth_passes=0)
+    # the mesh policy is fixed: its constants are no config fields
+    for key in ("monitor_scale_weight", "monitor_smooth_passes",
+                "uniform_fraction", "tau"):
+        with pytest.raises(TypeError):
+            config(**{key: 0.1})
 
 
 def test_initialize_identity_family():
@@ -141,8 +141,9 @@ def test_energy_decreases_across_steps():
 
 
 def test_mesh_velocity_vanishes_at_equidistribution():
-    # constant monitor on a uniform mesh: no node should move
-    cfg = config(M=101, monitor_scale_weight=0.0)
+    # constant monitor on a uniform mesh: no node should move (u = 0, so
+    # the |u|/r term vanishes too)
+    cfg = config(M=101)
     r = np.linspace(0.0, 2.0, 101)
     u = np.zeros(101)
     rdot = meshsim._mesh_rhs(cfg, r, u, *meshsim._differences(r, u), gain=1.0)
@@ -189,15 +190,15 @@ def _reference_rhs(cfg, y, uL, gain):
     u = np.concatenate([[0.0], y[:n], [uL]])
     dr = np.diff(r)
     m = np.sqrt(meshsim.MONITOR_ALPHA + (np.diff(u) / dr) ** 2)
-    m = m + cfg.monitor_scale_weight * np.abs(0.5 * (u[:-1] + u[1:])) \
+    m = m + meshsim.MONITOR_SCALE_WEIGHT * np.abs(0.5 * (u[:-1] + u[1:])) \
         / (0.5 * (r[:-1] + r[1:]))
-    for _ in range(cfg.monitor_smooth_passes):
+    for _ in range(meshsim.SMOOTH_PASSES):
         sm = np.empty_like(m)
         sm[1:-1] = 0.25 * m[:-2] + 0.5 * m[1:-1] + 0.25 * m[2:]
         sm[0] = 0.75 * m[0] + 0.25 * m[1]
         sm[-1] = 0.75 * m[-1] + 0.25 * m[-2]
         m = sm
-    m = m + cfg.uniform_fraction * np.sum(m * dr) / cfg.L
+    m = m + meshsim.UNIFORM_FRACTION * np.sum(m * dr) / cfg.L
     ab = np.empty((2, n))
     ab[0], ab[1] = -1.0, 2.0
     rdot = scipy.linalg.solveh_banded(ab, gain * np.diff(m * dr))
@@ -318,8 +319,8 @@ def _newton_error(cfg, state, gain, extra_c=()):
 
 
 JACOBIAN_CASES = [
-    {}, {"monitor_smooth_passes": 0}, {"monitor_scale_weight": 0.0},
-    {"uniform_fraction": 0.0}, {"initial_data": "r+sin(r)", "M": 97},
+    {}, {"d": 9.0, "M": 121}, {"d": 7.0, "L": math.pi, "M": 241},
+    {"d": 14.0, "k": 2}, {"initial_data": "r+sin(r)", "M": 97},
 ]
 
 
@@ -344,8 +345,8 @@ def test_jacobian_matches_num_jac_sharpened_layer(quick_trace):
 
 
 @pytest.mark.parametrize("kw", JACOBIAN_CASES + [
-    # smoothing wider than the mesh: the band is clipped to 3n - 1
-    {"M": 64, "monitor_smooth_passes": 100},
+    # the smallest mesh, where the smoothing spans the most of it
+    {"M": 64},
 ])
 def test_newton_solve_matches_dense(kw):
     cfg = config(**kw)
@@ -392,11 +393,13 @@ def test_newton_band_gather_matches_masks(kw):
     assert np.array_equal(band, ref_band) and np.array_equal(piv, ref_piv)
 
 
-def test_newton_band_clipped_to_matrix():
-    n = 62
-    pattern = meshsim._jac_pattern(n, 100)
-    assert pattern.kl == 3 * n - 1 and pattern.ku < 3 * n
-    assert meshsim._jac_pattern(199, 4).kl < 3 * (4 + 2)
+def test_newton_bandwidths():
+    # the mesh rows reach SMOOTH_PASSES + 1 nodes to either side, at any n
+    p = meshsim.SMOOTH_PASSES
+    for n in (62, 199):
+        pattern = meshsim._jac_pattern(n)
+        assert (pattern.kl, pattern.ku) == (3 * p + 5, 3 * p + 2)
+        assert pattern.width == 2 * p + 2
 
 
 def test_no_dense_lu(monkeypatch):
@@ -419,7 +422,7 @@ def test_chunk_solver_memory_linear():
     # alone is 118 MB at M = 1921, the whole solver after one step ~7 MB
     cfg = config(M=1921)
     state = initialize(cfg)
-    gain = meshsim._gain(cfg, meshsim._steepest(state.r, state.u)[1])
+    gain = meshsim._gain(meshsim._steepest(state.r, state.u)[1])
     tracemalloc.start()
     try:
         solver = meshsim._new_solver(cfg, state, gain, t_bound=1.0)
@@ -452,12 +455,9 @@ def _smoothing_passes(m, passes):
 
 
 @pytest.mark.parametrize("M", [64, 161])
-@pytest.mark.parametrize("passes", [0, 1, 4, 100])
+@pytest.mark.parametrize("passes", [meshsim.SMOOTH_PASSES])
 def test_smoothing_filter_matches_passes(M, passes):
-    # passes = 100 reaches across the 63 cells of M = 64 more than once
-    cfg = config(M=M, monitor_smooth_passes=passes)
-    raw = config(M=M, monitor_smooth_passes=0)
-    state = initialize(cfg)
+    state = initialize(config(M=M))
     rng = np.random.default_rng(M + passes)
     # a sharp layer, and a block of perturbed states as _make_jac passes
     u = state.u + np.arctan(state.r / 1e-3)
@@ -465,24 +465,12 @@ def test_smoothing_filter_matches_passes(M, passes):
               u[:, None] * (1.0 + 1e-3 * rng.standard_normal((M, 21)))))
     for r, u in blocks:
         gmid = meshsim._differences(r, u)[1]
-        m = meshsim._smoothed_monitor(cfg, r, u, gmid)
-        ref = _smoothing_passes(meshsim._smoothed_monitor(raw, r, u, gmid), passes)
+        m = meshsim._smoothed_monitor(r, u, gmid)
+        raw = np.sqrt(meshsim.MONITOR_ALPHA + gmid * gmid) \
+            + meshsim.MONITOR_SCALE_WEIGHT * np.abs(u[:-1] + u[1:]) / (r[:-1] + r[1:])
+        ref = _smoothing_passes(raw, passes)
         assert m.shape == ref.shape == gmid.shape
-        assert np.max(np.abs(m - ref) / ref) <= 2e-15, (M, passes, r.ndim)
-
-
-def test_bare_monitor_bits():
-    # no smoothing passes and no |u|/r term: the filter is the one tap 1.0
-    # and the term adds 0.0, so the monitor is sqrt(alpha + u_r^2) bit for bit
-    cfg = config(M=64, monitor_smooth_passes=0, monitor_scale_weight=0.0)
-    state = initialize(config(M=64))
-    u = state.u + np.arctan(state.r / 1e-3)
-    r2 = np.repeat(state.r[:, None], 5, axis=1)
-    u2 = u[:, None] * np.linspace(0.5, 1.5, 5)
-    for r, u in ((state.r, u), (r2, u2)):
-        gmid = meshsim._differences(r, u)[1]
-        assert np.array_equal(meshsim._smoothed_monitor(cfg, r, u, gmid),
-                              np.sqrt(1.0 + gmid * gmid))
+        assert np.max(np.abs(m - ref) / ref) <= 2e-15, (M, r.ndim)
 
 
 # ----------------------------------------------------------------------------
@@ -606,6 +594,15 @@ def test_deep_run_reaches_max_gradient():
     # the rows of every chunk are kept
     assert trace.chunk_log[-1]["end"] == "blowup"
     assert sum(line["steps"] for line in trace.chunk_log) == trace.t.size - 1
+
+
+def test_snapshots_distinct(quick_trace):
+    # the quick run stops on a snapshot rung (sup|u_r| = 1e6), the t_max run
+    # between two; either way the last row closes the snapshots once
+    for trace in (quick_trace, run(config(M=101, t_max=1e-3))):
+        t_left = [snap.t_left for snap in trace.snapshots]
+        assert np.all(np.diff(t_left) < 0) and t_left[-1] == 0.0, t_left
+    assert quick_trace.sup_grad[-2] < 1e6 <= quick_trace.sup_grad[-1]
 
 
 def test_log_fit_stable_under_roundoff(monkeypatch):
