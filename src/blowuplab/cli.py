@@ -24,7 +24,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import shutil
 import sys
@@ -320,37 +319,45 @@ def cmd_fit(args):
 def _rate_plot_csv(path, trace, tau):
     mask = trace.t_left > -tau
     left = trace.t_left[mask] + tau   # T - t
-    write_table(path, ("neg_log_T_minus_t", "sqrt_T_minus_t_dr_u0"),
-                (-np.log(left), np.sqrt(left) * np.abs(trace.dr_u0[mask])))
+    write_table(path, ("neg_log_T_minus_t", "sqrt_T_minus_t_sup_grad"),
+                (-np.log(left), np.sqrt(left) * trace.sup_grad[mask]))
 
 
-def _overlay_csv(path, run_dir, tau, prof, basis, N):
-    """Latest usable snapshot against the matched ansatz, in (y, f); returns
-    the compare.json entry, {"overlay": path} or {"no_overlay": why not}.
-    The snapshot is the one with the least t_left > -tau (T - t > 0),
-    whatever the order of the file names.  ConfigError if a snapshot
-    cannot be read."""
+def _snapshot_index(run_dir):
+    """(path without extension, t, t_left) of every snapshot of a run
+    directory; ConfigError if one lacks a readable JSON or its table."""
     snap_dir = os.path.join(run_dir, "snapshots")
-    best, t_left = None, math.inf
+    index = []
     try:
         for meta in os.listdir(snap_dir):
-            if not meta.endswith(".json"):
-                continue
-            with open(os.path.join(snap_dir, meta)) as fh:
-                snap = json.load(fh)
-            if -tau < snap["t_left"] < t_left:
-                best, t_left = (meta[:-5], snap["t"]), snap["t_left"]
-        if best is None:
-            return {"no_overlay": f"no snapshot before T (tau = {tau:.3e})"}
-        data = np.genfromtxt(os.path.join(snap_dir, best[0] + ".csv"),
-                             delimiter=",", names=True)
-        r, u = data["r"], data["u"]
+            if meta.endswith(".json"):
+                base = os.path.join(snap_dir, meta[:-5])
+                with open(base + ".json") as fh:
+                    snap = json.load(fh)
+                os.stat(base + ".csv")   # its table must exist
+                index.append((base, float(snap["t"]), float(snap["t_left"])))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read snapshot in {snap_dir}: {exc!r}") from exc
-    state = meshsim.MeshState(t=best[1], r=r, u=u, t_left=t_left)
+    return index
+
+
+def _overlay_csv(path, snapshots, tau, prof, basis, N):
+    """The latest snapshot of a _snapshot_index before T (least t_left >
+    -tau) against the matched ansatz, in (y, f); returns the compare.json
+    entry, {"overlay": path} or {"no_overlay": why not}."""
+    before = [snap for snap in snapshots if snap[2] > -tau]
+    if not before:
+        return {"no_overlay": f"no snapshot before T (tau = {tau:.3e})"}
+    base, t, t_left = min(before, key=lambda snap: snap[2])
+    try:
+        data = np.genfromtxt(base + ".csv", delimiter=",", names=True)
+        state = meshsim.MeshState(t=t, r=data["r"], u=data["u"], t_left=t_left)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read snapshot {base}.csv: {exc!r}") from exc
     ss = meshsim.to_self_similar(state, tau, prof.Cs)
     if not 0.0 < ss.eps <= 0.1:
-        return {"no_overlay": f"eps = {ss.eps:.3e} at {best[0]} is outside (0, 0.1]"}
+        return {"no_overlay": f"eps = {ss.eps:.3e} at "
+                              f"{os.path.basename(base)} is outside (0, 0.1]"}
     mask = (ss.y >= ss.eps * 1e-2) & (ss.y <= 2.0)
     ansatz = rates.assemble_ansatz(prof, basis, N, ss.eps, y_grid=ss.y[mask])
     write_table(path, ("y", "f_numeric", "f_ansatz"),
@@ -360,11 +367,9 @@ def _overlay_csv(path, run_dir, tau, prof, basis, N):
 
 def cmd_compare(args):
     config, trace = _load_run(args.run)
-    # a run without snapshots or a bad second run is a malformed argument,
-    # caught before any work; the second run's log-law C is compared with
-    # the first's, so both must be log-law runs at one (d, k)
-    if not os.path.isdir(os.path.join(args.run, "snapshots")):
-        raise ConfigError(f"run directory {args.run} has no snapshots/")
+    # unreadable snapshots or a bad second run exit 2 before any work; the
+    # runs' log-law C are compared, so both must be log-law at one (d, k)
+    snapshots = _snapshot_index(args.run)
     if args.run2:
         config2, trace2 = _load_run(args.run2)
         p, p2 = config.params, config2.params
@@ -414,7 +419,7 @@ def cmd_compare(args):
     _rate_plot_csv(plot_path, trace, fit.tau)
     report["rate_plot"] = plot_path
     report.update(_overlay_csv(os.path.join(args.run, "overlay.csv"),
-                               args.run, fit.tau, prof, basis, N))
+                               snapshots, fit.tau, prof, basis, N))
     print(f"report relative error: {report['relative_error']:.4f}")
     _write_json(os.path.join(args.run, "compare.json"), report)
     return 0

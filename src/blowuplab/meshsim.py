@@ -38,12 +38,11 @@ _BandedBDF factors with LAPACK's banded LU and corrects for the rank-one
 term by Sherman-Morrison (Hairer & Wanner, Solving ODEs II, ch. VI), so a
 Newton step costs O(M).
 
-Blow-up observables (the origin gradient, the global max gradient, the
-energy, the mesh resolution) are recorded at every accepted step; the
-stepping loop takes only the gradients itself, and the rest of each row is
-computed once per solver chunk for all of its steps (_trace_rows).  Rate
-fitting recovers the power-law exponent 1/2 + beta or the logarithmic
-law from the trace.
+Blow-up observables (sup |u_r| = 1/R, the layer scale for every k, and its
+location, the energy, the mesh resolution) are recorded at every accepted
+step; the stepping loop takes only sup |u_r| itself, and the rest of each
+row is computed once per solver chunk for all of its steps (_trace_rows).
+Rate fitting recovers the exponent 1/2 + beta or the log law from R.
 """
 
 from __future__ import annotations
@@ -148,9 +147,9 @@ class SimConfig:
 
 
 #: the per-step observables of a run, in trace.csv column order; the first
-#: five are the stable contract, the next two let the rate fits recover
+#: four are the stable contract, the next two let the rate fits recover
 #: their resolved window after a reload, and t_left gives every T - t
-TRACE_COLUMNS = ("t", "dr_u0", "sup_grad", "energy", "min_dx",
+TRACE_COLUMNS = ("t", "sup_grad", "energy", "min_dx",
                  "sup_grad_loc", "nodes_in_layer", "t_left")
 
 
@@ -169,8 +168,7 @@ class MeshState:
 class RunTrace:
     config: SimConfig
     t: np.ndarray
-    dr_u0: np.ndarray        # du/dr at r=0 (one-sided, 2nd order)
-    sup_grad: np.ndarray     # max over mesh of |du/dr|
+    sup_grad: np.ndarray     # max over mesh of |du/dr|, 1/R
     energy: np.ndarray
     min_dx: np.ndarray
     sup_grad_loc: np.ndarray  # location of the max gradient
@@ -249,12 +247,12 @@ def _origin_gradient(r, u):
 
 
 def _steepest(r, u):
-    """The origin gradient, sup |u_r| over the mesh (the largest midpoint or
-    origin gradient) and the cell of the largest midpoint gradient."""
-    g0 = _origin_gradient(r, u)
+    """sup |u_r| over the mesh (the largest midpoint or origin gradient) and
+    where it lies: 0 at the origin, else the midpoint of its cell."""
+    g0 = abs(_origin_gradient(r, u))
     a = np.abs(_differences(r, u)[1])
     j = int(np.argmax(a))
-    return g0, max(float(a[j]), abs(g0)), j
+    return (g0, 0.0) if g0 >= a[j] else (float(a[j]), 0.5 * (r[j] + r[j + 1]))
 
 
 def _gain(gmax, qhat=0.0):
@@ -395,15 +393,13 @@ def _energy(config, r, u):
     return 0.5 * np.sum(dens * rmid ** (d - 1.0) * dr, axis=-1)
 
 
-def _trace_rows(config, t, r, u, g0, gmax, j):
+def _trace_rows(config, t, r, u, gmax, loc):
     """The TRACE_COLUMNS but t_left of states stacked as the rows of r and
-    u, shape (states, M), given their origin gradients g0, sup |u_r| gmax
-    and steepest cells j (see _steepest).  Every reduction runs along a row
-    on its own, so each row is bit for bit what its state gives alone."""
+    u, shape (states, M), given their sup |u_r| gmax and its locations loc
+    (see _steepest).  Every reduction runs along a row on its own, so each
+    row is bit for bit what its state gives alone."""
     dr = r[:, 1:] - r[:, :-1]
-    rows = np.arange(t.size)
-    loc = np.where(np.abs(g0) >= gmax, 0.0, 0.5 * (r[rows, j] + r[rows, j + 1]))
-    return (t, g0, gmax, _energy(config, r, u), dr.min(axis=1), loc,
+    return (t, gmax, _energy(config, r, u), dr.min(axis=1), loc,
             np.sum(r <= (5.0 / gmax)[:, None], axis=1))
 
 
@@ -763,7 +759,7 @@ def _advance(config, solver, uL, t0):
 def step(config, state, dt_max=np.inf):
     """Advance one accepted implicit step; mostly a testing convenience,
     run() takes its steps through the same _advance."""
-    gain = _gain(_steepest(state.r, state.u)[1])
+    gain = _gain(_steepest(state.r, state.u)[0])
     solver = _new_solver(config, state, gain, t_bound=dt_max)
     return _advance(config, solver, state.u[-1], state.t)
 
@@ -804,7 +800,7 @@ def run(config, progress=None):
 
     columns = []   # the _trace_rows of each chunk
     thetas = []    # the chunk-local times of the rows of each chunk
-    held = []      # (t, r, u, g0, gmax, cell, theta) of states not yet in columns
+    held = []      # (t, r, u, gmax, loc, theta) of states not yet in columns
     chunk_log = []
     snapshots = [MeshState(state.t, state.r.copy(), state.u.copy())]
     snap_rows = [0]   # the trace row of each snapshot
@@ -813,8 +809,8 @@ def run(config, progress=None):
 
     def observe(state, theta):
         """Hold a state for its trace row; return sup |u_r|."""
-        g0, gmax, j = _steepest(state.r, state.u)
-        held.append((state.t, state.r, state.u, g0, gmax, j, theta))
+        gmax, loc = _steepest(state.r, state.u)
+        held.append((state.t, state.r, state.u, gmax, loc, theta))
         return gmax
 
     gmax = observe(state, 0.0)
@@ -901,14 +897,13 @@ MIN_LAYER_NODES = 20
 
 
 def _resolved_window(trace):
-    """The samples of every rate fit, the rows and |u_r(0)| at the kept rows
+    """The samples of every rate fit, the rows and sup |u_r| at the kept rows
     of the first longest contiguous stretch with enough nodes inside the
     layer: the recorded gradient is not trustworthy outside it.  NoBlowup if
     the run did not blow up."""
     if trace.no_blowup:
         raise NoBlowup("trace ended before the stop criterion")
-    g = np.abs(trace.dr_u0)
-    idx = _subsample_log(g)
+    idx = _subsample_log(trace.sup_grad)
     ok = trace.nodes_in_layer[idx] >= MIN_LAYER_NODES
     # (start, end) of each run of resolved samples
     runs = np.flatnonzero(np.diff(np.concatenate(([False], ok, [False]))))
@@ -918,13 +913,13 @@ def _resolved_window(trace):
         raise WindowTooShort("no resolved stretch of 12+ samples in the trace")
     start, end = runs[np.argmax(lengths)]
     idx = idx[start:end]
-    return idx, g[idx]
+    return idx, trace.sup_grad[idx]
 
 
 def fit_power(trace):
-    """Power-law fit from the log-derivative of the origin gradient.
+    """Power-law fit from the log-derivative of sup |u_r| = 1/R.
 
-    q(t) = d log(dr_u0)/dt equals (1/2+beta)/(T-t) for a pure power law,
+    q(t) = d log(sup_grad)/dt equals (1/2+beta)/(T-t) for a pure power law,
     so 1/q is linear in t with root T; a line fit over the last three
     decades of the resolved window gives beta and tau = T - t at the last
     row.  Time is -t_left, which is exact however close the rows are to T."""
@@ -968,7 +963,7 @@ def fit_power(trace):
 
 
 def fit_log(trace, delta=1.0):
-    """Logarithmic-law fit: sqrt(T-t) dr_u0 = C (-log(T-t) - s0)^{1/delta}
+    """Logarithmic-law fit: sqrt(T-t) sup_grad = C (-log(T-t) - s0)^{1/delta}
     over the last six e-folds of T - t in the resolved window.
 
     With T - t = t_left + tau and tau fixed the model is linear in
@@ -976,8 +971,8 @@ def fit_log(trace, delta=1.0):
     sits under a 1-D search over tau, the T - t of the last row."""
     idx, g = _resolved_window(trace)
     t_left = trace.t_left[idx]
-    # parabolic scaling puts tau near 1/u_r(0)^2 at the last row
-    tau_guess = trace.dr_u0[-1] ** -2.0
+    # parabolic scaling puts tau near 1/sup|u_r|^2 at the last row
+    tau_guess = trace.sup_grad[-1] ** -2.0
 
     def line_fit(tau):
         """x = -log(T-t) and z = (sqrt(T-t) g)^delta over the window, and the
@@ -1030,16 +1025,16 @@ class SelfSimilarSnapshot:
 
 def to_self_similar(state, tau, Cs):
     """Rescale a snapshot to (y, s, f) variables for spectral projection and
-    comparison with the matched ansatz, at T - t = t_left + tau (FitResult),
-    with the inner-layer scale eps = 1/(Cs sqrt(T-t) |u_r(0)|) (inf where
-    u_r(0) = 0) of R = Cs sqrt(T-t) eps, R = 1/|u_r(0)|, Cs the profile's."""
+    comparison with the matched ansatz, at T - t = t_left + tau (FitResult).
+    The layer u ~ U*(y/eps) has sup |u_r| = 1/R, R = Cs sqrt(T-t) eps,
+    since Cs = 1/sup |U*'| (the profile's); eps is inf where u = 0."""
     left = state.t_left + tau
     if not left > 0:
         raise ValueError("snapshot time must precede the blow-up time")
-    g0 = abs(_origin_gradient(state.r, state.u))
+    g = _steepest(state.r, state.u)[0]
     return SelfSimilarSnapshot(
         s=-math.log(left),
         y=state.r / math.sqrt(left),
         f=state.u.copy(),
-        eps=1.0 / (Cs * math.sqrt(left) * g0) if g0 > 0 else math.inf,
+        eps=1.0 / (Cs * math.sqrt(left) * g) if g > 0 else math.inf,
     )

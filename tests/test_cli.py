@@ -206,20 +206,24 @@ def test_bad_run_directory_exit_2(tmp_path, run_dir, capsys):
 
 @pytest.mark.parametrize("broken", ["not_json", "no_t_left", "no_csv"])
 def test_compare_bad_snapshot_exit_2(tmp_path, run_dir, capsys, broken):
-    # a snapshot JSON that is not JSON or lacks t_left, or the overlay's
-    # snapshot table gone: one error line
+    # a snapshot JSON that is not JSON or lacks t_left, or a snapshot table
+    # gone: one error line, before any work is printed or written
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)
+    for name in ("rate_plot.csv", "compare.json"):
+        (run / name).unlink(missing_ok=True)
     snaps = run / "snapshots"
     if broken == "no_csv":
-        for path in snaps.glob("*.csv"):
-            path.unlink()
+        (snaps / "snap_000.csv").unlink()
     else:
         (snaps / "snap_000.json").write_text(
             "{oops" if broken == "not_json" else '{"t": 0.2, "index": 0}')
     assert cli.main(["compare", "--run", str(run)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: cannot read snapshot") and err.count("\n") == 1
+    assert not (run / "rate_plot.csv").exists()
+    assert not (run / "compare.json").exists()
 
 
 def test_run_directory_with_removed_keys_loads(tmp_path, run_dir, capsys):
@@ -236,6 +240,26 @@ def test_run_directory_with_removed_keys_loads(tmp_path, run_dir, capsys):
     for argv in (["fit", "--run", str(run)], ["compare", "--run", str(run)]):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_run_directory_with_dr_u0_loads(tmp_path, run_dir, capsys):
+    # a run directory written while the trace kept the origin gradient
+    # dr_u0 as its second column: fit and compare read past it and fit the
+    # same law as on the current layout
+    fits = []
+    for layout in ("new", "old"):
+        run = tmp_path / layout
+        shutil.copytree(run_dir, run)
+        if layout == "old":
+            trace = np.genfromtxt(run / "trace.csv", delimiter=",", names=True)
+            columns = [trace[name] for name in TRACE_COLUMNS]
+            write_table(run / "trace.csv", ("t", "dr_u0", *TRACE_COLUMNS[1:]),
+                        (columns[0], columns[1], *columns[1:]))
+        for argv in (["fit", "--run", str(run)], ["compare", "--run", str(run)]):
+            assert cli.main(argv) == 0, argv
+        fits.append((run / "fit.json").read_text())
+    capsys.readouterr()
+    assert fits[0] == fits[1]
 
 
 def test_run_directory_layout(run_dir):
@@ -337,7 +361,7 @@ def test_compare_command(run_dir, capsys):
 def log_law_run(root, d=7, k=1, C=0.225, s0=-0.436, T=0.229,
                 stopped="blowup"):
     """A run directory at (d, k) without snapshots whose trace follows the
-    log law sqrt(T-t) dr_u0 = C (-log(T-t) - s0) exactly."""
+    log law sqrt(T-t) sup_grad = C (-log(T-t) - s0) exactly."""
     run = root / f"log_run_{d}d{k}k_{C}"
     (run / "snapshots").mkdir(parents=True)
     (run / "config.json").write_text(
@@ -345,7 +369,7 @@ def log_law_run(root, d=7, k=1, C=0.225, s0=-0.436, T=0.229,
     tau = np.geomspace(1e-1, 1e-9, 2400)
     g = C * (-np.log(tau) - s0) / np.sqrt(tau)
     write_table(run / "trace.csv", TRACE_COLUMNS,
-                (T - tau, g, g, np.linspace(1.0, 0.5, tau.size), 1.0 / g,
+                (T - tau, g, np.linspace(1.0, 0.5, tau.size), 1.0 / g,
                  np.zeros_like(tau), np.full(tau.size, 50), tau - tau[-1]))
     return str(run)
 
@@ -435,7 +459,8 @@ def test_overlay_takes_latest_snapshot(tmp_path):
         (snap_dir / f"snap_{j:03d}.json").write_text(
             json.dumps({"t": 0.2 - t_left, "t_left": t_left, "index": j}))
     path = tmp_path / "overlay.csv"
-    assert cli._overlay_csv(str(path), str(tmp_path), tau, prof, basis, 1) \
+    snapshots = cli._snapshot_index(str(tmp_path))
+    assert cli._overlay_csv(str(path), snapshots, tau, prof, basis, 1) \
         == {"overlay": str(path)}
     overlay = np.genfromtxt(path, delimiter=",", names=True)
     assert overlay.size > 10
@@ -458,7 +483,8 @@ def test_overlay_reason(tmp_path):
     path = tmp_path / "overlay.csv"
     for tau, reason in ((-0.2, "no snapshot before T"),
                         (1e-6, "eps = ")):
-        entry = cli._overlay_csv(str(path), str(tmp_path), tau, prof, basis, 1)
+        entry = cli._overlay_csv(str(path), cli._snapshot_index(str(tmp_path)),
+                                 tau, prof, basis, 1)
         assert entry["no_overlay"].startswith(reason), entry
         assert not path.exists()
 
@@ -477,17 +503,28 @@ def test_run_directory_without_t_left_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and "t_left" in err, argv
 
 
-def test_simulate_zero_origin_gradient(tmp_path, capsys):
-    # u = 0 near the origin: the first trace row has u_r(0) = 0, which the
-    # fit skips instead of failing the finished run
+def test_simulate_flat_near_origin(tmp_path, capsys):
+    # u = 0 near the origin: the steepest gradient starts off the origin,
+    # and the finished run still fits the d=8 power law
     cfg = write_config(tmp_path / "flat.json", M=161,
                        initial_data=[[0, 0.5, 2], [0, 0, 3]])
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     run = tmp_path / [d for d in os.listdir(tmp_path) if d.startswith("run_")][0]
     assert "beta=" in capsys.readouterr().out
-    trace = np.genfromtxt(run / "trace.csv", delimiter=",", names=True)
-    assert trace["dr_u0"][0] == 0.0
     assert 0.05 < read_json(run / "fit.json")["beta"] < 0.25
+
+
+def test_simulate_k2_fits_layer_scale(tmp_path, capsys):
+    # at k = 2 the layer U*(y/eps) has u_r(0) = 0; the fits and the overlay
+    # read R = 1/sup |u_r|, whose exponent 1/2 + beta is of the order 1/2
+    cfg = write_config(tmp_path / "k2.json", d=14, k=2, M=161)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    run = tmp_path / [d for d in os.listdir(tmp_path) if d.startswith("run_")][0]
+    capsys.readouterr()
+    assert 0.45 <= 0.5 + read_json(run / "fit.json")["beta"] <= 0.7
+    assert cli.main(["compare", "--run", str(run)]) == 0
+    capsys.readouterr()
+    assert "overlay" in read_json(run / "compare.json")
 
 
 def test_compare_no_blowup(tmp_path, capsys):

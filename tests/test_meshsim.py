@@ -422,7 +422,7 @@ def test_chunk_solver_memory_linear():
     # alone is 118 MB at M = 1921, the whole solver after one step ~7 MB
     cfg = config(M=1921)
     state = initialize(cfg)
-    gain = meshsim._gain(meshsim._steepest(state.r, state.u)[1])
+    gain = meshsim._gain(meshsim._steepest(state.r, state.u)[0])
     tracemalloc.start()
     try:
         solver = meshsim._new_solver(cfg, state, gain, t_bound=1.0)
@@ -478,7 +478,7 @@ def test_smoothing_filter_matches_passes(M, passes):
 
 def test_quick_run_reaches_blowup(quick_trace):
     assert quick_trace.stopped == "blowup"
-    assert np.abs(quick_trace.dr_u0[-1]) >= 1e6
+    assert quick_trace.sup_grad[-1] >= 1e6
     assert not quick_trace.no_blowup
 
 
@@ -516,7 +516,7 @@ def _observe_one(cfg, t, r, u):
     umid = 0.5 * (u[:-1] + u[1:])
     dens = gmid * gmid + k * (d + k - 2.0) * np.sin(umid) ** 2 / (rmid * rmid)
     energy = 0.5 * float(np.sum(dens * rmid ** (d - 1.0) * dr))
-    return (t, g0, gmax, energy, float(np.min(dr)),
+    return (t, gmax, energy, float(np.min(dr)),
             0.0 if abs(g0) >= gmax else 0.5 * (r[j] + r[j + 1]),
             int(np.sum(r <= 5.0 / gmax)))
 
@@ -536,7 +536,7 @@ def test_trace_rows_match_per_state(quick_trace):
     assert len(got) == len(meshsim.TRACE_COLUMNS) - 1
     for name, col, ref_col in zip(meshsim.TRACE_COLUMNS, got, ref):
         assert np.array_equal(col, ref_col), name
-    assert np.count_nonzero(got[5]) == 1
+    assert np.count_nonzero(got[4]) == 1
 
 
 def test_quick_run_energy_monotone(quick_trace):
@@ -589,7 +589,7 @@ def test_deep_run_reaches_max_gradient():
     for snap in trace.snapshots:
         j = rows[snap.t_left]
         assert snap.t == trace.t[j]
-        assert meshsim._steepest(snap.r, snap.u)[1] == trace.sup_grad[j]
+        assert meshsim._steepest(snap.r, snap.u)[0] == trace.sup_grad[j]
     assert trace.snapshots[-1].t_left == 0.0
     # the rows of every chunk are kept
     assert trace.chunk_log[-1]["end"] == "blowup"
@@ -664,7 +664,7 @@ def synthetic_trace(T, gfun, tau_hi=1e-1, tau_lo=1e-9, per_decade=300):
     t = T - tau
     g = gfun(tau)
     return RunTrace(
-        config=config(), t=t, dr_u0=g, sup_grad=g,
+        config=config(), t=t, sup_grad=g,
         sup_grad_loc=np.zeros_like(t), energy=np.linspace(1.0, 0.5, n),
         min_dx=1.0 / g, nodes_in_layer=np.full(n, 50),
         t_left=tau - tau[-1], snapshots=[], stopped="blowup",
@@ -741,7 +741,7 @@ def test_resolved_window_matches_loop():
     # resolved stretches of random lengths, and equal ones of 4 to 40
     # samples: too short, ties, and resolved throughout
     trace = synthetic_trace(0.25, lambda tau: tau ** -0.6306)
-    idx = meshsim._subsample_log(np.abs(trace.dr_u0))
+    idx = meshsim._subsample_log(trace.sup_grad)
     rng = np.random.default_rng(7)
     for case in range(40):
         ok = rng.random(idx.size) < 0.97 if case % 2 else \
@@ -755,16 +755,7 @@ def test_resolved_window_matches_loop():
         rows, g = meshsim._resolved_window(trace)
         kept = idx[start:start + length]
         assert np.array_equal(rows, kept)
-        assert np.array_equal(g, np.abs(trace.dr_u0[kept]))
-
-
-def test_fit_skips_zero_origin_gradient():
-    # rows before the origin moves have u_r(0) = 0: the fit starts after them
-    trace = synthetic_trace(0.25, lambda tau: tau ** -0.6306)
-    trace.dr_u0[:200] = 0.0
-    idx = meshsim._subsample_log(np.abs(trace.dr_u0))
-    assert idx[0] == 200
-    assert abs(fit_power(trace).beta - 0.1306) < 1e-3
+        assert np.array_equal(g, trace.sup_grad[kept])
 
 
 # ----------------------------------------------------------------------------
@@ -778,10 +769,16 @@ def test_to_self_similar_s_value():
     assert snap.s == pytest.approx(13.0)
     assert snap.y[0] == 0.0
     assert np.allclose(snap.f, state.u)
-    # u_r(0) = 1, so eps = 1/(Cs sqrt(T-t))
+    # sup |u_r| = 1, so eps = 1/(Cs sqrt(T-t))
     assert snap.eps == pytest.approx(2.0 * math.exp(6.5), rel=1e-12)
     flat = replace(state, u=np.zeros(11))
     assert to_self_similar(flat, tau=0.25 * math.exp(-13.0), Cs=0.5).eps == math.inf
+    # u = r^2 has u_r(0) = 0, as a k >= 2 layer does; the scale is still
+    # R = 1/sup |u_r|, here the gradient 3.8 of the last cell
+    bowl = replace(state, u=state.r ** 2)
+    assert meshsim._origin_gradient(bowl.r, bowl.u) == 0.0
+    eps = to_self_similar(bowl, tau=0.25 * math.exp(-13.0), Cs=0.5).eps
+    assert eps == pytest.approx(2.0 * math.exp(6.5) / 3.8, rel=1e-12)
 
 
 def test_to_self_similar_rejects_late_time():
