@@ -341,23 +341,31 @@ def _snapshot_index(run_dir):
     return index
 
 
-def _overlay_csv(path, snapshots, tau, prof, basis, N):
+def _latest_snapshot(snapshots, tau):
     """The latest snapshot of a _snapshot_index before T (least t_left >
-    -tau) against the matched ansatz, in (y, f); returns the compare.json
-    entry, {"overlay": path} or {"no_overlay": why not}."""
+    -tau) as (name, MeshState), or None; ConfigError if its table cannot be
+    read."""
     before = [snap for snap in snapshots if snap[2] > -tau]
     if not before:
-        return {"no_overlay": f"no snapshot before T (tau = {tau:.3e})"}
+        return None
     base, t, t_left = min(before, key=lambda snap: snap[2])
     try:
         data = np.genfromtxt(base + ".csv", delimiter=",", names=True)
         state = meshsim.MeshState(t=t, r=data["r"], u=data["u"], t_left=t_left)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read snapshot {base}.csv: {exc!r}") from exc
+    return os.path.basename(base), state
+
+
+def _overlay_csv(path, snap, tau, prof, basis, N):
+    """A _latest_snapshot against the matched ansatz, in (y, f); returns the
+    compare.json entry, {"overlay": path} or {"no_overlay": why not}."""
+    if snap is None:
+        return {"no_overlay": f"no snapshot before T (tau = {tau:.3e})"}
+    name, state = snap
     ss = meshsim.to_self_similar(state, tau, prof.Cs)
     if not 0.0 < ss.eps <= 0.1:
-        return {"no_overlay": f"eps = {ss.eps:.3e} at "
-                              f"{os.path.basename(base)} is outside (0, 0.1]"}
+        return {"no_overlay": f"eps = {ss.eps:.3e} at {name} is outside (0, 0.1]"}
     mask = (ss.y >= ss.eps * 1e-2) & (ss.y <= 2.0)
     ansatz = rates.assemble_ansatz(prof, basis, N, ss.eps, y_grid=ss.y[mask])
     write_table(path, ("y", "f_numeric", "f_ansatz"),
@@ -389,6 +397,10 @@ def cmd_compare(args):
     prof, basis, coup, law = _pipeline(config.params.d, config.params.k, N)[1:]
     report["status"] = "ok"
     fit = _auto_fit(config, trace)
+    fit2 = _auto_fit(config2, trace2) if args.run2 else None
+    # the snapshot to read depends on the fitted T: read it before anything
+    # is printed or written
+    snap = _latest_snapshot(snapshots, fit.tau)
     if fit.kind == "power":
         beta_pred = law.exponent - 0.5
         report["fit"] = {"beta": fit.beta, "T": fit.T,
@@ -408,8 +420,7 @@ def cmd_compare(args):
         report["C_ratio"] = fit.C / C_pred
         print(f"C: fitted {fit.C:.5f} vs predicted {C_pred:.5f} "
               f"(relative error {report['relative_error']:.2%})")
-        if args.run2:
-            fit2 = _auto_fit(config2, trace2)
+        if fit2 is not None:
             agree = abs(fit.C - fit2.C) / min(fit.C, fit2.C)
             report["run2"] = args.run2
             report["C2"] = fit2.C
@@ -419,7 +430,7 @@ def cmd_compare(args):
     _rate_plot_csv(plot_path, trace, fit.tau)
     report["rate_plot"] = plot_path
     report.update(_overlay_csv(os.path.join(args.run, "overlay.csv"),
-                               snapshots, fit.tau, prof, basis, N))
+                               snap, fit.tau, prof, basis, N))
     print(f"report relative error: {report['relative_error']:.4f}")
     _write_json(os.path.join(args.run, "compare.json"), report)
     return 0

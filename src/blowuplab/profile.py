@@ -26,6 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 from scipy.integrate import ODEintWarning, odeint
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
@@ -39,6 +40,10 @@ GRID_SIZE = 12000
 
 #: tail-fit window is the last this-fraction of [0, x_max]
 TAIL_WINDOW_FRACTION = 0.3
+
+#: order of the Taylor polynomial that refines the slope maximum; at 10 it
+#: errs below 1e-16 over the two-cell bracket
+TAYLOR_ORDER = 10
 
 
 @dataclass
@@ -90,10 +95,14 @@ def _origin_series(consts, x):
     return v, vp
 
 
-def _pendulum_rhs(consts):
+def _pendulum_coefficients(consts):
+    """(damping, torque) of v'' = -damping v' - torque sin v."""
     d, k = consts.params.d, consts.params.k
-    damping = d - 2.0
-    torque = k * (d + k - 2.0)
+    return d - 2.0, k * (d + k - 2.0)
+
+
+def _pendulum_rhs(consts):
+    damping, torque = _pendulum_coefficients(consts)
 
     def rhs(x, state):
         v, vp = state.tolist()   # Python floats: faster than numpy scalars
@@ -133,13 +142,9 @@ def solve_profile(consts, tolerance=1e-11):
     # moves D_1 at (d, k) = (8, 1) by 6e-8, more than the 5e-8 to which the
     # frozen constants are checked.
     atol = max(tolerance * math.exp(-consts.gamma * x_max), 1e-280)
-    rhs = _pendulum_rhs(consts)
-
-    def orbit(x, state0):
-        return lsoda(rhs, state0, x, 0.1 * tolerance, 0.1 * atol, "profile")
-
     grid = np.linspace(x_min, x_max, GRID_SIZE)
-    v, vp = orbit(grid, [v0, vp0]).T
+    v, vp = lsoda(_pendulum_rhs(consts), [v0, vp0], grid,
+                  0.1 * tolerance, 0.1 * atol, "profile").T
 
     scale = np.maximum(np.abs(vp), 1e-280)
     rel_viol = float(np.max(_trapping_excursions(consts, v, vp) / scale))
@@ -150,7 +155,7 @@ def solve_profile(consts, tolerance=1e-11):
 
     x_switch = x_min + (1.0 - TAIL_WINDOW_FRACTION) * (x_max - x_min)
     tail = _fit_tail(consts, grid, v, x_lo=x_switch)
-    Cs = _slope_normalization(consts, grid, v, vp, orbit)
+    Cs = _slope_normalization(consts, grid, v, vp)
 
     profile = ProfileSolution(
         consts=consts,
@@ -202,18 +207,39 @@ def extract_tail(profile, x_lo=None):
     return _fit_tail(profile.consts, profile.x, profile.v, x_lo)
 
 
-def _slope_normalization(consts, x, v, vp, orbit):
+def _taylor_coefficients(consts, v0, vp0):
+    """Taylor coefficients v_0 .. v_TAYLOR_ORDER of the orbit through (v0, vp0):
+    v(x0 + t) = sum v_m t^m.  They follow from v'' = -(d-2) v' - k(d+k-2)
+    sin v and the series of sin v and cos v, whose derivatives are
+    cos v v' and -sin v v'."""
+    damping, torque = _pendulum_coefficients(consts)
+    v = [v0, vp0]
+    sin_v = [math.sin(v0)]
+    cos_v = [math.cos(v0)]
+    for m in range(TAYLOR_ORDER - 1):
+        if m:
+            # m s_m = sum_j j v_j c_{m-j},  m c_m = -sum_j j v_j s_{m-j}
+            sin_v.append(sum(j * v[j] * cos_v[m - j] for j in range(1, m + 1)) / m)
+            cos_v.append(-sum(j * v[j] * sin_v[m - j] for j in range(1, m + 1)) / m)
+        v.append((-damping * (m + 1) * v[m + 1] - torque * sin_v[m])
+                 / ((m + 1) * (m + 2)))
+    return np.array(v)
+
+
+def _slope_normalization(consts, x, v, vp):
     """C_s = 1 / max_xi |dU*/dxi| with dU*/dxi = v'(x) e^{-x} / 2, maximum
     refined by golden-section around the discrete argmax.  Off the grid, v'
-    comes from `orbit` re-integrating from the left bracket node."""
+    is read off the stored orbit, as the derivative of the Taylor polynomial
+    of v about the left bracket node: no second integration."""
     slope = 0.5 * vp * np.exp(-x)
     j = int(np.argmax(slope))
     i = max(j - 1, 0)
     lo = x[i]
     hi = x[min(j + 1, x.size - 1)]
+    dv = polyder(_taylor_coefficients(consts, v[i], vp[i]))
 
     def neg_slope(xx):
-        return -0.5 * orbit([lo, xx], [v[i], vp[i]])[1, 1] * math.exp(-xx)
+        return -0.5 * polyval(xx - lo, dv) * math.exp(-xx)
 
     res = minimize_scalar(neg_slope, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})

@@ -13,15 +13,18 @@ orthonormal under rho for N_n = 2^{-(1+omega)/2} sqrt(n!/Gamma(n+1+omega/2))
 (the Laguerre orthogonality relation), which is sqrt(2) closed_form_norm.
 The origin coefficients are c_n = N_n L_n^{(omega/2)}(0).
 
-Inner products are evaluated with a generalized Gauss-Laguerre rule in
+Inner products are evaluated with generalized Gauss-Laguerre rules in
 z = y^2/4: with y^{d-1} dy = 2^{d-1} z^{gamma + omega/2} dz the weight
 becomes e^{-z} z^{omega/2} after factoring the y^{-2gamma} behavior of a
-pair of eigenfunctions, so the QUAD_NODES-point rule integrates every
-Gram entry (a polynomial of degree at most 2 max_n in z) exactly.
+pair of eigenfunctions.  Every Gram entry is then a polynomial of degree
+at most 2 max_n in z, so build_basis checks the closed-form N_n on the
+smallest rule exact for it, with max_n + 1 nodes.  Projections of other
+functions use the QUAD_NODES-point rule, built on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,9 +58,23 @@ class EigenBasis:
     max_n: int
     norm: np.ndarray       # N_n = sqrt(2) closed_form_norm(n, omega)
     c_origin: np.ndarray   # c_n = N_n L_n^{(omega/2)}(0) > 0
-    nodes_y: np.ndarray    # quadrature nodes in y
-    weights: np.ndarray    # weights including rho(y), for sum w_i f(y_i) g(y_i)
     _alpha: float = field(repr=False, default=0.0)
+
+    @functools.cached_property
+    def _quad_rule(self):
+        """The QUAD_NODES-point rule, built on first use: the asymptotics
+        chain never projects."""
+        return _rule_in_y(self.consts, QUAD_NODES)
+
+    @property
+    def nodes_y(self):
+        """Quadrature nodes in y."""
+        return self._quad_rule[0]
+
+    @property
+    def weights(self):
+        """Weights including rho(y), for sum w_i f(y_i) g(y_i)."""
+        return self._quad_rule[1]
 
     def lam(self, n):
         return eigenvalue(self.consts, n).lam
@@ -118,8 +135,11 @@ class EigenBasis:
         return self.phi_table(ys) @ (self.weights[mask] * py)
 
     def gram_matrix(self):
-        P = self.phi_table(self.nodes_y)
-        return (P * self.weights) @ P.T
+        return self._gram(self.nodes_y, self.weights)
+
+    def _gram(self, y, w):
+        P = self.phi_table(y)
+        return (P * w) @ P.T
 
     def to_csv(self, path, y_grid=None):
         """Basis table export on a diagnostic grid."""
@@ -129,13 +149,20 @@ class EigenBasis:
                     [y_grid, *self.phi_table(y_grid)])
 
 
+def _rule_in_y(consts, nodes):
+    """The `nodes`-point generalized Gauss-Laguerre rule in z = y^2/4, as
+    nodes in y and weights including rho(y)."""
+    z, wz = roots_genlaguerre(nodes, consts.omega / 2.0)
+    return 2.0 * np.sqrt(z), 2.0 ** (consts.params.d - 1.0) * wz * z**consts.gamma
+
+
 def build_basis(consts, max_n=8):
-    """Construct the eigenbasis with the closed-form N_n on one
-    QUAD_NODES-point rule.  The rule is exact for every Gram entry, so a
-    Gram residual above ORTHO_TARGET means the rule or N_n is wrong, and
-    raises QuadratureNotConverged."""
+    """Construct the eigenbasis with the closed-form N_n and check it on
+    the (max_n + 1)-node rule, the smallest that is exact for every Gram
+    entry (to degree 2 max_n + 1 in z).  A Gram residual above ORTHO_TARGET
+    there means N_n is wrong, and raises QuadratureNotConverged.  The
+    QUAD_NODES-point rule for projections is not built here."""
     alpha = consts.omega / 2.0
-    z, wz = roots_genlaguerre(QUAD_NODES, alpha)
     ns = range(max_n + 1)
     norm = math.sqrt(2.0) * np.array([closed_form_norm(n, consts.omega) for n in ns])
     basis = EigenBasis(
@@ -143,13 +170,13 @@ def build_basis(consts, max_n=8):
         max_n=max_n,
         norm=norm,
         c_origin=norm * [laguerre_at_zero(n, alpha) for n in ns],
-        nodes_y=2.0 * np.sqrt(z),
-        weights=2.0 ** (consts.params.d - 1.0) * wz * z**consts.gamma,
         _alpha=alpha,
     )
-    resid = float(np.max(np.abs(basis.gram_matrix() - np.eye(max_n + 1))))
+    gram = basis._gram(*_rule_in_y(consts, max_n + 1))
+    resid = float(np.max(np.abs(gram - np.eye(max_n + 1))))
     if resid > ORTHO_TARGET:
         raise QuadratureNotConverged(
-            f"orthonormality residual {resid:.3e} at {QUAD_NODES} nodes"
+            f"orthonormality residual {resid:.3e} on the {max_n + 1}-node "
+            f"Gauss-Laguerre rule"
         )
     return basis

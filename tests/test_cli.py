@@ -204,10 +204,13 @@ def test_bad_run_directory_exit_2(tmp_path, run_dir, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("broken", ["not_json", "no_t_left", "no_csv"])
+@pytest.mark.parametrize("broken", ["not_json", "no_t_left", "no_csv",
+                                    "bad_table"])
 def test_compare_bad_snapshot_exit_2(tmp_path, run_dir, capsys, broken):
-    # a snapshot JSON that is not JSON or lacks t_left, or a snapshot table
-    # gone: one error line, before any work is printed or written
+    # a snapshot JSON that is not JSON or lacks t_left, a snapshot table
+    # gone, or the table of the snapshot the overlay reads (the latest
+    # before the fitted T) not parsing: one error line, before any work is
+    # printed or written
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)
     for name in ("rate_plot.csv", "compare.json"):
@@ -215,6 +218,11 @@ def test_compare_bad_snapshot_exit_2(tmp_path, run_dir, capsys, broken):
     snaps = run / "snapshots"
     if broken == "no_csv":
         (snaps / "snap_000.csv").unlink()
+    elif broken == "bad_table":
+        tau = read_json(run / "fit.json")["tau"]
+        left = {p.stem: read_json(p)["t_left"] for p in snaps.glob("*.json")}
+        read = min((t, name) for name, t in left.items() if t > -tau)[1]
+        (snaps / f"{read}.csv").write_text("r,u\n0,0,7\nx")
     else:
         (snaps / "snap_000.json").write_text(
             "{oops" if broken == "not_json" else '{"t": 0.2, "index": 0}')
@@ -459,8 +467,9 @@ def test_overlay_takes_latest_snapshot(tmp_path):
         (snap_dir / f"snap_{j:03d}.json").write_text(
             json.dumps({"t": 0.2 - t_left, "t_left": t_left, "index": j}))
     path = tmp_path / "overlay.csv"
-    snapshots = cli._snapshot_index(str(tmp_path))
-    assert cli._overlay_csv(str(path), snapshots, tau, prof, basis, 1) \
+    snap = cli._latest_snapshot(cli._snapshot_index(str(tmp_path)), tau)
+    assert snap[0] == "snap_1000"
+    assert cli._overlay_csv(str(path), snap, tau, prof, basis, 1) \
         == {"overlay": str(path)}
     overlay = np.genfromtxt(path, delimiter=",", names=True)
     assert overlay.size > 10
@@ -483,8 +492,8 @@ def test_overlay_reason(tmp_path):
     path = tmp_path / "overlay.csv"
     for tau, reason in ((-0.2, "no snapshot before T"),
                         (1e-6, "eps = ")):
-        entry = cli._overlay_csv(str(path), cli._snapshot_index(str(tmp_path)),
-                                 tau, prof, basis, 1)
+        snap = cli._latest_snapshot(cli._snapshot_index(str(tmp_path)), tau)
+        entry = cli._overlay_csv(str(path), snap, tau, prof, basis, 1)
         assert entry["no_overlay"].startswith(reason), entry
         assert not path.exists()
 

@@ -65,6 +65,88 @@ def test_constants_match_dop853_reference(profile_at, d, k):
     assert p.Cs == pytest.approx(Cs, rel=1e-8)
 
 
+def _lsoda_from_node(p, i, x, rtol):
+    """v, v' on x re-integrated by LSODA from the stored node i."""
+    c = p.consts
+    atol = rtol * math.exp(-c.gamma * p.x[-1])
+    return profile.lsoda(profile._pendulum_rhs(c), [p.v[i], p.v_prime[i]],
+                         x, rtol, atol, "reference").T
+
+
+def _taylor(p, i, x):
+    """v, v' on x from the Taylor polynomial about the stored node i."""
+    P = np.polynomial.polynomial
+    coef = profile._taylor_coefficients(p.consts, p.v[i], p.v_prime[i])
+    return P.polyval(x - p.x[i], coef), P.polyval(x - p.x[i], P.polyder(coef))
+
+
+@pytest.mark.parametrize("d,k", [(8.0, 1), (14.0, 2)])
+def test_taylor_matches_lsoda_across_a_cell(profile_at, d, k):
+    # from a node mid-orbit and, at k = 2, from the bracket node of the
+    # slope maximum.  The reference limits the choice: at k = 1 that node
+    # sits at the saddle (v' ~ 1e-5), and there and near the steepest node
+    # LSODA at rtol 1e-13 errs by 1.1e-13 to 1.7e-13 against a 30-digit
+    # integration, which the polynomial matches to rounding.  The k = 1
+    # bracket node is checked in test_taylor_step_reproduces_stored_orbit
+    p = profile_at(d, k)
+    nodes = [p.x.size // 2]
+    if k > 1:
+        nodes.append(int(np.argmax(p.v_prime * np.exp(-p.x))) - 1)
+    for i in nodes:
+        x = np.linspace(p.x[i], p.x[i + 1], 9)
+        v, vp = _taylor(p, i, x)
+        v_ref, vp_ref = _lsoda_from_node(p, i, x, 1e-13)
+        assert np.allclose(v, v_ref, rtol=1e-13, atol=0.0)
+        assert np.allclose(vp, vp_ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d,k", list(CS_ORACLE))
+def test_taylor_step_reproduces_stored_orbit(profile_at, d, k):
+    # one cell from the slope bracket node lands on the next stored node to
+    # the orbit's own rtol (tolerance / 10 = 1e-12)
+    p = profile_at(d, k)
+    i = max(int(np.argmax(p.v_prime * np.exp(-p.x))) - 1, 0)
+    v, vp = _taylor(p, i, np.array([p.x[i + 1]]))
+    assert v[0] == pytest.approx(p.v[i + 1], rel=1e-12)
+    assert vp[0] == pytest.approx(p.v_prime[i + 1], rel=1e-12)
+
+
+def _cs_by_lsoda_search(p):
+    """C_s as the golden-section search over LSODA re-integrations from the
+    left bracket node, at the rtol of the stored orbit."""
+    from scipy.optimize import minimize_scalar
+    x = p.x
+    j = int(np.argmax(p.v_prime * np.exp(-x)))
+    i = max(j - 1, 0)
+
+    def neg_slope(xx):
+        vp = _lsoda_from_node(p, i, [x[i], xx], 0.1 * p.tolerance)[1][1]
+        return -0.5 * vp * math.exp(-xx)
+
+    res = minimize_scalar(neg_slope, bounds=(x[i], x[min(j + 1, x.size - 1)]),
+                          method="bounded", options={"xatol": 1e-12})
+    slope_max = max(-res.fun, 1.0) if p.consts.params.k == 1 else -res.fun
+    return 1.0 / slope_max
+
+
+@pytest.mark.parametrize("d,k", list(CS_ORACLE))
+def test_slope_normalization_matches_lsoda_search(profile_at, d, k):
+    p = profile_at(d, k)
+    assert p.Cs == pytest.approx(_cs_by_lsoda_search(p), rel=1e-11)
+
+
+def test_slope_normalization_makes_no_ode_call(profile_at, monkeypatch):
+    p = profile_at(12.0, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ODE call in _slope_normalization")
+
+    monkeypatch.setattr(profile, "odeint", refuse)
+    monkeypatch.setattr(profile, "lsoda", refuse)
+    Cs = profile._slope_normalization(p.consts, p.x, p.v, p.v_prime)
+    assert Cs == p.Cs
+
+
 def test_k2_halved_x_reduction(profile_at):
     # v'' + 10 v' + 24 sin v = 0 maps onto v'' + 5 v' + 6 sin v = 0 under
     # x -> 2x, so the (12,2) tail amplitude equals the (7,1) one

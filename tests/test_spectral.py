@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import roots_genlaguerre
 
 from blowuplab import spectral
 from blowuplab.errors import QuadratureNotConverged
@@ -95,6 +96,38 @@ def test_gram_residual_guard(consts_at, monkeypatch):
     # with a zero target the roundoff of the Gram matrix does
     monkeypatch.setattr(spectral, "ORTHO_TARGET", 0.0)
     with pytest.raises(QuadratureNotConverged):
+        spectral.build_basis(consts_at(8.0, 1))
+
+
+def test_build_basis_checks_on_smallest_rule(consts_at, monkeypatch):
+    # the Gram check runs on the (max_n + 1)-node rule; the QUAD_NODES rule
+    # of the projections is built on first use
+    orders = []
+
+    def counting(n, alpha):
+        orders.append(n)
+        return roots_genlaguerre(n, alpha)
+
+    monkeypatch.setattr(spectral, "roots_genlaguerre", counting)
+    for max_n in (3, 8):
+        orders.clear()
+        basis = spectral.build_basis(consts_at(9.0, 1), max_n=max_n)
+        assert orders and max(orders) <= max_n + 1
+        assert basis.nodes_y.size == basis.weights.size == spectral.QUAD_NODES
+        assert orders[-1] == spectral.QUAD_NODES
+        basis.project(lambda y: np.exp(-y))
+        assert orders.count(spectral.QUAD_NODES) == 1
+
+
+def test_gram_guard_catches_a_wrong_norm(consts_at, monkeypatch):
+    # one N_n off by 1e-6 moves a Gram diagonal entry by 2e-6
+    exact = spectral.closed_form_norm
+
+    def off(n, omega):
+        return exact(n, omega) * (1.0 + 1e-6 * (n == 5))
+
+    monkeypatch.setattr(spectral, "closed_form_norm", off)
+    with pytest.raises(QuadratureNotConverged, match="9-node"):
         spectral.build_basis(consts_at(8.0, 1))
 
 
