@@ -622,6 +622,23 @@ def test_profile_dump(tmp_path, capsys):
     assert "h=2.693" in capsys.readouterr().out
 
 
+def test_profile_dump_large_d(tmp_path, capsys):
+    # the subdominant tail amplitude, referred to x = 0, overflowed above
+    # d ~ 150; h tends to 1 as d grows
+    out = tmp_path / "orbit.csv"
+    assert cli.main(["profile-dump", "--d", "200", "--out", str(out)]) == 0
+    data = np.genfromtxt(out, delimiter=",", names=True)
+    assert np.all(np.isfinite(data["v"]))
+    assert "h=1.0001" in capsys.readouterr().out
+
+
+def test_predict_runaway_profile_work_exit_1(capsys):
+    assert cli.main(["predict", "--d", "1e6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IntegrationFailed: profile")
+    assert err.count("\n") == 1
+
+
 def test_basis_dump(tmp_path, capsys):
     out = tmp_path / "basis.csv"
     assert cli.main(["basis-dump", "--d", "8", "--n", "4",

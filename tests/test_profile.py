@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -37,17 +38,24 @@ def test_slope_normalization_frozen(profile_at, d, k):
     assert p.Cs == pytest.approx(CS_ORACLE[(d, k)], abs=5e-8)
 
 
-def _dop853_reference(p):
-    """h and C_s of the orbit on p's grid, integrated by DOP853 at rtol 1e-13
-    and refined for C_s on its dense output."""
+def _dop853_orbit(p):
+    """The orbit on p's grid, integrated by DOP853 at rtol 1e-13, with dense
+    output."""
     from scipy.integrate import solve_ivp
-    from scipy.optimize import minimize_scalar
     c, x = p.consts, p.x
     sol = solve_ivp(profile._pendulum_rhs(c), (x[0], x[-1]),
                     profile._origin_series(c, x[0]), method="DOP853",
                     rtol=1e-13, atol=1e-13 * math.exp(-c.gamma * x[-1]),
                     t_eval=x, dense_output=True)
     assert sol.success
+    return sol
+
+
+def _dop853_reference(p):
+    """h and C_s of the DOP853 orbit, refined for C_s on its dense output."""
+    from scipy.optimize import minimize_scalar
+    c, x = p.consts, p.x
+    sol = _dop853_orbit(p)
     h = profile._fit_tail(c, x, sol.y[0], x_lo=p.x_switch).h
     j = int(np.argmax(sol.y[1] * np.exp(-x)))
     res = minimize_scalar(lambda xx: -0.5 * sol.sol(xx)[1] * math.exp(-xx),
@@ -63,6 +71,16 @@ def test_constants_match_dop853_reference(profile_at, d, k):
     h, Cs = _dop853_reference(p)
     assert p.h == pytest.approx(h, rel=1e-8)
     assert p.Cs == pytest.approx(Cs, rel=1e-8)
+
+
+@pytest.mark.parametrize("d,k", [(8.0, 1), (12.0, 2), (14.0, 2)])
+def test_orbit_matches_dop853_reference(profile_at, d, k):
+    # the stored orbit, node by node; LSODA at rtol 1e-12 was off by 4e-10
+    # to 3e-9 on v at these points, the Taylor steps by 1e-11 to 6e-11
+    p = profile_at(d, k)
+    v_ref, vp_ref = _dop853_orbit(p).y
+    assert np.max(np.abs(p.v / v_ref - 1.0)) <= 1e-10
+    assert np.max(np.abs(p.v_prime / vp_ref - 1.0)) <= 3e-10
 
 
 def _lsoda_from_node(p, i, x, rtol):
@@ -210,14 +228,24 @@ def test_self_convergence(consts_at):
 
 
 def test_integration_failure_is_typed(consts_at):
-    # LSODA rejects the rtol 1e-14 that tolerance 1e-13 asks for; that must
-    # arrive as a library error, not as an ODEintWarning and garbage rows
+    # tolerance 1e-13 asks for a relative accuracy of 1e-14, below 100
+    # machine epsilons; that must arrive as a library error, not as a
+    # warning and garbage rows
     assert issubclass(IntegrationFailed, BlowupLabError)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(IntegrationFailed, match="profile"):
             solve_profile(consts_at(8.0, 1), tolerance=1e-13)
     assert caught == []
+
+
+def test_runaway_work_is_typed(consts_at):
+    # at d = 1e6 the orbit is so stiff that explicit steps would run for
+    # minutes; the step cap ends it with a library error in under a second
+    start = time.perf_counter()
+    with pytest.raises(IntegrationFailed, match="profile"):
+        solve_profile(consts_at(1e6, 1))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_tail_refit_stability(profile_at):
