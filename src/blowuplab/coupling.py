@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
-from .errors import RegimeMismatch
+from .errors import FloatRangeExceeded, RegimeMismatch
 from .params import Regime
 from .profile import eval_u
 
@@ -83,7 +84,7 @@ def inner_integral(profile, upper=None):
 
     Evaluated in x = log(xi), where the integrand g(e^x) e^{(d-2-gamma) x}
     decays exponentially in both directions.  On the stored orbit g is read
-    off the interpolated v(x) directly; the piece below it uses g ~ g(0)
+    off the stored steps of v(x) directly; the piece below it uses g ~ g(0)
     and the piece above x_switch the xi^{-3 gamma} tail, both in closed
     form."""
     consts = profile.consts
@@ -92,10 +93,9 @@ def inner_integral(profile, upper=None):
     p = d - 2.0 - gam  # == gamma + omega > 0
     x_lo = float(profile.x[0])
     x_sw = profile.x_switch
-    v_of_x = profile.v_interp
 
     def integrand(x):
-        return _g_of_v(consts, float(v_of_x(x))) * math.exp(p * x)
+        return _g_of_v(consts, float(profile.orbit(x)[0])) * math.exp(p * x)
 
     g0 = _g_of_v(consts, -math.pi)
     x_up = x_sw if upper is None else min(x_sw, math.log(upper))
@@ -145,8 +145,15 @@ def outer_integral(basis, N, n):
 
 
 def _outer_prefactor(profile, basis, N):
-    """2k(d+k-2)h^3 / (3 c_N^3), the factor of the outer integral in D_n."""
+    """2k(d+k-2)h^3 / (3 c_N^3), the factor of the outer integral in D_n.
+    Raises FloatRangeExceeded once N_N^4, the scale of that integral at
+    n = N, is below the normal floats, so that D_N would lose its digits
+    (k = 1, N = 1: from d ~ 151.7 on).  c_N >= N_N keeps 1/c_N^3 finite."""
     d, k = basis.consts.params.d, basis.consts.params.k
+    if not basis.norm[N] ** 4 >= sys.float_info.min:
+        raise FloatRangeExceeded(
+            f"N_N^4 = {basis.norm[N] ** 4:.3g} underflows at d = {d:g}: "
+            "D_N would lose its digits")
     return 2.0 * k * (d + k - 2.0) * profile.h**3 / (3.0 * basis.c_origin[N] ** 3)
 
 

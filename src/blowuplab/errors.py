@@ -35,6 +35,13 @@ class QuadratureNotConverged(BlowupLabError):
     """Gram residual of the eigenbasis above the orthonormality target."""
 
 
+class FloatRangeExceeded(BlowupLabError):
+    """A constant of the asymptotics leaves the range of normal doubles: at
+    k = 1, N = 1 the outer integral's N_N^4 from d ~ 151.7 on and the
+    Gauss-Laguerre weights from d ~ 269.6 on.  Carrying N_n and c_n in
+    logarithms would lift the limit."""
+
+
 class BlowupOfEpsilon(BlowupLabError):
     """epsilon(s) grew instead of decaying; constants have a sign error."""
 

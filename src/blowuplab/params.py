@@ -53,6 +53,10 @@ class ModelParams:
             raise ValueError(f"N must be a non-negative integer, got {self.N}")
         if not (math.isfinite(self.d) and self.d >= 3):
             raise ValueError(f"d must be finite and >= 3, got {self.d}")
+        gap = self.d - 2 * (self.k + 1)
+        if not math.isfinite(gap * gap):
+            raise ValueError(f"d = {self.d} is too large: (d - 2(k+1))^2, "
+                             "whose root is omega, overflows")
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ the trapping region S = { -k sin v <= v' <= -gamma sin v }.
 
 The orbit is integrated by its own Taylor series.  The recurrences of v,
 sin v and cos v give the coefficients of order TAYLOR_ORDER about each step
-start, the last two of them fix the step length, and the stored grid is
-filled by evaluating the step polynomials.  The steps are explicit, so where
-the orbit is stiff their length is bounded by stability: the step count
+start and the last two of them fix the step length.  Every reader of v(x),
+the stored grid included, evaluates the kept steps.  They are explicit, so
+where the orbit is stiff their length is bounded by stability: the step count
 grows about linearly in d, from 40-60 at d <= 14 to ~200 at d = 70 (19 ms
 on a 2-vCPU Xeon host, where LSODA took 10 ms) and ~2,800 at d = 1000.
 
@@ -28,7 +28,6 @@ normalization C_s = 1 / sup_xi |dU*/dxi|.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import warnings
@@ -36,14 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import ODEintWarning, odeint
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
 from .errors import IntegrationFailed, TailFitIllConditioned, TrappingViolation
 from .params import DerivedConstants
 from .tables import write_table
 
-#: number of stored orbit samples (interpolation grid)
+#: number of stored orbit samples (tail fit, trapping check, slope argmax, CSV)
 GRID_SIZE = 12000
 
 #: tail-fit window is the last this-fraction of [0, x_max]
@@ -72,12 +70,26 @@ class TrappingReport:
     boundary_flux_samples: list = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class TaylorOrbit:
+    """Taylor steps, v(starts[i] + t) = sum_m coefs[i, m] t^m.  Called on a
+    float or an array x >= starts[0]: (v, v') by Horner, one column at a time."""
+    starts: np.ndarray
+    coefs: np.ndarray
+
+    def __call__(self, x):
+        step = np.searchsorted(self.starts[1:], x, side="right")
+        return _value_and_slope((c[step] for c in self.coefs.T[::-1]),
+                                x - self.starts[step])
+
+
 @dataclass
 class ProfileSolution:
     consts: DerivedConstants
     x: np.ndarray        # strictly increasing, x = log(xi)
     v: np.ndarray        # v(x) = 2 U*(e^x) - pi, in (-pi, 0)
     v_prime: np.ndarray  # v'(x) > 0
+    orbit: TaylorOrbit   # orbit(x) = (v(x), v'(x)) off the stored steps
     h: float             # tail amplitude, -h_+ > 0
     h_minus: float       # subdominant amplitude at x_switch (diagnostic)
     Cs: float            # 1 / sup |dU*/dxi|
@@ -85,26 +97,18 @@ class ProfileSolution:
     tolerance: float
     tail_residual: float
 
-    @functools.cached_property
-    def v_interp(self):
-        """Monotone cubic interpolant of v(x) on the stored orbit, built on
-        first use: the outer-dominated chain never needs it."""
-        return PchipInterpolator(self.x, self.v)
-
     def to_csv(self, path):
         """Orbit export for the phase-portrait figure (columns x, v, vPrime)."""
         write_table(path, ("x", "v", "vPrime"), (self.x, self.v, self.v_prime))
 
 
-def _origin_series(consts, x):
-    """Taylor departure from the saddle: v, v' at large negative x."""
+def _origin_series(consts, s):
+    """U* and dU*/dx = xi dU*/dxi by the series from the origin in
+    s = xi^k = e^{kx}, U* = s - c s^3 + O(s^5), for a float or an array s."""
     d, k = consts.params.d, consts.params.k
-    c3 = 2.0 * (d + k - 2.0) / (3.0 * (d + 4.0 * k - 2.0))
-    e1 = math.exp(k * x)
-    e3 = math.exp(3.0 * k * x)
-    v = -math.pi + 2.0 * e1 - c3 * e3
-    vp = 2.0 * k * e1 - 3.0 * k * c3 * e3
-    return v, vp
+    c = (d + k - 2.0) / (3.0 * (d + 4.0 * k - 2.0))
+    s3 = s**3
+    return s - c * s3, k * s - 3.0 * k * c * s3
 
 
 def _pendulum_coefficients(consts):
@@ -149,13 +153,12 @@ def solve_profile(consts, tolerance=1e-11):
     # relative to the leading tail term keeps the tail fit well conditioned
     x_min = -12.0 / consts.params.k
     x_max = max(12.0, math.log(1e10) / consts.omega)
-    v0, vp0 = _origin_series(consts, x_min)
+    u0, up0 = _origin_series(consts, math.exp(consts.params.k * x_min))
+    v0, vp0 = 2.0 * u0 - math.pi, 2.0 * up0
 
     grid = np.linspace(x_min, x_max, GRID_SIZE)
-    starts, coefs = _taylor_orbit(consts, x_min, v0, vp0, x_max, tolerance)
-    step = np.searchsorted(starts, grid, side="right") - 1
-    v, vp = _value_and_slope((c[step] for c in coefs.T[::-1]),
-                             grid - starts[step])
+    orbit = _taylor_orbit(consts, x_min, v0, vp0, x_max, tolerance)
+    v, vp = orbit(grid)
 
     scale = np.maximum(np.abs(vp), 1e-280)
     rel_viol = float(np.max(_trapping_excursions(consts, v, vp) / scale))
@@ -166,13 +169,14 @@ def solve_profile(consts, tolerance=1e-11):
 
     x_switch = x_min + (1.0 - TAIL_WINDOW_FRACTION) * (x_max - x_min)
     tail = _fit_tail(consts, grid, v, x_lo=x_switch)
-    Cs = _slope_normalization(consts, grid, v, vp)
+    Cs = _slope_normalization(orbit, grid, vp, consts.params.k)
 
     profile = ProfileSolution(
         consts=consts,
         x=grid,
         v=v,
         v_prime=vp,
+        orbit=orbit,
         h=tail.h,
         h_minus=tail.h_minus,
         Cs=Cs,
@@ -253,9 +257,8 @@ def _value_and_slope(descending, t):
 
 
 def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
-    """The orbit from (v0, vp0) at x0 to x_end as Taylor steps of order
-    TAYLOR_ORDER: the step starts and, row by row, the coefficients of v about
-    each.  The orbit is asked for a relative accuracy of tolerance / 10.  Each
+    """The orbit from (v0, vp0) at x0 to x_end as a TaylorOrbit of order
+    TAYLOR_ORDER, asked for a relative accuracy of tolerance / 10.  Each
     step is as long as the last two coefficients allow (Jorba and Zou,
     Exp. Math. 14, 2005) for a truncation estimate below 1e-4 of that,
     relative to max(|v|, |v'|): the estimate understates the truncation, and
@@ -282,40 +285,37 @@ def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
         starts.append(x)
         coefs.append(coef)
         if x + h >= x_end:
-            return np.array(starts), np.array(coefs)
+            return TaylorOrbit(np.array(starts), np.array(coefs))
         v, vp = _value_and_slope(reversed(coef), h)
         x += h
 
 
-def _slope_normalization(consts, x, v, vp):
+def _slope_normalization(orbit, x, vp, k):
     """C_s = 1 / max_xi |dU*/dxi| with dU*/dxi = v'(x) e^{-x} / 2, maximum
-    refined by golden-section around the discrete argmax.  Off the grid, v'
-    is read off the stored orbit, as the derivative of the Taylor polynomial
-    of v about the left bracket node: no second integration."""
+    refined by golden-section around the discrete argmax on the grid x, with
+    v' read off the stored steps: no second integration."""
     slope = 0.5 * vp * np.exp(-x)
     j = int(np.argmax(slope))
-    i = max(j - 1, 0)
-    lo = x[i]
+    lo = x[max(j - 1, 0)]
     hi = x[min(j + 1, x.size - 1)]
-    coef = _taylor_coefficients(consts, v[i], vp[i])
 
     def neg_slope(xx):
-        return -0.5 * _value_and_slope(reversed(coef), xx - lo)[1] * math.exp(-xx)
+        return -0.5 * orbit(xx)[1] * math.exp(-xx)
 
     res = minimize_scalar(neg_slope, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     best = -res.fun
-    if consts.params.k == 1:
+    if k == 1:
         # dU*/dxi(0) = 1 exactly; the grid starts at e^{x_min} > 0
         best = max(best, 1.0)
     return 1.0 / best
 
 
 def eval_u(profile, xi):
-    """U*(xi) on [0, pi/2): origin series below e^{x_min}, interpolated orbit
+    """U*(xi) on [0, pi/2): origin series below e^{x_min}, the stored orbit
     in between, tail formula beyond e^{x_switch}.  Vectorized in xi."""
     consts = profile.consts
-    d, k = consts.params.d, consts.params.k
+    k = consts.params.k
     gamma, omega = consts.gamma, consts.omega
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 0
@@ -332,10 +332,9 @@ def eval_u(profile, xi):
     far = xi > xi_hi
 
     if near.any():
-        c = (d + k - 2.0) / (3.0 * (d + 4.0 * k - 2.0))
-        out[near] = xi[near] ** k - c * xi[near] ** (3 * k)
+        out[near] = _origin_series(consts, xi[near] ** k)[0]
     if mid.any():
-        out[mid] = 0.5 * (profile.v_interp(np.log(xi[mid])) + math.pi)
+        out[mid] = 0.5 * (profile.orbit(np.log(xi[mid]))[0] + math.pi)
     if far.any():
         # pi/2 - U* = -v/2, the subdominant term taken from x_switch on
         out[far] = 0.5 * math.pi - (

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
-from .errors import QuadratureNotConverged
+from .errors import FloatRangeExceeded, QuadratureNotConverged
 from .params import DerivedConstants, eigenvalue
 from .tables import write_table
 
@@ -151,17 +151,26 @@ class EigenBasis:
 
 def _rule_in_y(consts, nodes):
     """The `nodes`-point generalized Gauss-Laguerre rule in z = y^2/4, as
-    nodes in y and weights including rho(y)."""
+    nodes in y and weights including rho(y).  Raises FloatRangeExceeded if a
+    weight overflows, as at k = 1 from d ~ 269.6 on."""
+    d = consts.params.d
     z, wz = roots_genlaguerre(nodes, consts.omega / 2.0)
-    return 2.0 * np.sqrt(z), 2.0 ** (consts.params.d - 1.0) * wz * z**consts.gamma
+    with np.errstate(over="ignore"):
+        # a numpy scalar power gives inf where 2.0 ** 1024 would raise
+        w = np.float64(2.0) ** (d - 1.0) * wz * z**consts.gamma
+    if not np.all(np.isfinite(w)):
+        raise FloatRangeExceeded(
+            f"the {nodes}-node Gauss-Laguerre weights overflow at d = {d:g}")
+    return 2.0 * np.sqrt(z), w
 
 
 def build_basis(consts, max_n=8):
     """Construct the eigenbasis with the closed-form N_n and check it on
     the (max_n + 1)-node rule, the smallest that is exact for every Gram
-    entry (to degree 2 max_n + 1 in z).  A Gram residual above ORTHO_TARGET
-    there means N_n is wrong, and raises QuadratureNotConverged.  The
-    QUAD_NODES-point rule for projections is not built here."""
+    entry (to degree 2 max_n + 1 in z).  A Gram residual there that is not
+    within ORTHO_TARGET, NaN included, means N_n is wrong, and raises
+    QuadratureNotConverged.  The QUAD_NODES-point rule for projections is
+    not built here."""
     alpha = consts.omega / 2.0
     ns = range(max_n + 1)
     norm = math.sqrt(2.0) * np.array([closed_form_norm(n, consts.omega) for n in ns])
@@ -174,7 +183,7 @@ def build_basis(consts, max_n=8):
     )
     gram = basis._gram(*_rule_in_y(consts, max_n + 1))
     resid = float(np.max(np.abs(gram - np.eye(max_n + 1))))
-    if resid > ORTHO_TARGET:
+    if not resid <= ORTHO_TARGET:
         raise QuadratureNotConverged(
             f"orthonormality residual {resid:.3e} on the {max_n + 1}-node "
             f"Gauss-Laguerre rule"

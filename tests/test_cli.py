@@ -3,6 +3,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -637,6 +639,36 @@ def test_predict_runaway_profile_work_exit_1(capsys):
     err = capsys.readouterr().err
     assert err.startswith("IntegrationFailed: profile")
     assert err.count("\n") == 1
+
+
+def test_predict_huge_d_exit_2(capsys):
+    # (d - 2(k+1))^2 overflows: a malformed argument, not an OverflowError
+    assert cli.main(["predict", "--d", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid parameters")
+    assert err.count("\n") == 1
+
+
+def test_predict_past_float_range_exit_1(capsys):
+    # at d = 200 the outer integral's N_N^4 underflows; predict printed
+    # DN = nan after RuntimeWarnings
+    assert cli.main(["predict", "--d", "200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FloatRangeExceeded: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # nothing reads the orbit through an interpolant, so no module imports
+    # scipy.interpolate, which adds tens of ms to every start-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, blowuplab.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_basis_dump(tmp_path, capsys):

@@ -6,7 +6,7 @@ from scipy.integrate import quad, simpson
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 from blowuplab import coupling
-from blowuplab.errors import RegimeMismatch
+from blowuplab.errors import FloatRangeExceeded, RegimeMismatch
 from blowuplab.params import Regime
 from blowuplab.coupling import (
     coupling_constants,
@@ -106,6 +106,15 @@ def test_inner_integral_diverges_in_outer_regime(profile_at):
 def test_outer_integral_diverges_in_inner_regime(basis_at):
     with pytest.raises(RegimeMismatch):
         outer_integral(basis_at(8.0, 1), 1, 1)
+
+
+def test_outer_coupling_past_float_range_is_typed(profile_at, basis_at):
+    # N_N^4 leaves the normal floats at d ~ 151.7 (k = 1, N = 1), and D_N
+    # came out as 0.0 at d = 160; d = 150 still computes
+    assert np.isfinite(coupling_constants(profile_at(150.0, 1),
+                                          basis_at(150.0, 1), 1).D[1])
+    with pytest.raises(FloatRangeExceeded, match="N_N"):
+        coupling_constants(profile_at(160.0, 1), basis_at(160.0, 1), 1)
 
 
 @pytest.mark.parametrize("d,k,N,expect_inner", [(8.0, 1, 1, True),

@@ -112,3 +112,7 @@ def test_param_validation():
     for d in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             ModelParams(d=d, k=1)
+    # (d - 2(k+1))^2 must be a finite float, or derive raises OverflowError
+    with pytest.raises(ValueError, match="too large"):
+        ModelParams(d=1e300, k=1)
+    assert derive(ModelParams(d=1e150, k=1)).omega > 0

@@ -43,8 +43,9 @@ def _dop853_orbit(p):
     output."""
     from scipy.integrate import solve_ivp
     c, x = p.consts, p.x
+    u0, up0 = profile._origin_series(c, math.exp(c.params.k * x[0]))
     sol = solve_ivp(profile._pendulum_rhs(c), (x[0], x[-1]),
-                    profile._origin_series(c, x[0]), method="DOP853",
+                    (2.0 * u0 - math.pi, 2.0 * up0), method="DOP853",
                     rtol=1e-13, atol=1e-13 * math.exp(-c.gamma * x[-1]),
                     t_eval=x, dense_output=True)
     assert sol.success
@@ -81,6 +82,22 @@ def test_orbit_matches_dop853_reference(profile_at, d, k):
     v_ref, vp_ref = _dop853_orbit(p).y
     assert np.max(np.abs(p.v / v_ref - 1.0)) <= 1e-10
     assert np.max(np.abs(p.v_prime / vp_ref - 1.0)) <= 3e-10
+
+
+@pytest.mark.parametrize("d,k", [(8.0, 1), (12.0, 2), (14.0, 2)])
+def test_orbit_between_nodes_matches_dop853_dense_output(profile_at, d, k):
+    # every reader of v(x) evaluates the stored steps; between the grid
+    # nodes they hold the grid's accuracy, where the monotone cubic through
+    # the grid samples was off by 1e-9 to 7e-9 on v
+    p = profile_at(d, k)
+    xm = 0.5 * (p.x[1:] + p.x[:-1])
+    v_ref, vp_ref = _dop853_orbit(p).sol(xm)
+    v, vp = p.orbit(xm)
+    assert np.max(np.abs(v / v_ref - 1.0)) <= 1e-10
+    assert np.max(np.abs(vp / vp_ref - 1.0)) <= 3e-10
+    # and eval_u reads the same steps between its series and tail branches
+    xi = np.exp(xm[xm <= p.x_switch])
+    assert np.array_equal(eval_u(p, xi), 0.5 * (p.orbit(np.log(xi))[0] + math.pi))
 
 
 def _lsoda_from_node(p, i, x, rtol):
@@ -154,14 +171,16 @@ def test_slope_normalization_matches_lsoda_search(profile_at, d, k):
 
 
 def test_slope_normalization_makes_no_ode_call(profile_at, monkeypatch):
+    # nor a fresh series: the refinement reads the stored steps
     p = profile_at(12.0, 2)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("ODE call in _slope_normalization")
+        raise AssertionError("ODE call or new series in _slope_normalization")
 
     monkeypatch.setattr(profile, "odeint", refuse)
     monkeypatch.setattr(profile, "lsoda", refuse)
-    Cs = profile._slope_normalization(p.consts, p.x, p.v, p.v_prime)
+    monkeypatch.setattr(profile, "_taylor_coefficients", refuse)
+    Cs = profile._slope_normalization(p.orbit, p.x, p.v_prime, p.consts.params.k)
     assert Cs == p.Cs
 
 
@@ -287,11 +306,3 @@ def test_orbit_csv_roundtrip(tmp_path, profile_at):
 def test_grid_size_constant():
     assert profile.GRID_SIZE >= 4000
 
-
-def test_interpolant_built_on_first_use(consts_at):
-    p = solve_profile(consts_at(9.0, 1))
-    assert "v_interp" not in vars(p)
-    eval_u(p, 1.0)
-    first = vars(p)["v_interp"]
-    eval_u(p, [0.5, 2.0])
-    assert p.v_interp is first

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import roots_genlaguerre
 
 from blowuplab import spectral
-from blowuplab.errors import QuadratureNotConverged
+from blowuplab.errors import FloatRangeExceeded, QuadratureNotConverged
 from blowuplab.spectral import closed_form_norm, laguerre_at_zero
 
 from conftest import POINTS, c_origin_by_quadrature
@@ -97,6 +97,22 @@ def test_gram_residual_guard(consts_at, monkeypatch):
     monkeypatch.setattr(spectral, "ORTHO_TARGET", 0.0)
     with pytest.raises(QuadratureNotConverged):
         spectral.build_basis(consts_at(8.0, 1))
+
+
+def test_gram_guard_catches_nan(consts_at, monkeypatch):
+    # a NaN residual is no pass
+    monkeypatch.setattr(spectral.EigenBasis, "_gram",
+                        lambda self, y, w: np.full((y.size, y.size), np.nan))
+    with pytest.raises(QuadratureNotConverged, match="nan"):
+        spectral.build_basis(consts_at(8.0, 1))
+
+
+@pytest.mark.parametrize("d", [300.0, 1000.0, 2000.0])
+def test_overflowing_weights_are_typed(consts_at, d):
+    # 2^(d-1) w_z z^gamma overflows from d ~ 269.6 (k = 1); 2.0 ** 1024
+    # would raise OverflowError
+    with pytest.raises(FloatRangeExceeded, match="weights overflow"):
+        spectral.build_basis(consts_at(d, 1))
 
 
 def test_build_basis_checks_on_smallest_rule(consts_at, monkeypatch):
