@@ -95,7 +95,7 @@ def inner_integral(profile, upper=None):
     x_sw = profile.x_switch
 
     def integrand(x):
-        return _g_of_v(consts, float(profile.orbit(x)[0])) * math.exp(p * x)
+        return _g_of_v(consts, profile.orbit(x)[0]) * math.exp(p * x)
 
     g0 = _g_of_v(consts, -math.pi)
     x_up = x_sw if upper is None else min(x_sw, math.log(upper))
@@ -126,22 +126,22 @@ def _laguerre_rule(order, alpha):
 
 
 def outer_integral(basis, N, n):
-    """int_0^inf phi_N^3 phi_n y^{d-3} e^{-y^2/4} dy via a Gauss-Laguerre
-    rule matched to the y^{omega-2gamma-1} origin behavior.  One rule,
-    exact for the Laguerre polynomial part (degree 3N + n) of every
-    n <= basis.max_n, serves all of them."""
+    """int_0^inf phi_N^3 phi_n y^{d-3} e^{-y^2/4} dy, for an int n or an array
+    of them, via a Gauss-Laguerre rule matched to the y^{omega-2gamma-1}
+    origin behavior.  One rule, exact for the Laguerre polynomial part
+    (degree 3N + n) of every n <= basis.max_n, serves them all in one pass."""
     consts = basis.consts
     d = consts.params.d
     gam, om = consts.gamma, consts.omega
     if om <= 2.0 * gam:
         raise RegimeMismatch("outer integral diverges for omega <= 2*gamma")
     alpha = 0.5 * (om - 2.0 * gam) - 1.0
-    z, w = _laguerre_rule(2 * (3 * N + max(n, basis.max_n)) + 32, alpha)
+    z, w = _laguerre_rule(2 * (3 * N + max(np.max(n), basis.max_n)) + 32, alpha)
     a = basis._alpha
     LN = eval_genlaguerre(N, a, z)
-    Ln = eval_genlaguerre(n, a, z)
+    Ln = eval_genlaguerre(np.asarray(n)[..., None], a, z)
     pref = basis.norm[N] ** 3 * basis.norm[n] * 2.0 ** (d - 3.0 - 4.0 * gam)
-    return pref * float(np.sum(w * LN**3 * Ln))
+    return pref * np.sum(w * LN**3 * Ln, axis=-1)
 
 
 def _outer_prefactor(profile, basis, N):
@@ -193,8 +193,7 @@ def coupling_constants(profile, basis, N):
         D = basis.c_origin * base
         diagnostics = {"inner_integral": base}
     else:
-        outer = np.array([outer_integral(basis, N, n)
-                          for n in range(basis.max_n + 1)])
+        outer = outer_integral(basis, N, np.arange(basis.max_n + 1))
         D = _outer_prefactor(profile, basis, N) * outer
         diagnostics = {"outer_integral_N": float(outer[N])}
     return CouplingConstants(

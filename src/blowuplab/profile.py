@@ -28,6 +28,7 @@ normalization C_s = 1 / sup_xi |dU*/dxi|.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import warnings
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import ODEintWarning, odeint
-from scipy.optimize import minimize_scalar
 
 from .errors import IntegrationFailed, TailFitIllConditioned, TrappingViolation
 from .params import DerivedConstants
@@ -47,8 +47,7 @@ GRID_SIZE = 12000
 #: tail-fit window is the last this-fraction of [0, x_max]
 TAIL_WINDOW_FRACTION = 0.3
 
-#: order of the Taylor polynomials: of every integration step of the orbit,
-#: and of the one that refines the slope maximum
+#: order of the Taylor polynomial of every integration step of the orbit
 TAYLOR_ORDER = 20
 
 #: the orbit integration gives up after this many steps, as an excess-work
@@ -72,12 +71,21 @@ class TrappingReport:
 
 @dataclass(frozen=True)
 class TaylorOrbit:
-    """Taylor steps, v(starts[i] + t) = sum_m coefs[i, m] t^m.  Called on a
-    float or an array x >= starts[0]: (v, v') by Horner, one column at a time."""
+    """Taylor steps, v(starts[i] + t) = sum_m coefs[i, m] t^m.  Called on
+    x >= starts[0]: (v, v') by Horner, one column at a time for an array and
+    on lists of Python floats, made once, for a scalar: the same operations."""
     starts: np.ndarray
     coefs: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "_start_list", self.starts.tolist())
+        object.__setattr__(self, "_descending", self.coefs[:, ::-1].tolist())
+
     def __call__(self, x):
+        if isinstance(x, float) or np.ndim(x) == 0:
+            x, starts = float(x), self._start_list
+            step = bisect.bisect_right(starts, x, 1) - 1
+            return _value_and_slope(self._descending[step], x - starts[step])
         step = np.searchsorted(self.starts[1:], x, side="right")
         return _value_and_slope((c[step] for c in self.coefs.T[::-1]),
                                 x - self.starts[step])
@@ -145,10 +153,10 @@ def solve_profile(consts, tolerance=1e-11):
     of it as tolerance / 10; at the default its relative error on the grid is
     below 1e-10 (against DOP853 at rtol 1e-13).  Raises TrappingViolation if
     the computed orbit exits the trapping region by more than the
-    integration error allows, and IntegrationFailed in two cases: tolerance
-    below about 2.2e-13, whose tolerance / 10 is below 100 machine epsilons,
-    and MAX_STEPS steps taken short of x_max, which at k = 1 happens above
-    d ~ 1,700."""
+    integration error allows, and IntegrationFailed for tolerance below about
+    2.2e-13 (tolerance / 10 below 100 machine epsilons), for a step that does
+    not advance x (the Taylor coefficients overflow, as at d = 1e20) and for
+    MAX_STEPS steps short of x_max (at k = 1 above d ~ 1,700)."""
     # the origin series errs by O(e^{5 k x_min}); e^{-omega x_max} < 1e-10
     # relative to the leading tail term keeps the tail fit well conditioned
     x_min = -12.0 / consts.params.k
@@ -169,7 +177,7 @@ def solve_profile(consts, tolerance=1e-11):
 
     x_switch = x_min + (1.0 - TAIL_WINDOW_FRACTION) * (x_max - x_min)
     tail = _fit_tail(consts, grid, v, x_lo=x_switch)
-    Cs = _slope_normalization(orbit, grid, vp, consts.params.k)
+    Cs = _slope_normalization(consts, orbit, grid, vp)
 
     profile = ProfileSolution(
         consts=consts,
@@ -226,20 +234,19 @@ def _taylor_coefficients(consts, v0, vp0):
     """Taylor coefficients v_0 .. v_TAYLOR_ORDER of the orbit through (v0, vp0):
     v(x0 + t) = sum v_m t^m.  They follow from v'' = -(d-2) v' - k(d+k-2)
     sin v and the series of sin v and cos v, whose derivatives are
-    cos v v' and -sin v v'."""
+    cos v v' and -sin v v', kept from the highest order down."""
     damping, torque = _pendulum_coefficients(consts)
     v0, vp0 = float(v0), float(vp0)     # Python floats: faster than numpy's
-    v = [v0, vp0]
-    dv = [vp0]                          # dv[j - 1] = j v_j
     sin_v = [math.sin(v0)]
     cos_v = [math.cos(v0)]
-    for m in range(TAYLOR_ORDER - 1):
-        if m:
-            # m s_m = sum_j j v_j c_{m-j},  m c_m = -sum_j j v_j s_{m-j}
-            s_m = sum(map(operator.mul, dv, reversed(cos_v))) / m
-            cos_v.append(-sum(map(operator.mul, dv, reversed(sin_v))) / m)
-            sin_v.append(s_m)
-        v.append((-damping * dv[m] - torque * sin_v[m]) / ((m + 1) * (m + 2)))
+    v = [v0, vp0, (-damping * vp0 - torque * sin_v[0]) / 2]
+    dv = [vp0, 2 * v[2]]                # dv[j - 1] = j v_j
+    for m in range(1, TAYLOR_ORDER - 1):
+        # m s_m = sum_j j v_j c_{m-j},  m c_m = -sum_j j v_j s_{m-j}
+        s_m = sum(map(operator.mul, dv, cos_v)) / m
+        cos_v.insert(0, -sum(map(operator.mul, dv, sin_v)) / m)
+        sin_v.insert(0, s_m)
+        v.append((-damping * dv[m] - torque * s_m) / ((m + 1) * (m + 2)))
         dv.append((m + 2) * v[-1])
     return v
 
@@ -282,6 +289,10 @@ def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
         scale = bound * max(abs(v), abs(vp))
         h = 1.0 / max((abs(coef[p - 1]) / scale) ** (1.0 / (p - 1)),
                       (abs(coef[p]) / scale) ** (1.0 / p))
+        if not x + h > x:
+            raise IntegrationFailed(
+                f"profile integration failed: step {len(starts)} does not "
+                f"advance x = {x:.6g}; the Taylor coefficients overflow")
         starts.append(x)
         coefs.append(coef)
         if x + h >= x_end:
@@ -290,25 +301,28 @@ def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
         x += h
 
 
-def _slope_normalization(orbit, x, vp, k):
-    """C_s = 1 / max_xi |dU*/dxi| with dU*/dxi = v'(x) e^{-x} / 2, maximum
-    refined by golden-section around the discrete argmax on the grid x, with
-    v' read off the stored steps: no second integration."""
-    slope = 0.5 * vp * np.exp(-x)
-    j = int(np.argmax(slope))
-    lo = x[max(j - 1, 0)]
-    hi = x[min(j + 1, x.size - 1)]
-
-    def neg_slope(xx):
-        return -0.5 * orbit(xx)[1] * math.exp(-xx)
-
-    res = minimize_scalar(neg_slope, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    best = -res.fun
-    if k == 1:
-        # dU*/dxi(0) = 1 exactly; the grid starts at e^{x_min} > 0
-        best = max(best, 1.0)
-    return 1.0 / best
+def _slope_normalization(consts, orbit, x, vp):
+    """C_s = 1 / max_xi |dU*/dxi| with dU*/dxi = v'(x) e^{-x} / 2.  At k = 1
+    that is dU*/dxi(0) = 1: v'' - v' stays within the orbit's error of 0.  At
+    k >= 2, Newton on v'' - v' from the grid argmax, with v'' and v''' from
+    the pendulum equation at (v, v') off the stored steps.  IntegrationFailed
+    if it leaves the argmax's neighbour cells or takes 8 iterations."""
+    if consts.params.k == 1:
+        return 1.0
+    damping, torque = _pendulum_coefficients(consts)
+    j = int(np.argmax(vp * np.exp(-x)))
+    lo, hi, xx = x[max(j - 1, 0)], x[min(j + 1, x.size - 1)], float(x[j])
+    for _ in range(8):
+        v, dv = orbit(xx)
+        d2v = -damping * dv - torque * math.sin(v)
+        step = (d2v - dv) / (-damping * d2v - torque * math.cos(v) * dv - d2v)
+        if abs(step) <= 1e-12:
+            return 1.0 / (0.5 * dv * math.exp(-xx))
+        xx -= step
+        if not lo <= xx <= hi:
+            break
+    raise IntegrationFailed(f"profile slope maximum: Newton at x = {xx:.6g} "
+                            f"did not converge inside [{lo:.6g}, {hi:.6g}]")
 
 
 def eval_u(profile, xi):

@@ -641,6 +641,16 @@ def test_predict_runaway_profile_work_exit_1(capsys):
     assert err.count("\n") == 1
 
 
+def test_predict_overflowing_profile_steps_exit_1(capsys):
+    # the Taylor coefficients overflow at d = 1e20; the step loop ran on
+    # nan steps to its cap and blamed stiffness
+    assert cli.main(["predict", "--d", "1e20"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IntegrationFailed: profile")
+    assert "step 0 does not advance" in err
+    assert err.count("\n") == 1
+
+
 def test_predict_huge_d_exit_2(capsys):
     # (d - 2(k+1))^2 overflows: a malformed argument, not an OverflowError
     assert cli.main(["predict", "--d", "1e300"]) == 2

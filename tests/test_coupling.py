@@ -184,3 +184,11 @@ def test_outer_integral_one_rule_matches_rule_per_n(basis_at, d, k, N):
             w * eval_genlaguerre(N, basis._alpha, z) ** 3
             * eval_genlaguerre(n, basis._alpha, z))
         assert outer_integral(basis, N, n) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,k,N", [(9.0, 1, 1), (16.0, 2, 2)])
+def test_outer_integral_on_every_n_in_one_pass(basis_at, d, k, N):
+    basis = basis_at(d, k)
+    every = outer_integral(basis, N, np.arange(basis.max_n + 1))
+    assert every.tolist() == [outer_integral(basis, N, n)
+                              for n in range(basis.max_n + 1)]

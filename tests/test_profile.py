@@ -180,8 +180,58 @@ def test_slope_normalization_makes_no_ode_call(profile_at, monkeypatch):
     monkeypatch.setattr(profile, "odeint", refuse)
     monkeypatch.setattr(profile, "lsoda", refuse)
     monkeypatch.setattr(profile, "_taylor_coefficients", refuse)
-    Cs = profile._slope_normalization(p.orbit, p.x, p.v_prime, p.consts.params.k)
+    Cs = profile._slope_normalization(p.consts, p.orbit, p.x, p.v_prime)
     assert Cs == p.Cs
+
+
+@pytest.mark.parametrize("d,k", [(12.0, 2), (14.0, 2), (17.0, 3), (25.0, 3)])
+def test_newton_slope_maximum_matches_references(profile_at, d, k):
+    # Newton on v'' - v' against golden-section searches on a DOP853 orbit
+    # and on LSODA re-integrations from the bracket node
+    p = profile_at(d, k)
+    assert p.Cs == pytest.approx(_dop853_reference(p)[1], rel=1e-8)
+    assert p.Cs == pytest.approx(_cs_by_lsoda_search(p), rel=1e-11)
+
+
+def test_newton_leaving_the_bracket_is_typed(profile_at):
+    # an orbit shifted by ten cells puts the root of v'' - v' ten cells
+    # left of the grid argmax that Newton starts from
+    p = profile_at(12.0, 2)
+    shift = 10.0 * (p.x[1] - p.x[0])
+
+    def shifted(x):
+        return p.orbit(x + shift)
+
+    with pytest.raises(IntegrationFailed, match="Newton at x = .* did not"):
+        profile._slope_normalization(p.consts, shifted, p.x, p.v_prime)
+
+
+@pytest.mark.parametrize("d", [6.9, 8.0, 20.0, 50.0, 100.0])
+def test_k1_slope_maximum_is_at_the_origin(consts_at, d):
+    # d/dx (v' e^{-x}) = (v'' - v') e^{-x}, and along the k = 1 orbit
+    # v'' - v' is no larger than the orbit's own error, relative to v':
+    # dU*/dxi has no interior maximum above dU*/dxi(0) = 1
+    c = consts_at(d, 1)
+    p = solve_profile(c)
+    damping, torque = profile._pendulum_coefficients(c)
+    vpp = -damping * p.v_prime - torque * np.sin(p.v)
+    assert np.max((vpp - p.v_prime) / p.v_prime) <= 1e-7
+    assert p.Cs == 1.0
+
+
+@pytest.mark.parametrize("d,k", [(8.0, 1), (12.0, 2)])
+def test_orbit_scalar_reads_match_array_reads(profile_at, d, k):
+    # a float, an np.float64 and a 0-d array take the Python-float path, a
+    # 1-element array the column gather: bit-identical at grid nodes, cell
+    # midpoints, step starts, below the first start and beyond the last
+    p = profile_at(d, k)
+    starts = p.orbit.starts
+    xs = np.concatenate([p.x[::499], 0.5 * (p.x[1::499] + p.x[:-1:499]),
+                         starts, [starts[0] - 0.5, starts[-1] + 0.5]])
+    for x in xs:
+        v, vp = p.orbit(np.array([x]))
+        for scalar in (float(x), np.float64(x), np.array(x)):
+            assert p.orbit(scalar) == (v[0], vp[0])
 
 
 def test_k2_halved_x_reduction(profile_at):
@@ -262,9 +312,16 @@ def test_runaway_work_is_typed(consts_at):
     # at d = 1e6 the orbit is so stiff that explicit steps would run for
     # minutes; the step cap ends it with a library error in under a second
     start = time.perf_counter()
-    with pytest.raises(IntegrationFailed, match="profile"):
+    with pytest.raises(IntegrationFailed, match="profile.*steps reached"):
         solve_profile(consts_at(1e6, 1))
     assert time.perf_counter() - start < 5.0
+
+
+def test_non_advancing_step_is_typed(consts_at):
+    # at d = 1e20 the Taylor coefficients overflow and the first step length
+    # is nan: the loop stops there instead of taking MAX_STEPS nan steps
+    with pytest.raises(IntegrationFailed, match="step 0 does not advance"):
+        solve_profile(consts_at(1e20, 1))
 
 
 def test_tail_refit_stability(profile_at):
