@@ -95,10 +95,9 @@ def cmd_predict(args):
     if spec_N.lam == 0:
         table["CN"] = law.constants["CN"]
     print(f"rate law: {law.kind}, exponent {law.exponent:.7f}")
-    for key in ("gamma", "omega", "delta", "h", "Cs", "cN", "DN"):
-        print(f"  {key:>6s} = {table[key]:.8f}")
-    if "CN" in table:
-        print(f"      CN = {table['CN']:.8f}")
+    for key in ("gamma", "omega", "delta", "h", "Cs", "cN", "DN", "CN"):
+        if key in table:
+            print(f"  {key:>6s} = {table[key]:.9g}")
     out = {"rate_law": json.loads(law.to_json()), "constants": table}
     if args.json:
         _write_json(args.json, out)
@@ -364,8 +363,9 @@ def _overlay_csv(path, snap, tau, prof, basis, N):
         return {"no_overlay": f"no snapshot before T (tau = {tau:.3e})"}
     name, state = snap
     ss = meshsim.to_self_similar(state, tau, prof.Cs)
-    if not 0.0 < ss.eps <= 0.1:
-        return {"no_overlay": f"eps = {ss.eps:.3e} at {name} is outside (0, 0.1]"}
+    if not 0.0 < ss.eps <= rates.EPS_MAX:
+        return {"no_overlay": f"eps = {ss.eps:.3e} at {name} is outside "
+                              f"(0, {rates.EPS_MAX}]"}
     mask = (ss.y >= ss.eps * 1e-2) & (ss.y <= 2.0)
     ansatz = rates.assemble_ansatz(prof, basis, N, ss.eps, y_grid=ss.y[mask])
     write_table(path, ("y", "f_numeric", "f_ansatz"),

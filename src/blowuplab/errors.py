@@ -43,7 +43,8 @@ class FloatRangeExceeded(BlowupLabError):
 
 
 class BlowupOfEpsilon(BlowupLabError):
-    """epsilon(s) grew instead of decaying; constants have a sign error."""
+    """epsilon(s) does not decay (it grows, and may blow up at finite s);
+    the constants have a sign error."""
 
 
 class BadInitialData(BlowupLabError):
@@ -51,8 +52,9 @@ class BadInitialData(BlowupLabError):
 
 
 class IntegrationFailed(BlowupLabError):
-    """An ODE integration of the asymptotics (profile orbit or eps) did not
-    reach its end: illegal tolerances, excess work or a step-size collapse."""
+    """The profile orbit's integration did not reach its end (an illegal
+    tolerance, excess work or a step that does not advance x), or the Newton
+    search for its slope maximum did not converge."""
 
 
 class StepSizeUnderflow(BlowupLabError):

@@ -66,10 +66,7 @@ class DerivedConstants:
     params: ModelParams
     omega: float
     gamma: float
-    d_star: float
     delta: float
-    mu_plus: float
-    mu_minus: float
     regime: Regime
 
 
@@ -85,11 +82,6 @@ class Classification:
     neutral_index: int | None     # N0 = (d-2-omega)/4 when integral
     min_admissible_N: int         # smallest N with lambda_N >= 0
     stability_bound: float        # (d-2-omega)/4, always > k/2
-
-    def unstable_directions(self, N):
-        """Effective codimension of the construction with index N: N
-        matching constraints, one removed by the blow-up-time gauge."""
-        return N - 1
 
 
 def derive(params: ModelParams) -> DerivedConstants:
@@ -116,10 +108,7 @@ def derive(params: ModelParams) -> DerivedConstants:
         params=params,
         omega=omega,
         gamma=gamma,
-        d_star=d_star,
         delta=delta,
-        mu_plus=-gamma,
-        mu_minus=-gamma - omega,
         regime=regime,
     )
 

@@ -31,11 +31,9 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
 
 from .errors import IntegrationFailed, TailFitIllConditioned, TrappingViolation
 from .params import DerivedConstants
@@ -59,7 +57,6 @@ MAX_STEPS = 5000
 class TailFit:
     h: float             # -h_+ > 0
     h_minus: float       # subdominant amplitude at the window start x_lo
-    fit_residual: float
 
 
 @dataclass
@@ -71,24 +68,22 @@ class TrappingReport:
 
 @dataclass(frozen=True)
 class TaylorOrbit:
-    """Taylor steps, v(starts[i] + t) = sum_m coefs[i, m] t^m.  Called on
-    x >= starts[0]: (v, v') by Horner, one column at a time for an array and
-    on lists of Python floats, made once, for a scalar: the same operations."""
-    starts: np.ndarray
-    coefs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "_start_list", self.starts.tolist())
-        object.__setattr__(self, "_descending", self.coefs[:, ::-1].tolist())
+    """Taylor steps as lists of Python floats, v(starts[i] + t) =
+    sum_m descending[i][-1 - m] t^m.  Called on x >= starts[0]: (v, v') by
+    Horner, on step i's list for a scalar, and for an array one column at a
+    time of the table made for the call: the same operations."""
+    starts: list
+    descending: list     # coefficients of each step, highest order first
 
     def __call__(self, x):
         if isinstance(x, float) or np.ndim(x) == 0:
-            x, starts = float(x), self._start_list
+            x, starts = float(x), self.starts
             step = bisect.bisect_right(starts, x, 1) - 1
-            return _value_and_slope(self._descending[step], x - starts[step])
-        step = np.searchsorted(self.starts[1:], x, side="right")
-        return _value_and_slope((c[step] for c in self.coefs.T[::-1]),
-                                x - self.starts[step])
+            return _value_and_slope(self.descending[step], x - starts[step])
+        starts = np.array(self.starts)
+        step = np.searchsorted(starts[1:], x, side="right")
+        return _value_and_slope((c[step] for c in np.array(self.descending).T),
+                                x - starts[step])
 
 
 @dataclass
@@ -103,7 +98,6 @@ class ProfileSolution:
     Cs: float            # 1 / sup |dU*/dxi|
     x_switch: float      # beyond e^{x_switch} evalU uses the tail formula
     tolerance: float
-    tail_residual: float
 
     def to_csv(self, path):
         """Orbit export for the phase-portrait figure (columns x, v, vPrime)."""
@@ -133,18 +127,6 @@ def _pendulum_rhs(consts):
         return (vp, -damping * vp - torque * math.sin(v))
 
     return rhs
-
-
-def lsoda(rhs, y0, t, rtol, atol, what):
-    """Solution of y' = rhs(t, y) on the nodes t (y0 at t[0]) by LSODA, whose
-    step loop runs in compiled code.  A failed integration raises
-    IntegrationFailed naming `what`, never an ODEintWarning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ODEintWarning)
-        try:
-            return odeint(rhs, y0, t, rtol=rtol, atol=atol, tfirst=True)
-        except ODEintWarning as exc:
-            raise IntegrationFailed(f"{what} integration failed: {exc}") from None
 
 
 def solve_profile(consts, tolerance=1e-11):
@@ -190,7 +172,6 @@ def solve_profile(consts, tolerance=1e-11):
         Cs=Cs,
         x_switch=x_switch,
         tolerance=tolerance,
-        tail_residual=tail.fit_residual,
     )
     return profile
 
@@ -218,8 +199,7 @@ def _fit_tail(consts, x, v, x_lo):
             "tail exponentials numerically collinear; enlarge window or x_max"
         )
     h_plus = 0.5 * coef[0] * math.exp(gamma * x_lo)
-    resid = float(np.sqrt(np.mean((A @ coef - b) ** 2)))
-    return TailFit(h=-h_plus, h_minus=0.5 * coef[1], fit_residual=resid)
+    return TailFit(h=-h_plus, h_minus=0.5 * coef[1])
 
 
 def extract_tail(profile, x_lo=None):
@@ -279,7 +259,7 @@ def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
     p = TAYLOR_ORDER
     bound = 1e-4 * rel
     x, v, vp = x0, v0, vp0
-    starts, coefs = [], []
+    starts, descending = [], []
     while True:
         if len(starts) == MAX_STEPS:
             raise IntegrationFailed(
@@ -294,10 +274,10 @@ def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
                 f"profile integration failed: step {len(starts)} does not "
                 f"advance x = {x:.6g}; the Taylor coefficients overflow")
         starts.append(x)
-        coefs.append(coef)
+        descending.append(coef[::-1])
         if x + h >= x_end:
-            return TaylorOrbit(np.array(starts), np.array(coefs))
-        v, vp = _value_and_slope(reversed(coef), h)
+            return TaylorOrbit(starts, descending)
+        v, vp = _value_and_slope(descending[-1], h)
         x += h
 
 

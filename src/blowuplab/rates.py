@@ -1,10 +1,17 @@
 """Reduced dynamics for eps(s) and a_n(s), and the predicted rate laws.
 
-The layer width obeys
+The layer width obeys the Bernoulli equation
 
-    gamma deps/ds = -lambda_N eps - (D_N c_N / h) eps^{1+delta}
+    gamma deps/ds = -lambda_N eps - b eps^{1+delta},   b = D_N c_N / h,
 
-which for lambda_N > 0 decays like eps_0 e^{-lambda_N s / gamma} and for
+which u = eps^{-delta} turns linear, u' = r u + delta b / gamma with
+r = delta lambda_N / gamma.  Its exact solution is the only formula for
+eps(s) here:
+
+    log u = r s + log(u_0 - b expm1(-r s) / lambda_N)   (lambda_N > 0),
+    u = u_0 + (delta b / gamma) s                        (lambda_N = 0).
+
+For lambda_N > 0 eps decays like eps_0 e^{-lambda_N s / gamma} and for
 lambda_N = 0 like C_N (s - s_0)^{-1/delta} with
 C_N = (h gamma / (c_N D_N delta))^{1/delta}.  Through
 R(t) = C_s sqrt(T-t) eps(-log(T-t)) these become the power law
@@ -22,7 +29,11 @@ from scipy.linalg.lapack import dtbtrs
 
 from .errors import BlowupOfEpsilon, NegativeEigenvalue
 from .params import eigenvalue
-from .profile import lsoda
+from .profile import eval_u
+
+#: largest eps the matched construction takes: eps0 of solve_epsilon, eps of
+#: assemble_ansatz and of compare's overlay snapshot
+EPS_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -46,72 +57,63 @@ class ReducedConstants:
         return (self.h * self.gamma / (self.cN * self.DN * self.delta)) ** (1.0 / self.delta)
 
 
+def _bernoulli(c, eps0, s):
+    """eps(s) from eps(0) = eps0 by the exact solution in log u: no overflow
+    at large r s (the growth is a sum in the exponent), no cancellation as
+    lambda_N -> 0 (expm1(-r s) / lambda_N tends to -delta s / gamma)."""
+    u0 = eps0 ** -c.delta
+    if c.lam == 0:
+        log_u = np.log(u0 + (c.delta * c.b / c.gamma) * s)
+    else:
+        r = c.delta * c.lam / c.gamma
+        log_u = r * s + np.log(u0 - c.b * (np.expm1(-r * s) / c.lam))
+    return np.exp(-log_u / c.delta)
+
+
 @dataclass
 class EpsilonTrajectory:
     constants: ReducedConstants
     s: np.ndarray
     eps: np.ndarray
     eps0: float
-    s0: float | None = None   # fitted shift, neutral case only
 
     def closed_form(self, s):
-        """Exact Bernoulli solution of the eps ODE (oracle for the numerics)."""
+        """eps at any s, by the formula that gave the samples."""
+        return _bernoulli(self.constants, self.eps0, np.asarray(s, dtype=float))
+
+    @property
+    def s0(self):
+        """Shift of the neutral law eps = C_N (s - s_0)^{-1/delta},
+        -gamma eps0^{-delta} / (delta b); None for lambda_N > 0."""
         c = self.constants
-        s = np.asarray(s, dtype=float)
-        u0 = self.eps0 ** (-c.delta)
-        rate = c.delta * c.lam / c.gamma
         if c.lam > 0:
-            u = (u0 + c.b / c.lam) * np.exp(rate * s) - c.b / c.lam
-        else:
-            u = u0 + (c.delta * c.b / c.gamma) * s
-        return u ** (-1.0 / c.delta)
+            return None
+        return -c.gamma * self.eps0 ** -c.delta / (c.delta * c.b)
 
 
 #: samples of an eps trajectory on [0, s_max]
 EPS_SAMPLES = 2001
 
 
-def solve_epsilon(constants, eps0, s_max=60.0, rtol=1e-10):
-    """Integrate the eps ODE in l = log eps,
-
-        gamma dl/ds = -lambda_N - b e^{delta l},
-
-    so that atol = rtol on l bounds the relative error of eps however small
-    it gets.  lambda_N < 0 is rejected (the layer would not shrink); growth
-    of eps signals a sign error in the constants.  A failed integration
-    raises IntegrationFailed; LSODA rejects rtol below 100 machine
-    epsilons (about 2.2e-14)."""
-    if constants.lam < 0:
-        raise NegativeEigenvalue(
-            f"lambda_N = {constants.lam} < 0: boundary layer does not shrink"
-        )
-    if not 0.0 < eps0 <= 0.1:
-        raise ValueError(f"eps0 must be in (0, 0.1], got {eps0}")
+def solve_epsilon(constants, eps0, s_max=60.0):
+    """eps(s) on EPS_SAMPLES points of [0, s_max], from eps(0) = eps0 in
+    (0, EPS_MAX], by the exact solution of the eps ODE.  lambda_N < 0 raises
+    NegativeEigenvalue (the layer would not shrink).  eps must decay, which
+    is lambda_N u_0 + b > 0: otherwise BlowupOfEpsilon, as the constants have
+    a sign error (for b < -lambda_N u_0 the log's argument reaches 0 and eps
+    blows up at finite s)."""
     c = constants
-    lam, b, delta, gamma = c.lam, c.b, c.delta, c.gamma
-
-    def rhs(s, ell):
-        return ((-lam - b * math.exp(delta * ell.item())) / gamma,)
-
-    s_grid = np.linspace(0.0, s_max, EPS_SAMPLES)
-    ell = lsoda(rhs, [math.log(eps0)], s_grid, rtol, rtol, "eps")
-    eps = np.exp(ell[:, 0])
-    if np.any(eps > 1.5 * eps0) or eps[-1] > eps[0]:
-        raise BlowupOfEpsilon("eps(s) grew; check signs of D_N, c_N, h")
-    traj = EpsilonTrajectory(constants=c, s=s_grid, eps=eps, eps0=eps0)
-    if c.lam == 0:
-        traj.s0 = fit_neutral_shift(traj)
-    return traj
-
-
-def fit_neutral_shift(traj):
-    """s_0 from a linear fit of eps^{-delta} vs s over the last half of the
-    trajectory (transients decay algebraically, so use the late window)."""
-    c = traj.constants
-    half = traj.s.size // 2
-    s, e = traj.s[half:], traj.eps[half:]
-    slope, intercept = np.polyfit(s, e ** (-c.delta), 1)
-    return -intercept / slope
+    if c.lam < 0:
+        raise NegativeEigenvalue(
+            f"lambda_N = {c.lam} < 0: boundary layer does not shrink"
+        )
+    if not 0.0 < eps0 <= EPS_MAX:
+        raise ValueError(f"eps0 must be in (0, {EPS_MAX}], got {eps0}")
+    if c.lam * eps0 ** -c.delta + c.b <= 0:
+        raise BlowupOfEpsilon("eps(s) does not decay; check signs of D_N, c_N, h")
+    s = np.linspace(0.0, s_max, EPS_SAMPLES)
+    return EpsilonTrajectory(constants=c, s=s, eps=_bernoulli(c, eps0, s),
+                             eps0=eps0)
 
 
 @dataclass
@@ -227,9 +229,8 @@ class AnsatzSnapshot:
 def assemble_ansatz(profile, basis, N, eps, y_grid=None):
     """Global approximate solution: rescaled profile below K = sqrt(eps),
     equatorial map minus the matched eigenmode above it."""
-    from .profile import eval_u
-    if not 0.0 < eps <= 0.1:
-        raise ValueError(f"eps must be in (0, 0.1], got {eps}")
+    if not 0.0 < eps <= EPS_MAX:
+        raise ValueError(f"eps must be in (0, {EPS_MAX}], got {eps}")
     consts = profile.consts
     K = math.sqrt(eps)
     if y_grid is None:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.special import eval_genlaguerre
 
 from blowuplab import params, profile, spectral
@@ -25,6 +25,20 @@ def c_origin_by_quadrature(consts, n):
 
     norm2 = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
     return eval_genlaguerre(n, alpha, 0.0) / math.sqrt(norm2)
+
+
+def eps_by_dop853(rc, eps0, s):
+    """eps on the nodes s (from s[0] = 0) of the eps ODE integrated by DOP853
+    at rtol 1e-12 in l = log eps, gamma l' = -lambda_N - b e^{delta l}, so
+    that the tolerance on l bounds the relative error of eps: independent of
+    the exact solution that rates evaluates."""
+    def rhs(_, ell):
+        return (-rc.lam - rc.b * np.exp(rc.delta * ell)) / rc.gamma
+
+    sol = solve_ivp(rhs, (s[0], s[-1]), [math.log(eps0)], method="DOP853",
+                    rtol=1e-12, atol=1e-12, t_eval=s)
+    assert sol.success, sol.message
+    return np.exp(sol.y[0])
 
 
 @pytest.fixture(scope="session")

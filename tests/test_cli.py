@@ -48,8 +48,9 @@ def test_predict_power(tmp_path, capsys):
     assert "0.6306019" in printed
     blob = json.loads(out.read_text())
     assert blob["rate_law"]["exponent"] == pytest.approx(0.6306019, abs=5e-8)
-    # JSON mirrors the printed constants
-    assert f"{blob['constants']['h']:.8f}" in printed
+    # JSON mirrors the printed constants, each to 9 significant digits
+    for key in ("gamma", "omega", "delta", "h", "Cs", "cN", "DN"):
+        assert f"{key:>6s} = {blob['constants'][key]:.9g}\n" in printed
 
 
 def test_predict_log(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blowuplab import coupling, rates
-from blowuplab.errors import IntegrationFailed, NegativeEigenvalue
+from blowuplab.errors import BlowupOfEpsilon, NegativeEigenvalue
 from blowuplab.params import eigenvalue
 from blowuplab.rates import (
     ReducedConstants,
@@ -17,11 +17,13 @@ from blowuplab.rates import (
     solve_epsilon,
 )
 
+from conftest import eps_by_dop853
+
 
 def reduced(consts_at, profile_at, basis_at, d, k, N):
     c = consts_at(d, k)
     p = profile_at(d, k)
-    b = basis_at(d, k)
+    b = basis_at(d, k, max_n=max(8, N))
     cc = coupling.coupling_constants(p, b, N)
     return ReducedConstants(
         lam=eigenvalue(c, N).lam, gamma=c.gamma,
@@ -30,29 +32,38 @@ def reduced(consts_at, profile_at, basis_at, d, k, N):
     ), c, p, b, cc
 
 
-@pytest.mark.parametrize("d,k,N", [(8.0, 1, 1), (9.1, 1, 2)])
+@pytest.mark.parametrize("d,k,N", [(8.0, 1, 1), (9.1, 1, 2), (20.0, 1, 12)])
 def test_epsilon_matches_closed_form_decaying(consts_at, profile_at, basis_at,
                                               d, k, N):
-    # at (9.1, 1, 2) eps falls to ~1e-21 by s=50: relative accuracy must
-    # survive eps far below any fixed absolute tolerance
+    # the samples and closed_form against an independent DOP853 integration
+    # of the ODE.  At (9.1, 1, 2) eps falls to ~1e-21 by s=50, and at
+    # (20, 1, 12) to 2.7e-268 by s=60, where e^{r s} overflows: relative
+    # accuracy must survive eps far below any fixed absolute tolerance
     rc = reduced(consts_at, profile_at, basis_at, d, k, N)[0]
-    traj = solve_epsilon(rc, eps0=0.05, s_max=50.0)
-    mask = traj.s >= 5.0
-    exact = traj.closed_form(traj.s[mask])
-    assert np.max(np.abs(traj.eps[mask] / exact - 1.0)) < 1e-6
+    traj = solve_epsilon(rc, eps0=0.05, s_max=60.0)
+    ref = eps_by_dop853(rc, 0.05, traj.s)
+    for eps in (traj.eps, traj.closed_form(traj.s)):
+        assert np.max(np.abs(eps / ref - 1.0)) < 1e-6
 
 
 def test_epsilon_matches_closed_form_neutral(consts_at, profile_at, basis_at):
     rc = reduced(consts_at, profile_at, basis_at, 7.0, 1, 1)[0]
     assert rc.lam == 0.0
     traj = solve_epsilon(rc, eps0=0.05, s_max=50.0)
-    mask = traj.s >= 5.0
-    exact = traj.closed_form(traj.s[mask])
-    assert np.max(np.abs(traj.eps[mask] / exact - 1.0)) < 1e-6
-    assert traj.s0 is not None
-    # late-time eps ~ CN / (s - s0)
-    tail = rc.CN / (traj.s[-1] - traj.s0)
-    assert traj.eps[-1] == pytest.approx(tail, rel=1e-3)
+    ref = eps_by_dop853(rc, 0.05, traj.s)
+    assert np.max(np.abs(traj.eps / ref - 1.0)) < 1e-6
+    # the neutral law eps = CN / (s - s0) at delta = 1
+    assert np.max(np.abs(rc.CN / (traj.s - traj.s0) / ref - 1.0)) < 1e-6
+
+
+def test_epsilon_near_neutral_is_continuous():
+    # expm1(-r s) / lambda_N tends to -delta s / gamma: no cancellation as
+    # lambda_N -> 0
+    base = dict(gamma=2.0, DN=1.0, cN=0.5, h=2.0, delta=1.0)
+    neutral = solve_epsilon(ReducedConstants(lam=0.0, **base), eps0=0.05)
+    for lam in (1e-300, 1e-12):
+        near = solve_epsilon(ReducedConstants(lam=lam, **base), eps0=0.05)
+        assert np.allclose(near.eps, neutral.eps, rtol=1e-9, atol=0.0)
 
 
 def test_epsilon_rejects_negative_eigenvalue():
@@ -61,13 +72,17 @@ def test_epsilon_rejects_negative_eigenvalue():
         solve_epsilon(rc, eps0=0.01)
 
 
-def test_epsilon_integration_failure_is_typed():
-    rc = ReducedConstants(lam=0.5, gamma=2.0, DN=1.0, cN=0.5, h=2.0, delta=1.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(IntegrationFailed, match="eps"):
-            solve_epsilon(rc, eps0=0.01, rtol=1e-14)  # illegal for LSODA
-    assert caught == []
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_epsilon_sign_error_is_typed(lam):
+    # D_N < 0 with eps0 = 0.05: eps blows up at finite s, near s = 2.04 at
+    # lambda_N = 0.5 (the log's argument reaches 0) and at s = 1.6 at
+    # lambda_N = 0 (u reaches 0)
+    rc = ReducedConstants(lam=lam, gamma=2.0, DN=-100.0, cN=0.5, h=2.0,
+                          delta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupOfEpsilon):
+            solve_epsilon(rc, eps0=0.05)
 
 
 def test_epsilon_rejects_large_eps0(consts_at, profile_at, basis_at):
