@@ -5,7 +5,7 @@ Two halves that check each other:
 - a matched-asymptotics pipeline (params -> profile -> spectral ->
   coupling -> rates) that predicts the blow-up rate law in closed form
   up to data-dependent constants, and
-- a moving-mesh direct simulation of the radial PDE (meshsim) whose
+- a direct simulation of the radial PDE on a logarithmic grid (meshsim) whose
   fitted rates are compared against those predictions.
 """
 

@@ -3,7 +3,7 @@
 Subcommands:
 
     predict       rate law + constants table for (d, k, N)
-    simulate      run the moving-mesh solver from a JSON config
+    simulate      run the log-grid PDE solver from a JSON config
     fit           (re-)fit the rate law of an existing run directory
     compare       prediction-vs-experiment report for one or two runs
     profile-dump  boundary-layer orbit as CSV
@@ -462,7 +462,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="blowuplab",
         description="Type-II blow-up rates: matched asymptotics vs. "
-                    "moving-mesh simulation",
+                    "log-grid simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -473,7 +473,7 @@ def build_parser():
     p.add_argument("--json", help="write constants/rate-law JSON here")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("simulate", help="run the moving-mesh solver")
+    p = sub.add_parser("simulate", help="run the log-grid PDE solver")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--sweep", nargs="*", help="additional config files")
     p.add_argument("--out", help="output root (default BLOWUPLAB_OUT or .)")

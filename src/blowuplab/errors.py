@@ -58,11 +58,7 @@ class IntegrationFailed(BlowupLabError):
 
 
 class StepSizeUnderflow(BlowupLabError):
-    """Time integrator step collapsed; the mesh cannot resolve the layer."""
-
-
-class MeshTangling(BlowupLabError):
-    """Mesh node ordering was violated during a step."""
+    """Time integrator step failed."""
 
 
 class NoBlowup(BlowupLabError):

@@ -1,70 +1,65 @@
-"""Direct simulation of the radial flow on a moving mesh.
+"""Direct simulation of the radial flow on a fixed logarithmic grid.
 
 The PDE
 
     u_t = u_rr + (d-1)/r u_r - k(d+k-2)/(2 r^2) sin(2u),   u(0,t) = 0
 
-is discretized with 3-point finite differences on a nonuniform mesh whose
-nodes move by equidistribution of the arclength-type monitor
-M(r) = sqrt(alpha + u_r^2) (spatially smoothed, with a fraction of the
-monitor mass spread uniformly to guard the outer region).  The mesh
-velocity solves the elliptic moving-mesh equation
-(dr/dt)_xixi = -gain (M r_xi)_xi, so node redistribution acts at the same
-rate on all wavelengths.  Node motion adds the advective correction
-r'_i u_r to the nodal time derivative.  The coupled (u, r) system is
-integrated with an implicit stiff method (BDF) with error control; the
-mesh response rate is held at a fixed multiple of the measured gradient
-growth rate d log(sup u_r)/dt, so the mesh keeps up with the collapse
-without making the system needlessly stiff.
+reads, in x = log r,
 
-An RHS evaluation takes the cell widths and midpoint gradients in one
-difference pass (_differences) and shares them between the monitor, the
-reservation mass and the 3-point stencil, which is written on the midpoint
-gradients.  The matrix of the mesh-velocity solve, tridiag(-1, 2, -1),
-depends only on the node count: LAPACK's pttrf factors it once per size
-(cached), and each evaluation only back-substitutes with pttrs.  The
-monitor's smoothing passes, (1/4, 1/2, 1/4) with the end cells repeated,
-are applied as one filter: p passes are one convolution of the cell
-monitor, mirrored at both ends, with the binomial taps C(2p, j)/4^p (see
-_smoothing_filter), equal to the passes up to rounding.
+    u_t = e^{-2x} (u_xx + (d-2) u_x - (k(d+k-2)/2) sin 2u),
 
-BDF gets the Jacobian in structured form (see _make_jac): every block is
-banded except the mesh velocity, which is the inverse Laplacian of a
-banded term plus a rank-one term from the total monitor mass.  The banded
-parts come from grouped differences (Curtis, Powell & Reid 1974).  No
-dense Jacobian is formed: with the mesh velocity carried as an extra
-unknown per node, the Newton matrix is a banded bordered system, which
-_BandedBDF factors with LAPACK's banded LU and corrects for the rank-one
-term by Sherman-Morrison (Hairer & Wanner, Solving ODEs II, ch. VI), so a
-Newton step costs O(M).
+and is discretized on a grid uniform in x from r_min = R_MIN_SCALE /
+max_gradient to L, with u(L) held fixed.  The grid is invariant under
+r -> lambda r, so a layer that collapses self-similarly keeps the same
+number of nodes per decade at every depth (Budd, Huang & Russell, SIAM J.
+Sci. Comput. 17, 1996; Berger & Kohn, CPAM 41, 1988): at the stop
+criterion the layer R = 1/sup|u_r| is still 1/R_MIN_SCALE times r_min.
+
+Interior nodes take 5-point fourth-order central differences.  The node
+next to L and the first two nodes of the grid take the 3-point
+second-order stencil; at the first, the regularity condition u ~ r^k, that
+is u_x = k u, enters through the ghost node u_{-1} = u_1 - 2hk u_0.  The
+linear part is a constant banded matrix (_operator), so the Jacobian is
+that matrix plus diag(-k(d+k-2) e^{-2x} cos 2u), given to scipy's BDF in
+sparse form; no differencing is needed.
+
+A fresh BDF solver starts each time sup |u_r| has grown by CHUNK_GROWTH,
+on a clock of its own, so that times near the blow-up stay distinct.  It
+integrates from the node at or below R_MIN_SCALE / (CHUNK_GROWTH sup|u_r|)
+(_first_node); below it u is r^k to within (r/R)^2, and the next chunk
+takes those nodes on that profile (_extend).  So each chunk's stiffness is
+a fixed multiple of the layer's: a fresh solver's first steps are set by
+the rounding of its stiffest nodes, which at r_min would make them shorter
+than the spacing of doubles near the blow-up time.  A stored state is the
+origin (r = 0, u = 0) and its chunk's nodes; M counts the origin, the grid
+and L.
 
 Blow-up observables (sup |u_r| = 1/R, the layer scale for every k, and its
-location, the energy, the mesh resolution) are recorded at every accepted
+location, the energy, the grid resolution) are recorded at every accepted
 step; the stepping loop takes only sup |u_r| itself, and the rest of each
 row is computed once per solver chunk for all of its steps (_trace_rows).
-Rate fitting recovers the exponent 1/2 + beta or the log law from R.
+Rate fitting recovers the exponent 1/2 + beta or the log law from R, on
+samples at fixed values of sup |u_r| (_samples).
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
+import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import BDF
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from scipy.optimize import minimize_scalar
 from scipy.sparse import csc_array
+from scipy.sparse.linalg import spsolve
 
 from .errors import (
     BadInitialData,
     DegenerateFit,
-    MeshTangling,
     NoBlowup,
     StepSizeUnderflow,
     WindowTooShort,
@@ -72,31 +67,23 @@ from .errors import (
 from .params import ModelParams
 from .tables import write_table
 
-#: node-relaxation rate as a multiple of the observed collapse rate
-TRACKING_MARGIN = 25.0
+#: sup-gradient growth factor per solver chunk
+CHUNK_GROWTH = 10.0
 
-#: sup-gradient growth factor per solver chunk; the collapse rate estimate
-#: is frozen within a chunk and stales by ~ this factor^(1/(1/2+beta))
-CHUNK_GROWTH = math.sqrt(2.0)
+#: the counters of a chunk solver that a run records: scipy's, and the wall
+#: seconds in the RHS and Jacobian callables
+_SOLVER_COUNTERS = ("nfev", "njev", "nlu", "rhs_s", "jac_s")
 
-#: the counters of a chunk solver (_BandedBDF) that a run records
-_SOLVER_COUNTERS = ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s")
-
-#: relative forward-difference step of the banded Jacobian parts
-_FD_STEP = np.finfo(float).eps ** 0.5
-
-#: the fixed mesh policy: alpha of the arclength monitor sqrt(alpha + u_r^2),
-#: the weight of its |u|/r term and its smoothing passes (_smoothed_monitor),
-#: its mass share kept for the outer region (_reservation), and the
-#: node-relaxation time at unit gradient (_gain)
-MONITOR_ALPHA = 1.0
-MONITOR_SCALE_WEIGHT = 1.0
-SMOOTH_PASSES = 4
-UNIFORM_FRACTION = 0.1
-RELAXATION_TIME = 0.1
-#: absolute tolerance of u, and of each node relative to its local spacing
+#: the grid starts at r_min = R_MIN_SCALE / max_gradient; a chunk that
+#: starts at sup|u_r| = g integrates from the grid node at or below
+#: R_MIN_SCALE / (CHUNK_GROWTH g) on (_first_node), so that at its end, as
+#: at the stop criterion, the layer is 1/R_MIN_SCALE times its first node
+R_MIN_SCALE = 1e-3
+#: a chunk puts the nodes within this factor of its first node on their
+#: quasi-steady state before its first step (_settle)
+SETTLE_SPAN = 30.0
+#: absolute tolerance of u at a grid node, relative to its r
 ATOL_U = 1e-9
-ATOL_R_REL = 1e-4
 #: a snapshot is taken every this many decades of sup|u_r|
 SNAPSHOT_DECADES = 0.5
 
@@ -111,7 +98,7 @@ INITIAL_DATA_FAMILIES = {
 class SimConfig:
     params: ModelParams
     L: float = 2.0
-    M: int = 201                      # mesh nodes including both boundaries
+    M: int = 201                      # nodes, the origin and L included
     initial_data: str | tuple = "r"   # family name or (r, u) tables
     rtol: float = 1e-7
     max_gradient: float = 1e8         # stop criterion on sup |u_r|
@@ -123,8 +110,16 @@ class SimConfig:
         # each check is written as "not <condition>" so that NaN fails it
         if not self.max_gradient >= 1e6:
             raise ValueError("max_gradient must be >= 1e6")
-        if not 0 < self.L < math.inf:
-            raise ValueError("L must be positive and finite")
+        r_min = R_MIN_SCALE / self.max_gradient
+        if not 0 < r_min < self.L < math.inf:
+            raise ValueError("max_gradient and L must be finite, and L above "
+                             f"r_min = {R_MIN_SCALE:g}/max_gradient")
+        # the grid's largest weight, about 4 e^{-2x} / h^2 at r_min, must be
+        # a finite float
+        h = math.log(self.L / r_min) / (self.M - 2)
+        if not (r_min * h) ** 2 >= 4.0 * sys.float_info.min:
+            raise ValueError(f"max_gradient {self.max_gradient:g} is too "
+                             f"large: e^(-2x) at r_min = {r_min:g} overflows")
         for name in ("rtol", "t_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -177,16 +172,14 @@ class RunTrace:
     snapshots: list = field(default_factory=list)
     stopped: str = "blowup"      # "blowup" | "tmax"
     # BDF counters nfev/njev/nlu and the wall seconds in RHS evaluations
-    # (rhs_s), in Jacobian builds (jac_s) and in factorisations and solves
-    # (lu_s), summed over the chunk solvers, and the number of chunks; empty
-    # for a trace read back from csv
+    # (rhs_s) and in Jacobian evaluations (jac_s), summed over the chunk
+    # solvers, and the number of chunks; empty for a trace read back from csv
     solver: dict = field(default_factory=dict)
     # one record per chunk solver, the lines of solver.jsonl: its start and
-    # end (t0, t1, sup_grad0, sup_grad1), its exact duration dt, the
-    # collapse rate qhat that set its gain, its accepted steps, its share of
-    # the counters above, its wall seconds and why it ended ("growth" when the sup gradient grew by
-    # CHUNK_GROWTH, else the run's stop reason); empty for a trace read
-    # back from csv
+    # end (t0, t1, sup_grad0, sup_grad1), its exact duration dt, its
+    # accepted steps, its share of the counters above, its wall seconds and
+    # why it ended ("growth" when the sup gradient grew by CHUNK_GROWTH,
+    # else the run's stop reason); empty for a trace read back from csv
     chunk_log: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -227,23 +220,23 @@ class FitResult:
 
 
 # ----------------------------------------------------------------------------
-# spatial discretization helpers
+# observables
 #
-# The helpers below take nodal arrays of shape (M,) or a block of states
-# (M, m), one state per column, and work along axis 0.
+# The helpers below take nodal arrays, the origin first, or states stacked
+# as rows.
 
 def _differences(r, u):
-    """Cell widths and midpoint gradients, taken once per evaluation and
-    shared by the monitor, the reservation mass and the stencil."""
+    """Cell widths and midpoint gradients."""
     dr = r[1:] - r[:-1]
     return dr, (u[1:] - u[:-1]) / dr
 
 
 def _origin_gradient(r, u):
-    """The one-sided origin gradient (2nd order, through u(0) = 0)."""
+    """The one-sided origin gradient (2nd order, through u(0) = 0), from the
+    secants u/r of the first two nodes, so that it is exact for u = c r."""
     r1, r2 = r[1], r[2]
-    u1, u2 = u[1], u[2]
-    return (u1 * r2 * r2 - u2 * r1 * r1) / (r1 * r2 * (r2 - r1))
+    s1, s2 = u[1] / r1, u[2] / r2
+    return (s1 * r2 - s2 * r1) / (r2 - r1)
 
 
 def _steepest(r, u):
@@ -253,132 +246,6 @@ def _steepest(r, u):
     a = np.abs(_differences(r, u)[1])
     j = int(np.argmax(a))
     return (g0, 0.0) if g0 >= a[j] else (float(a[j]), 0.5 * (r[j] + r[j + 1]))
-
-
-def _gain(gmax, qhat=0.0):
-    """Mesh gain at sup |u_r| = gmax.  The node-relaxation rate is
-    gain * monitor ~ gain * gmax; it is tied to the observed collapse rate
-    qhat with a fixed margin, so the mesh tracks the layer without making
-    the system orders of magnitude stiffer than the physics (which starves
-    BDF of step size), and never drops below 1/RELAXATION_TIME."""
-    return max(TRACKING_MARGIN * qhat, 1.0 / RELAXATION_TIME) / (1.0 + gmax)
-
-
-def _smoothed_monitor(r, u, gmid):
-    """Spatially smoothed midpoint monitor, before the uniform reservation.
-
-    The arclength part sqrt(alpha + u_r^2) concentrates nodes in the
-    boundary layer, but leaves the self-similar transition region between
-    the layer scale and O(sqrt(T-t)) -- where u is near its plateau and
-    u_r is small -- with almost no mass, and that region carries the slow
-    dynamics that set the blow-up rate.  The |u|/r term equidistributes
-    log-uniformly in r between those scales (its mass per decade of r is
-    constant once u plateaus), the moving-mesh analogue of a geometrically
-    graded fixed mesh.
-
-    The sum is smoothed by SMOOTH_PASSES passes of (1/4, 1/2, 1/4) with the
-    end cells repeated, applied as one filter.  A pass with the end cells
-    repeated is a pass over the half-sample-symmetric
-    extension m[-1-i] = m[i], m[N+i] = m[N-1-i] of the N cell values: the
-    filter is symmetric, so the extension stays symmetric and its values
-    beyond the ends are the repeated end cells.  p passes are then one
-    convolution of that extension with the binomial taps C(2p, j)/4^p, the
-    coefficients of ((1 + z)/2)^(2p); it equals the passes in exact
-    arithmetic and differs by rounding only, about 1e-15 relative.  After
-    one pass the ends weigh (3/4, 1/4), as before."""
-    m = np.sqrt(MONITOR_ALPHA + gmid * gmid)
-    # |u|/r at the cell midpoint; the halves of both means cancel
-    m += MONITOR_SCALE_WEIGHT * np.abs(u[:-1] + u[1:]) / (r[:-1] + r[1:])
-    index, taps = _smoothing_filter(m.shape[0])
-    pad = m.take(index, axis=0)
-    if m.ndim == 1:
-        return np.convolve(pad, taps, "valid")
-    return sliding_window_view(pad, taps.size, axis=0) @ taps
-
-
-@functools.lru_cache(maxsize=8)
-def _smoothing_filter(cells):
-    """The reflect index and the binomial taps of the SMOOTH_PASSES
-    smoothing passes over `cells` cells as one filter (see
-    _smoothed_monitor).  The index gathers the half-sample-symmetric
-    extension, SMOOTH_PASSES cells beyond each end (M >= 64 gives more
-    cells than that)."""
-    index = np.pad(np.arange(cells), SMOOTH_PASSES, mode="symmetric")
-    taps = np.array([math.comb(2 * SMOOTH_PASSES, j) / 4 ** SMOOTH_PASSES
-                     for j in range(2 * SMOOTH_PASSES + 1)])
-    index.setflags(write=False)
-    taps.setflags(write=False)
-    return index, taps
-
-
-def _reservation(config, m, dr):
-    """Monitor level that spreads UNIFORM_FRACTION of the monitor mass
-    sum(m dr) evenly over [0, L]."""
-    mass = (m * dr).sum(axis=0)
-    return UNIFORM_FRACTION * mass / config.L
-
-
-def _monitor(config, r, u, dr, gmid):
-    """Smoothed midpoint monitor with the uniform reservation added."""
-    m = _smoothed_monitor(r, u, gmid)
-    return m + _reservation(config, m, dr)
-
-
-def _pde_stencil(config, r, u, dr, gmid):
-    """The 3-point stencil terms at interior nodes: the physics and u_r, so
-    that du/dt = phys + r' u_r.  With h-, h+ the widths and g-, g+ the
-    midpoint gradients of the cells left and right of a node,
-
-        u_r = (h+ g- + h- g+) / (h- + h+),   u_rr = 2 (g+ - g-) / (h- + h+).
-
-    The advective term r'_i u_r uses the same centered 3-point stencil as
-    the physics: one-sided differencing adds an O(|r'| dr) artificial
-    diffusion (or anti-diffusion) that measurably shifts the collapse rate
-    at the resolutions used here."""
-    d, k = config.params.d, config.params.k
-    torque = k * (d + k - 2.0)
-    hm, hp = dr[:-1], dr[1:]
-    gm, gp = gmid[:-1], gmid[1:]
-    h = hm + hp
-    ur = (hp * gm + hm * gp) / h
-    urr = 2.0 * (gp - gm) / h
-    rc = r[1:-1]
-    phys = urr + (d - 1.0) / rc * ur - torque / (2.0 * rc * rc) * np.sin(2.0 * u[1:-1])
-    return phys, ur
-
-
-@functools.lru_cache(maxsize=8)
-def _laplacian_factor(n):
-    """LAPACK's L D L^T factor (pttrf) of the n x n tridiag(-1, 2, -1), the
-    same for every evaluation at that n."""
-    d, e, _ = dpttrf(np.full(n, 2.0), np.full(n - 1, -1.0))
-    d.setflags(write=False)
-    e.setflags(write=False)
-    return d, e
-
-
-def _inverse_laplacian(rhs):
-    """Solve tridiag(-1, 2, -1) x = rhs for rhs of shape (n,) or (n, m)."""
-    return dpttrs(*_laplacian_factor(rhs.shape[0]), rhs)[0]
-
-
-def _mesh_velocity(c, gain):
-    """The mesh velocity A^-1 (gain * diff(c)) from the per-cell monitor
-    masses c, with A = tridiag(-1, 2, -1)."""
-    return _inverse_laplacian(gain * (c[1:] - c[:-1]))
-
-
-def _mesh_rhs(config, r, u, dr, gmid, gain):
-    """Equidistribution velocity for interior nodes from the elliptic form
-
-        (dr/dt)_xixi = -gain * (M r_xi)_xi,   dr/dt = 0 at both ends,
-
-    a tridiagonal solve with the cached factor.  Defining the velocity
-    through the inverse Laplacian (rather than pointwise relaxation) makes
-    the node-redistribution rate uniform across wavelengths; a pointwise
-    relaxation moves mass between distant mesh regions slower by the square
-    of the node count and starves a collapsing layer of nodes."""
-    return _mesh_velocity(_monitor(config, r, u, dr, gmid) * dr, gain)
 
 
 def _energy(config, r, u):
@@ -395,12 +262,105 @@ def _energy(config, r, u):
 
 def _trace_rows(config, t, r, u, gmax, loc):
     """The TRACE_COLUMNS but t_left of states stacked as the rows of r and
-    u, shape (states, M), given their sup |u_r| gmax and its locations loc
-    (see _steepest).  Every reduction runs along a row on its own, so each
-    row is bit for bit what its state gives alone."""
+    u, shape (states, nodes), given their sup |u_r| gmax and its locations
+    loc (see _steepest).  Every reduction runs along a row on its own, so
+    each row is bit for bit what its state gives alone."""
     dr = r[:, 1:] - r[:, :-1]
     return (t, gmax, _energy(config, r, u), dr.min(axis=1), loc,
             np.sum(r <= (5.0 / gmax)[:, None], axis=1))
+
+
+# ----------------------------------------------------------------------------
+# the grid and its operator
+
+def _log_grid(config):
+    """x = log r at the M - 1 grid nodes, from r_min to L, and their
+    spacing h."""
+    x0 = math.log(R_MIN_SCALE / config.max_gradient)
+    h = (math.log(config.L) - x0) / (config.M - 2)
+    return x0 + h * np.arange(config.M - 1), h
+
+
+def _first_node(config, g):
+    """The grid index of the first node of a chunk that starts at sup |u_r|
+    = g: the node at or below R_MIN_SCALE / (CHUNK_GROWTH g), r_min at the
+    latest, and with the layer no wider than L; 8 nodes at least remain."""
+    x = _log_grid(config)[0]
+    edge = math.log(R_MIN_SCALE / (CHUNK_GROWTH * max(g, 1.0 / config.L)))
+    first = int(np.searchsorted(x, edge, side="right")) - 1
+    return min(max(first, 0), x.size - 8)
+
+
+def _nodes(config, first):
+    """The origin and the grid nodes from index `first` on."""
+    r = np.concatenate([[0.0], np.exp(_log_grid(config)[0][first:])])
+    r[-1] = config.L
+    return r
+
+
+#: weights of u_{j-2} .. u_{j+2} in h^2 u_xx and h u_x: 5-point fourth
+#: order, and 3-point second order
+_D2_5 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_D1_5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_D2_3 = np.array([0.0, 1.0, -2.0, 1.0, 0.0])
+_D1_3 = np.array([0.0, -0.5, 0.0, 0.5, 0.0])
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """u' = A u + u(L) to_L - w sin 2u on the unknowns u_0 .. u_{n-1}, every
+    grid node but L; A is banded and the same for the whole run."""
+    A: csc_array
+    diag: np.ndarray   # the positions of A's diagonal in A.data
+    to_L: np.ndarray   # A's column at the fixed node L
+    w: np.ndarray      # k(d+k-2)/2 e^{-2x}
+
+
+def _operator(config, first=0):
+    """The _Operator of a config's grid from node index `first` on, with
+    the ghost node below that node (see the module docstring)."""
+    x, h = _log_grid(config)
+    x = x[first:]
+    d, k = config.params.d, config.params.k
+    n = x.size - 1
+    weights = np.tile(_D2_5 / h**2 + (d - 2.0) * _D1_5 / h, (n, 1))
+    weights[[0, 1, n - 1]] = _D2_3 / h**2 + (d - 2.0) * _D1_3 / h
+    # the ghost node u_{-1} = u_1 - 2hk u_0 of node 0
+    ghost = weights[0, 1]
+    weights[0, 1:4] += (-ghost, -2.0 * h * k * ghost, ghost)
+    weights *= np.exp(-2.0 * x[:n, None])
+    rows = np.repeat(np.arange(n), 5)
+    cols = rows + np.tile(np.arange(-2, 3), n)
+    weights = weights.ravel()
+    keep = (cols >= 0) & (cols < n) & ((weights != 0.0) | (cols == rows))
+    A = csc_array((weights[keep], (rows[keep], cols[keep])), shape=(n, n))
+    col_of = np.repeat(np.arange(n), np.diff(A.indptr))
+    to_L = np.zeros(n)
+    np.add.at(to_L, rows[cols == n], weights[cols == n])
+    return _Operator(A, np.flatnonzero(A.indices == col_of), to_L,
+                     0.5 * k * (d + k - 2.0) * np.exp(-2.0 * x[:n]))
+
+
+def _make_rhs(op, uL):
+    """The RHS of the unknowns, of one state (n,) or of a block (n, m)."""
+    b = (op.to_L * uL)[:, None]
+    w = op.w[:, None]
+
+    def rhs(t, y):
+        v = y.reshape(y.shape[0], -1)
+        return (op.A @ v + b - w * np.sin(2.0 * v)).reshape(y.shape)
+
+    return rhs
+
+
+def _make_jac(op):
+    """The Jacobian of _make_rhs(op, uL) for any uL: A + diag(-2 w cos 2u)."""
+    def jac(t, y):
+        J = op.A.copy()
+        J.data[op.diag] -= 2.0 * op.w * np.cos(2.0 * y)
+        return J
+
+    return jac
 
 
 # ----------------------------------------------------------------------------
@@ -444,346 +404,85 @@ def initial_profile(config):
 
 
 def initialize(config):
-    """Sample the initial data on a mesh pre-equidistributed against its own
-    monitor (a few de Boor sweeps)."""
+    """Sample the initial data on the origin and the grid nodes of the first
+    chunk (_first_node of its sup |u_r| on the whole grid)."""
     fam = initial_profile(config)
-    r = np.linspace(0.0, config.L, config.M)
-    u = fam(r)
+    r = _nodes(config, 0)
+    u = np.array(fam(r), dtype=float)
     if abs(u[0]) > 1e-14:
         raise BadInitialData("initial data must satisfy u(0) = 0")
-    for _ in range(6):
-        dr, gmid = _differences(r, u)
-        m = _monitor(config, r, u, dr, gmid)
-        cum = np.concatenate([[0.0], np.cumsum(m * dr)])
-        levels = np.linspace(0.0, cum[-1], config.M)
-        r = np.interp(levels, cum, r)
-        r[0], r[-1] = 0.0, config.L
-        u = fam(r)
     u[0] = 0.0
-    return MeshState(t=0.0, r=r, u=u)
+    first = _first_node(config, _steepest(r, u)[0])
+    u = np.concatenate([[0.0], u[first + 1:]])
+    return MeshState(t=0.0, r=_nodes(config, first), u=u)
+
+
+def _extend(config, state, first):
+    """A state on the grid nodes from index `first` on, the nodes below its
+    own first node filled with the regular solution u ~ r^k through it."""
+    r = _nodes(config, first)
+    new = r.size - state.r.size
+    below = state.u[1] * (r[1:new + 1] / state.r[1]) ** config.params.k
+    return MeshState(state.t, r, np.concatenate([[0.0], below, state.u[1:]]))
+
+
+def _settle(op, y, uL):
+    """Put the unknowns y within SETTLE_SPAN of the first node on their
+    quasi-steady state, the RHS 0 there with the others held, in place.
+    Their relaxation time is SETTLE_SPAN^2 times the first node's at most,
+    far below the layer's time scale, while what a chunk's start leaves
+    there (the ghost closure below sampled or extended data, rounding)
+    would set its first steps."""
+    m = int(np.sum(op.w > op.w[0] / SETTLE_SPAN ** 2))
+    rhs, jac = _make_rhs(op, uL), _make_jac(op)
+    for _ in range(3):
+        y[:m] -= spsolve(jac(0.0, y)[:m, :m], rhs(0.0, y)[:m])
 
 
 # ----------------------------------------------------------------------------
 # time stepping
 
-def _pack(state):
-    return np.concatenate([state.u[1:-1], state.r[1:-1]])
-
-
-def _unpack(config, y, uL):
-    """Nodal (r, u) from a packed state (2n,) or a block of states (2n, m)."""
-    n = config.M - 2
-    r = np.empty((n + 2,) + y.shape[1:])
-    u = np.empty_like(r)
-    u[0], u[1:-1], u[-1] = 0.0, y[:n], uL
-    r[0], r[1:-1], r[-1] = 0.0, y[n:], config.L
-    return r, u
-
-
-def _make_rhs(config, uL, gain):
-    def rhs(t, y):
-        r, u = _unpack(config, y, uL)
-        dr, gmid = _differences(r, u)
-        rdot = _mesh_rhs(config, r, u, dr, gmid, gain)
-        phys, ur = _pde_stencil(config, r, u, dr, gmid)
-        return np.concatenate([phys + rdot * ur, rdot])
-
-    return rhs
-
-
-@dataclass(frozen=True)
-class _JacPattern:
-    """Column groups of the grouped differences and the layout of the
-    banded Newton matrix, for n interior nodes (see _jac_pattern)."""
-    width: int            # columns of one block perturbed in turn
-    group: np.ndarray     # differencing column of each state index
-    cells: tuple          # (columns, in range) of the cell masses
-    nodes: tuple          # (columns, in range) of the PDE stencil
-    kl: int               # sub- and superdiagonals of the Newton matrix
-    ku: int
-    at: dict              # band-storage positions of each kind of entry
-    take: dict            # flat positions of the stencil and mesh entries
-
-
-@functools.lru_cache(maxsize=8)
-def _jac_pattern(n):
-    """The _JacPattern for n interior nodes.
-
-    With p = SMOOTH_PASSES, the smoothed monitor mass of cell j (between
-    interior nodes j-1 and j) depends on interior nodes j-p-1 .. j+p, the
-    mesh equation of node i (the difference of the masses of cells i+1 and
-    i) on i-p-1 .. i+p+1, and the stencil at node i on i-1 .. i+1.
-    Each is kept in diagonal storage: entry [i, j] belongs to column
-    cols[i, j] (clipped into range; `ok` marks the real ones), in each of
-    the u and r blocks.  Within a block, columns equal modulo `width` never
-    share a dependent, so each such group is perturbed at once, in one
-    column of the differencing block (column 0 is the unperturbed state).
-
-    The Newton matrix orders its unknowns per node as (u_i, r_i, w_i), at
-    3i, 3i+1, 3i+2, with w the mesh-velocity unknown of _BandedBDF.  Its
-    bandwidths kl and ku are read off the entries; `at` holds the
-    flat positions of the entries in LAPACK band storage (transposed, so
-    that each column of the band is contiguous), and `take` the flat
-    positions in _Jacobian.stencil and .mesh of the in-range entries, in
-    the same order."""
-    p = SMOOTH_PASSES
-    width = 2 * p + 2
-    k = np.arange(n)
-    group = np.concatenate([1 + k % width, 1 + width + k % width])
-
-    def diagonals(n_rows, lo, hi):
-        cols = np.arange(n_rows)[:, None] + np.arange(lo, hi + 1)
-        ok = (cols >= 0) & (cols < n)
-        return np.clip(cols, 0, n - 1), ok
-
-    cells = diagonals(n + 1, -p - 1, p)
-    nodes = diagonals(n, -1, 1)
-    mesh = diagonals(n, -p - 1, p + 1)
-
-    def gather(ok):
-        # flat positions of the ok entries of a (2,) + ok.shape array
-        pos = np.flatnonzero(ok)
-        return np.stack([pos, pos + ok.size])
-
-    def blocks(row, cols, ok):
-        # entries of row 3i + row at the u and r unknowns of cols[i][ok[i]]
-        rows = np.broadcast_to(3 * k[:, None] + row, cols.shape)[ok]
-        return np.stack([rows, rows]), np.stack([3 * cols[ok], 3 * cols[ok] + 1])
-
-    w = 3 * k + 2
-    entries = {
-        "stencil": blocks(0, *nodes),            # b L
-        "mesh": blocks(2, *mesh),                # -G
-        "diagonal": (np.concatenate([3 * k, 3 * k + 1]),) * 2,   # a I
-        "ur": (3 * k, w),                        # b diag(u_r) of b P
-        "one": (3 * k + 1, w),                   # b I of b P
-        "two": (w, w),                           # A = tridiag(-1, 2, -1)
-        "minus_one": (np.concatenate([w[1:], w[:-1]]),
-                      np.concatenate([w[:-1], w[1:]])),
-    }
-    kl = max(int(np.max(r - c)) for r, c in entries.values())
-    ku = max(int(np.max(c - r)) for r, c in entries.values())
-    ldab = 2 * kl + ku + 1
-    at = {key: c * ldab + kl + ku + r - c for key, (r, c) in entries.items()}
-    take = {"stencil": gather(nodes[1]), "mesh": gather(mesh[1])}
-    return _JacPattern(width, group, cells, nodes, kl, ku, at, take)
-
-
-@dataclass
-class _Jacobian:
-    """a I + b J, with J the Jacobian of _make_rhs in structured form
-
-        J = L + P A^-1 (G + g s^T),   P = [diag(u_r); I],
-
-    where L is the 3-point stencil part of the u rows (`stencil`), A =
-    tridiag(-1, 2, -1), G the banded part of the mesh equations (`mesh`)
-    and g s^T the rank-one reservation term.  `stencil` and `mesh` hold
-    the banded rows per u/r block in centred diagonal storage: entry
-    [blk, i, j] is the derivative by node i + j - (K-1)/2 of block blk,
-    with K the number of diagonals, and zero where that node is outside
-    the mesh.  `s` holds the u and r halves of s.  No dense form is ever
-    built: numpy defers to the operators below, so BDF's I - c * J stays
-    structured, and _BandedBDF factors it."""
-    pattern: _JacPattern
-    stencil: np.ndarray   # (2, n, 3)
-    ur: np.ndarray        # (n,)
-    mesh: np.ndarray      # (2, n, 2 * SMOOTH_PASSES + 3)
-    g: np.ndarray         # (n,)
-    s: np.ndarray         # (2, n)
-    a: float = 0.0
-    b: float = 1.0
-
-    __array_ufunc__ = None
-
-    def __rmul__(self, k):
-        return replace(self, a=k * self.a, b=k * self.b)
-
-    def __rsub__(self, k):
-        # k I - (a I + b J) for a scalar k; _BandedBDF's identity is 1.0
-        if not np.isscalar(k):
-            return NotImplemented
-        return replace(self, a=k - self.a, b=-self.b)
-
-
-def _make_jac(config, uL, gain, atol):
-    """Jacobian of _make_rhs(config, uL, gain) as a _Jacobian.
-
-    With c the per-cell monitor mass, F = gain * diff(c) and
-    A = tridiag(-1, 2, -1), the RHS is r' = A^-1 F and u' = phys + r' u_r,
-    so
-
-        dr'/dy = A^-1 dF,
-        du'/dy = d(phys) + diag(r') d(u_r) + diag(u_r) dr'/dy.
-
-    dc is banded but for the reservation, which moves with the total
-    monitor mass and so adds the rank-one term g s^T to dF, with
-    s = colsum(dc) (the column sums of the held-reservation part of dc are
-    d(mass), as sum(dr) = L for every state) and g = gain * share *
-    diff(dr).  d(phys) and d(u_r) are 3-point.  The banded parts come from
-    grouped forward differences with scipy's num_jac step,
-    sqrt(eps) * max(|y|, atol)."""
-    n = config.M - 2
-    pat = _jac_pattern(n)
-    share = UNIFORM_FRACTION / config.L
-    diag = np.arange(2 * n)
-
-    def quotients(f, h, cols, ok):
-        # (f[i, group[col]] - f[i, 0]) / h[col] per block, in diagonal storage
-        i = np.arange(f.shape[0])[:, None]
-        q = np.stack([(f[i, pat.group[cols + off]] - f[:, :1]) / h[cols + off]
-                      for off in (0, n)])
-        return np.where(ok, q, 0.0)
-
-    def jac(t, y):
-        Y = np.repeat(y[:, None], 2 * pat.width + 1, axis=1)
-        Y[diag, pat.group] += _FD_STEP * np.maximum(np.abs(y), atol)
-        h = Y[diag, pat.group] - y
-        r, u = _unpack(config, Y, uL)
-        dr, gmid = _differences(r, u)
-        m = _smoothed_monitor(r, u, gmid)
-        # the reservation held at its value at y
-        c = (m + _reservation(config, m[:, 0], dr[:, 0])) * dr
-        dc = quotients(c, h, *pat.cells)
-        cols = pat.cells[0].ravel()
-        s = np.stack([np.bincount(cols, dc_b.ravel(), minlength=n) for dc_b in dc])
-        # the mesh equation of node i is the mass of cell i+1 less that of
-        # cell i; the diagonals of dc start one column later in row i+1
-        mesh = np.zeros((2, n, dc.shape[2] + 1))
-        mesh[:, :, 1:] = dc[:, 1:]
-        mesh[:, :, :-1] -= dc[:, :-1]
-        mesh *= gain
-        g = gain * share * np.diff(dr[:, 0])
-
-        phys, ur = _pde_stencil(config, r, u, dr, gmid)
-        # du/dt with r' held at its value at y
-        f = phys + _mesh_velocity(c[:, :1], gain) * ur
-        return _Jacobian(pat, quotients(f, h, *pat.nodes), ur[:, 0].copy(),
-                         mesh, g, s)
-
-    return jac
-
-
-class _BandedBDF(BDF):
-    """scipy's BDF, with the Newton matrix a I + b J (a _Jacobian) solved
-    as the banded bordered system
-
-        [[a I + b L, P], [-b G, A]] [x; w] = [rhs; 0] + [0; b g] s^T x
-
-    in the unknowns (u_i, r_i, w_i) of each node, with w = b A^-1 (G + g s^T) x
-    the mesh-velocity part: LAPACK gbtrf/gbtrs for the banded matrix K on
-    the left and Sherman-Morrison for the rank-one term.  Carrying b in w
-    keeps the mesh rows on the scale of the PDE rows (b G against b L),
-    which at a sharpened layer makes the solve some 1e4 times more
-    accurate than with w itself.  Step size, order and Newton iteration
-    are scipy's.  rhs_s, jac_s and lu_s count the wall seconds spent in RHS
-    evaluations, in Jacobian builds and in factorisations and solves.
-    scipy's constructor gets an empty sparse Jacobian, so that it makes no
-    dense 2n x 2n identity (118 MB at M = 1921); the first is built after."""
-
-    def __init__(self, fun, *args, **kwargs):
-        self.rhs_s = self.jac_s = self.lu_s = 0.0
-
-        def timed(t, y):
-            start = time.perf_counter()
-            f = fun(t, y)
-            self.rhs_s += time.perf_counter() - start
-            return f
-
-        # wrapped before scipy's constructor, whose evaluations count too
-        super().__init__(timed, *args, **kwargs)
-        # scipy binds an lu, solve_lu and identity to each instance
-        del self.lu, self.solve_lu
-        self.I = 1.0
-        self.J = self.jac(self.t, self.y)
-
-    def _validate_jac(self, jac, sparsity):
-        def timed(t, y):
-            start = time.perf_counter()
-            J = jac(t, y)
-            self.jac_s += time.perf_counter() - start
-            self.njev += 1
-            return J
-
-        return timed, csc_array((self.n, self.n))
-
-    def lu(self, J):
-        start = time.perf_counter()
-        self.nlu += 1
-        pat, n = J.pattern, J.ur.size
-        band = np.zeros((3 * n, 2 * pat.kl + pat.ku + 1))
-        flat, at = band.reshape(-1), pat.at
-        flat[at["stencil"]] = J.b * J.stencil.take(pat.take["stencil"])
-        flat[at["diagonal"]] += J.a
-        flat[at["ur"]] = J.ur
-        flat[at["one"]] = 1.0
-        flat[at["mesh"]] = -J.b * J.mesh.take(pat.take["mesh"])
-        flat[at["two"]] = 2.0
-        flat[at["minus_one"]] = -1.0
-        band, piv, _ = dgbtrf(band.T, pat.kl, pat.ku, overwrite_ab=True)
-        # K^-1 [0; b g] and s^T of the Sherman-Morrison update
-        z = np.zeros(3 * n)
-        z[2::3] = J.b * J.g
-        z = dgbtrs(band, pat.kl, pat.ku, z, piv, overwrite_b=True)[0]
-        s = np.zeros(3 * n)
-        s[0::3], s[1::3] = J.s
-        factors = (band, piv, pat.kl, pat.ku, z, s, 1.0 - s @ z)
-        self.lu_s += time.perf_counter() - start
-        return factors
-
-    def solve_lu(self, factors, rhs):
-        start = time.perf_counter()
-        band, piv, kl, ku, z, s, denom = factors
-        n = rhs.size // 2
-        x = np.zeros(3 * n)
-        x[0::3], x[1::3] = rhs[:n], rhs[n:]
-        x = dgbtrs(band, kl, ku, x, piv, overwrite_b=True)[0]
-        x += z * ((s @ x) / denom)
-        out = np.concatenate([x[0::3], x[1::3]])
-        self.lu_s += time.perf_counter() - start
-        return out
-
-
-def _advance(config, solver, uL, t0):
+def _advance(solver, r, uL, t0):
     """Take one step of `solver`, whose clock starts at 0 at the absolute
-    time t0, and return the accepted MeshState; StepSizeUnderflow if the
-    step failed, MeshTangling if it left the nodes out of order."""
+    time t0, and return the accepted MeshState on the nodes r;
+    StepSizeUnderflow if the step failed."""
     solver.step()
     if solver.status == "failed":
         raise StepSizeUnderflow("implicit step failed; increase M or tolerances")
-    r, u = _unpack(config, solver.y, uL)
-    if np.any(r[1:] <= r[:-1]):
-        raise MeshTangling("node ordering violated; increase M")
+    u = np.empty_like(r)
+    u[0], u[1:-1], u[-1] = 0.0, solver.y, uL
     return MeshState(t=t0 + solver.t, r=r, u=u)
 
 
 def step(config, state, dt_max=np.inf):
-    """Advance one accepted implicit step; mostly a testing convenience,
-    run() takes its steps through the same _advance."""
-    gain = _gain(_steepest(state.r, state.u)[0])
-    solver = _new_solver(config, state, gain, t_bound=dt_max)
-    return _advance(config, solver, state.u[-1], state.t)
+    """Advance one accepted implicit step from a state on grid nodes of
+    `config` (initialize's, or a snapshot's); mostly a testing convenience,
+    run() takes its steps through the same _new_solver and _advance."""
+    op = _operator(config, config.M - state.r.size)
+    solver = _new_solver(config, op, state, dt_max, {})
+    return _advance(solver, state.r, state.u[-1], state.t)
 
 
-def _new_solver(config, state, gain, t_bound):
-    """A solver from `state` on its own clock, from 0 (the RHS is autonomous)."""
-    n = config.M - 2
-    atol = np.empty(2 * n)
-    atol[:n] = ATOL_U
-    spacing = np.diff(state.r)
-    local = np.minimum(spacing[:-1], spacing[1:])
-    atol[n:] = ATOL_R_REL * local
-    # the inverse-Laplacian mesh velocity couples every node pair, but the
-    # Newton matrix is banded once the velocity is an unknown of its own:
-    # _make_jac gives the Jacobian in parts and _BandedBDF solves with them
-    return _BandedBDF(
-        _make_rhs(config, state.u[-1], gain),
-        0.0,
-        _pack(state),
-        t_bound=t_bound,
-        rtol=config.rtol,
-        atol=atol,
-        jac=_make_jac(config, state.u[-1], gain, atol),
-    )
+def _new_solver(config, op, state, t_bound, clock):
+    """A BDF solver from `state` on its own clock, from 0 (the RHS is
+    autonomous); `clock` sums the wall seconds of its RHS and Jacobian
+    calls under "rhs_s" and "jac_s"."""
+    def timed(key, fun):
+        clock[key] = 0.0
+
+        def call(t, y):
+            start = time.perf_counter()
+            out = fun(t, y)
+            clock[key] += time.perf_counter() - start
+            return out
+
+        return call
+
+    y0 = state.u[1:-1].copy()
+    _settle(op, y0, state.u[-1])
+    return BDF(timed("rhs_s", _make_rhs(op, state.u[-1])), 0.0,
+               y0, t_bound, rtol=config.rtol,
+               atol=ATOL_U * state.r[1:-1], jac=timed("jac_s", _make_jac(op)))
 
 
 def run(config, progress=None):
@@ -807,26 +506,29 @@ def run(config, progress=None):
     next_snap = 10.0 ** SNAPSHOT_DECADES
     stopped = "tmax"
 
-    def observe(state, theta):
+    def hold(state, theta):
         """Hold a state for its trace row; return sup |u_r|."""
         gmax, loc = _steepest(state.r, state.u)
         held.append((state.t, state.r, state.u, gmax, loc, theta))
         return gmax
 
-    gmax = observe(state, 0.0)
-    qhat = 0.0   # measured growth rate d log(sup u_r)/dt of the last chunk
+    gmax = hold(state, 0.0)
     while True:
         started = time.perf_counter()
-        gain = _gain(gmax, qhat)
-        chunk_limit = CHUNK_GROWTH * gmax  # refresh the frozen gain as the layer sharpens
-        t_chunk, g_chunk, steps = state.t, gmax, 0
-        solver = _new_solver(config, state, gain, t_bound=config.t_max - t_chunk)
+        chunk_limit = CHUNK_GROWTH * gmax
+        t_chunk, g_chunk, steps, clock = state.t, gmax, 0, {}
+        first = min(config.M - state.r.size, _first_node(config, gmax))
+        if first < config.M - state.r.size:
+            state = _extend(config, state, first)
+        solver = _new_solver(config, _operator(config, first), state,
+                             config.t_max - t_chunk, clock)
         while solver.status == "running":
-            state = _advance(config, solver, uL, t_chunk)
+            state = _advance(solver, state.r, uL, t_chunk)
             steps += 1
-            gmax = observe(state, solver.t)
+            gmax = hold(state, solver.t)
             if gmax >= next_snap:
-                snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy()))
+                snapshots.append(
+                    MeshState(state.t, state.r.copy(), state.u.copy()))
                 snap_rows.append(sum(map(len, thetas)) + len(held) - 1)
                 next_snap = 10.0 ** (
                     math.floor(math.log10(gmax) / SNAPSHOT_DECADES + 1)
@@ -846,13 +548,12 @@ def run(config, progress=None):
         done = stopped != "tmax" or solver.status == "finished"
         chunk_log.append({
             "t0": t_chunk, "t1": state.t, "dt": solver.t, "sup_grad0": g_chunk,
-            "sup_grad1": gmax, "qhat": qhat, "gain": gain, "steps": steps,
-            **{key: getattr(solver, key) for key in _SOLVER_COUNTERS},
+            "sup_grad1": gmax, "steps": steps,
+            "nfev": solver.nfev, "njev": solver.njev, "nlu": solver.nlu,
+            **clock,
             "wall_s": time.perf_counter() - started,
             "end": stopped if done else "growth",
         })
-        if gmax > g_chunk:
-            qhat = math.log(gmax / g_chunk) / solver.t
         if done:
             break
 
@@ -868,7 +569,8 @@ def run(config, progress=None):
         snap.t_left = float(t_left[row])
     # the last row closes the snapshots, unless it already is a rung's
     if snap_rows[-1] != t_left.size - 1:
-        snapshots.append(MeshState(state.t, state.r.copy(), state.u.copy(), 0.0))
+        snapshots.append(
+            MeshState(state.t, state.r.copy(), state.u.copy(), 0.0))
     totals = {"chunks": len(chunk_log)}
     for key in _SOLVER_COUNTERS:
         totals[key] = sum(line[key] for line in chunk_log)
@@ -880,13 +582,18 @@ def run(config, progress=None):
 # ----------------------------------------------------------------------------
 # rate fitting
 
+#: samples per decade of sup |u_r| that the fits take
+SAMPLES_PER_DECADE = 120
+
+
 def _subsample_log(g):
-    """Indices that thin the rows with g > 0 to about 120 per decade, evenly
-    in log(g), to suppress step-to-step noise before differencing."""
+    """Indices that thin the rows with g > 0 to about SAMPLES_PER_DECADE
+    per decade, evenly in log(g), to suppress step-to-step noise before
+    differencing."""
     keep, last = [], -math.inf
     for j in np.flatnonzero(g):
         lg = math.log10(g[j])
-        if lg - last >= 1.0 / 120:
+        if lg - last >= 1.0 / SAMPLES_PER_DECADE:
             keep.append(j)
             last = lg
     return np.array(keep, dtype=int)
@@ -897,7 +604,7 @@ MIN_LAYER_NODES = 20
 
 
 def _resolved_window(trace):
-    """The samples of every rate fit, the rows and sup |u_r| at the kept rows
+    """The window of every rate fit, the rows and sup |u_r| at the kept rows
     of the first longest contiguous stretch with enough nodes inside the
     layer: the recorded gradient is not trustworthy outside it.  NoBlowup if
     the run did not blow up."""
@@ -916,6 +623,48 @@ def _resolved_window(trace):
     return idx, trace.sup_grad[idx]
 
 
+def _samples(trace):
+    """The samples of every rate fit: t_left and sup |u_r| on the rungs
+    sup |u_r| = 10^(j / SAMPLES_PER_DECADE) of the resolved window.
+
+    t_left is interpolated, by 4 points in log sup |u_r|, between the
+    window's kept rows (_subsample_log) after the last row at which
+    sup |u_r| lay a rung or more below its maximum so far; the run's last
+    row takes the place of the window's last kept one when the window ends
+    the run.  The rungs do not depend on where the steps fell, so each
+    difference spans the same fraction of T - t at every depth, and a
+    change of the step sequence moves a fit only as far as it moves the
+    solution."""
+    idx = _resolved_window(trace)[0]
+    g, n = trace.sup_grad, SAMPLES_PER_DECADE
+    end = idx[-1]
+    if not np.any(g[end:] >= g[end] * 10.0 ** (1.0 / n)) and g[-1] > g[end]:
+        end = g.size - 1
+        idx = np.append(idx[:-1] if g[end] < g[idx[-1]] * 10.0 ** (0.5 / n)
+                        else idx, end)
+    window = g[idx[0]:end + 1]
+    low = np.flatnonzero(
+        window < np.maximum.accumulate(window) * 10.0 ** (-1.0 / n))
+    rows = idx[idx > idx[0] + low[-1]] if low.size else idx
+    lg = np.log10(g[rows])
+    rungs = np.arange(math.ceil(lg[0] * n),
+                      math.floor(lg[-1] * n + 1e-9) + 1) / n
+    if rungs.size < 12 or rows.size < 4:
+        raise WindowTooShort("fewer than 12 samples where sup|u_r| grows")
+    cols = np.clip(np.searchsorted(lg, rungs) - 2, 0, lg.size - 4)[:, None] \
+        + np.arange(4)
+    x = lg[cols]
+    weights = np.ones_like(x)
+    for a in range(4):
+        for b in range(4):
+            if a != b:
+                weights[:, a] *= (rungs - x[:, b]) / (x[:, a] - x[:, b])
+    # a rung at the last row lies there up to rounding: t_left is 0, not
+    # the rounding's sign
+    t_left = np.sum(weights * trace.t_left[rows][cols], axis=1)
+    return np.maximum(t_left, 0.0), 10.0 ** rungs
+
+
 def fit_power(trace):
     """Power-law fit from the log-derivative of sup |u_r| = 1/R.
 
@@ -923,12 +672,12 @@ def fit_power(trace):
     so 1/q is linear in t with root T; a line fit over the last three
     decades of the resolved window gives beta and tau = T - t at the last
     row.  Time is -t_left, which is exact however close the rows are to T."""
-    idx, g = _resolved_window(trace)
+    t_left, g = _samples(trace)
     mask = g >= g[-1] / 1e3
-    idx, g = idx[mask], g[mask]
-    if idx.size < 12:
+    t_left, g = t_left[mask], g[mask]
+    if g.size < 12:
         raise WindowTooShort("fewer than 12 samples in the power-fit window")
-    t = -trace.t_left[idx]
+    t = -t_left
     tm = 0.5 * (t[1:] + t[:-1])
     q = np.diff(np.log(g)) / np.diff(t)
     good = q > 0
@@ -959,7 +708,8 @@ def fit_power(trace):
         dbeta = max(dbeta, 0.5 * abs(betas[0] - betas[1]))
     return FitResult(kind="power", T=float(trace.t[-1]) + tau, tau=tau,
                      beta=beta, residual=resid, uncertainty=dbeta,
-                     window=(float(trace.t[idx[0]]), float(trace.t[idx[-1]])))
+                     window=(float(trace.t[-1] + t[0]),
+                             float(trace.t[-1] + t[-1])))
 
 
 def fit_log(trace, delta=1.0):
@@ -969,8 +719,7 @@ def fit_log(trace, delta=1.0):
     With T - t = t_left + tau and tau fixed the model is linear in
     -log(T-t) after raising to the delta power, so an inner linear solve
     sits under a 1-D search over tau, the T - t of the last row."""
-    idx, g = _resolved_window(trace)
-    t_left = trace.t_left[idx]
+    t_left, g = _samples(trace)
     # parabolic scaling puts tau near 1/sup|u_r|^2 at the last row
     tau_guess = trace.sup_grad[-1] ** -2.0
 

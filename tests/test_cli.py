@@ -121,6 +121,21 @@ def test_simulate_malformed_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_huge_max_gradient_exit_2(tmp_path):
+    # r_min = 1e-3/max_gradient = 1e-203: e^{-2x} there overflows, so the
+    # config is malformed; one error line, no traceback, under -W error
+    cfg = write_config(tmp_path / "huge.json", max_gradient=1e200)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "blowuplab.cli",
+         "simulate", "--config", cfg, "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: invalid config value: max_gradient")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_tabulated_configs_hash_apart():
     r = np.linspace(0.0, 2.0, 11)
     params = ModelParams(d=8, k=1)
@@ -287,8 +302,7 @@ def test_run_directory_layout(run_dir):
         assert os.path.exists(artifact)
     assert "numpy" in manifest["versions"]
     solver = manifest["solver"]
-    assert set(solver) == {"chunks", "nfev", "njev", "nlu", "rhs_s", "jac_s",
-                           "lu_s"}
+    assert set(solver) == {"chunks", "nfev", "njev", "nlu", "rhs_s", "jac_s"}
     assert solver["njev"] >= solver["chunks"] >= 1
     assert solver["rhs_s"] > 0
 
@@ -340,8 +354,8 @@ def test_solver_log(run_dir):
     for key in ("nfev", "njev", "nlu"):
         assert sum(line[key] for line in lines) == solver[key], key
     assert list(lines[0]) == ["t0", "t1", "dt", "sup_grad0", "sup_grad1",
-                              "qhat", "gain", "steps", "nfev", "njev", "nlu",
-                              "rhs_s", "jac_s", "lu_s", "wall_s", "end"]
+                              "steps", "nfev", "njev", "nlu", "rhs_s", "jac_s",
+                              "wall_s", "end"]
     assert {line["end"] for line in lines[:-1]} == {"growth"}
     assert lines[-1]["end"] == manifest["stop"]["reason"] == "blowup"
     assert lines[-1]["t1"] == manifest["stop"]["t"]
