@@ -302,9 +302,10 @@ def test_run_directory_layout(run_dir):
         assert os.path.exists(artifact)
     assert "numpy" in manifest["versions"]
     solver = manifest["solver"]
-    assert set(solver) == {"chunks", "nfev", "njev", "nlu", "rhs_s", "jac_s"}
+    assert set(solver) == {"chunks", "nfev", "njev", "nlu", "rhs_s", "jac_s",
+                           "lu_s"}
     assert solver["njev"] >= solver["chunks"] >= 1
-    assert solver["rhs_s"] > 0
+    assert solver["rhs_s"] > 0 and solver["lu_s"] > 0
 
     # the stop record is the last row of the trace
     stop = manifest["stop"]
@@ -355,7 +356,7 @@ def test_solver_log(run_dir):
         assert sum(line[key] for line in lines) == solver[key], key
     assert list(lines[0]) == ["t0", "t1", "dt", "sup_grad0", "sup_grad1",
                               "steps", "nfev", "njev", "nlu", "rhs_s", "jac_s",
-                              "wall_s", "end"]
+                              "lu_s", "wall_s", "end"]
     assert {line["end"] for line in lines[:-1]} == {"growth"}
     assert lines[-1]["end"] == manifest["stop"]["reason"] == "blowup"
     assert lines[-1]["t1"] == manifest["stop"]["t"]

@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.integrate._ivp.bdf
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+from scipy.integrate import BDF
 from scipy.integrate._ivp.common import num_jac
-from scipy.sparse import csc_array
 
 from blowuplab import meshsim
 from blowuplab.errors import (
@@ -116,6 +117,17 @@ def test_zero_solution_is_fixed_point():
     out = step(cfg, state, dt_max=1e-3)
     assert out.t > state.t
     assert np.max(np.abs(out.u)) < 1e-10
+
+
+def test_solver_at_its_bound_finishes_without_a_step():
+    # t_bound = 0: no initial step is divided by the empty interval, and the
+    # first step() finishes at t = 0 without a Newton solve, as in scipy
+    cfg = config(M=101)
+    state = initialize(cfg)
+    solver = meshsim._new_solver(cfg, _op(cfg, state), state, 0.0)
+    assert solver.h_abs == 0.0
+    solver.step()
+    assert (solver.status, solver.t, solver.nlu) == ("finished", 0.0, 0)
 
 
 def test_near_equator_interior_evolves():
@@ -233,8 +245,8 @@ def test_rhs_fourth_order():
 
 
 def test_rhs_returns_fresh_arrays():
-    # scipy keeps the value of one call across the next (select_initial_step
-    # holds f0), so no call may hand back memory that a later one reuses
+    # the stepper keeps the value of one call across the next (its initial
+    # step holds f0), so no call may hand back memory that a later one reuses
     cfg = config(M=101)
     rhs, y = _rhs(cfg, initialize(cfg))
     f1 = rhs(0.0, y)
@@ -253,26 +265,38 @@ def _row_error(J, J_ref):
                         / np.max(np.abs(J_ref), axis=1)))
 
 
+def _sparse(ab):
+    """The matrix of a LAPACK band storage with two diagonals on each side,
+    A[i, j] = ab[2 + i - j, j]: scipy's DIA format with offsets 2 .. -2."""
+    n = ab.shape[1]
+    return scipy.sparse.dia_array((ab, [2, 1, 0, -1, -2]), shape=(n, n))
+
+
+def _dense(ab):
+    return _sparse(ab).toarray()
+
+
 def _jac_error(cfg, state):
-    """Distance (see _row_error) of the Jacobian BDF was given from scipy's
-    dense finite-difference one."""
-    solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0, {})
+    """Distance (see _row_error) of the Jacobian the stepper was given from
+    scipy's dense finite-difference one."""
+    solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0)
     rhs, y = _rhs(cfg, state)[0], solver.y
     J_ref, _ = num_jac(rhs, state.t, y, rhs(state.t, y), solver.atol, None)
-    return _row_error(solver.J.toarray(), J_ref)
+    return _row_error(_dense(solver.J), J_ref)
 
 
 def _newton_error(cfg, state, extra_c=()):
-    """Largest distance of BDF's sparse Newton solve of (I - c J) x = b from
-    a dense solve, relative to the largest entry of x, for c from 1/100 to
-    100 times the first step BDF selects and for each of extra_c."""
-    solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0, {})
-    J = solver.J.toarray()
+    """Largest distance of the stepper's band Newton solve of (I - c J) x = b
+    from a dense solve, relative to the largest entry of x, for c from 1/100
+    to 100 times the first step the stepper selects and for each of
+    extra_c."""
+    solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0)
+    J = _dense(solver.J)
     n = J.shape[0]
     b = np.random.default_rng(0).standard_normal(n)
     errors = []
     for c in [*(solver.h_abs * np.array([1e-2, 1.0, 1e2])), *extra_c]:
-        x = solver.solve_lu(solver.lu(solver.I - c * solver.J), b)
+        x = solver.solve_lu(solver.lu(c), b)
         x_ref = scipy.linalg.solve(np.eye(n) - c * J, b)
         errors.append(np.max(np.abs(x - x_ref)) / np.max(np.abs(x_ref)))
     return max(errors)
@@ -309,14 +333,14 @@ def test_jacobian_matches_central_differences(kw):
     step = 1e-4 * np.maximum(np.abs(y), meshsim.ATOL_U * state.r[1:-1])
     Y = y[:, None] + np.diag(step)
     J_ref = (rhs(0.0, Y) - rhs(0.0, y[:, None] - np.diag(step))) / (2.0 * step)
-    J = meshsim._make_jac(_op(cfg, state))(0.0, y).toarray()
+    J = _dense(meshsim._make_jac(_op(cfg, state))(0.0, y))
     assert _row_error(J, J_ref) <= 1e-8
 
 
 @pytest.mark.parametrize("kw", JACOBIAN_CASES + [{"M": 64}])
 def test_newton_solve_matches_dense(kw):
     cfg = config(**kw)
-    # c = 1 is far beyond BDF's steps here
+    # c = 1 is far beyond the stepper's steps here
     assert _newton_error(cfg, initialize(cfg), extra_c=(1.0,)) <= 1e-10
 
 
@@ -326,49 +350,70 @@ def test_newton_solve_matches_dense_sharpened_layer(quick_trace):
 
 @pytest.mark.parametrize("kw", JACOBIAN_CASES)
 def test_newton_band_gather_matches_masks(kw):
-    # the Jacobian BDF gets adds the nonlinear diagonal at the positions of
-    # A's diagonal in its band storage (an integer gather); the reference
-    # picks that diagonal out of A's coordinate form by a boolean mask
+    # the Jacobian the stepper gets adds the nonlinear diagonal to the middle
+    # row of A's band storage; the reference adds it to the entries of the
+    # dense A that a boolean mask of A's coordinate form picks out
     cfg = config(**kw)
     state = initialize(cfg)
     op = _op(cfg, state)
-    solver = meshsim._new_solver(cfg, op, state, 1.0, {})
+    solver = meshsim._new_solver(cfg, op, state, 1.0)
     y = solver.y
-    coo = op.A.tocoo()
+    coo = _sparse(op.ab).tocoo()
     on_diag = coo.row == coo.col
     data = coo.data.copy()
     rows = coo.row[on_diag]
     data[on_diag] -= 2.0 * op.w[rows] * np.cos(2.0 * y[rows])
-    ref = csc_array((data, (coo.row, coo.col)), shape=op.A.shape).toarray()
-    assert np.array_equal(meshsim._make_jac(op)(0.0, y).toarray(), ref)
-    assert np.array_equal(solver.J.toarray(), ref)
+    ref = scipy.sparse.coo_array((data, (coo.row, coo.col)),
+                                 shape=coo.shape).toarray()
+    assert np.array_equal(_dense(meshsim._make_jac(op)(0.0, y)), ref)
+    assert np.array_equal(_dense(solver.J), ref)
 
 
 def test_newton_bandwidths():
-    # the Jacobian, and so the Newton matrix, is pentadiagonal at any n,
-    # with the diagonal stored for the nonlinear term
+    # the Jacobian, and so the Newton matrix, is pentadiagonal at any n, its
+    # band storage holds no entry outside the matrix, and the diagonal is
+    # stored whole for the nonlinear term
     for M in (64, 201):
         op = meshsim._operator(config(M=M))
-        rows, cols = op.A.nonzero()
+        n = M - 2
+        assert op.ab.shape == (5, n)
+        rows, cols = np.nonzero(_dense(op.ab))
         assert (np.max(rows - cols), np.max(cols - rows)) == (2, 2)
-        assert op.diag.size == M - 2
-        assert np.array_equal(op.A.indices[op.diag], np.arange(M - 2))
+        assert np.all(op.ab[2] != 0.0)
+        outside = [op.ab[0, :2], op.ab[1, :1], op.ab[3, n - 1:],
+                   op.ab[4, n - 2:]]
+        assert not np.any(np.concatenate(outside))
         assert np.count_nonzero(op.to_L) == 2
 
 
 def test_no_dense_lu(monkeypatch):
-    # the Newton matrix is factored sparse; scipy's dense LU must not run
+    # the Newton matrix is factored in band storage: no dense LU or solve
+    # runs or is imported, the stepper holds (5, n) and (7, n) bands, and
+    # meshsim holds nothing of scipy.sparse or scipy.integrate
+    dense = {scipy.linalg.lu_factor, scipy.linalg.lu_solve, scipy.linalg.lu,
+             scipy.linalg.solve, np.linalg.solve}
+
     def dense_lu(*args, **kwargs):
         raise AssertionError("dense LU called")
 
-    monkeypatch.setattr(scipy.integrate._ivp.bdf, "lu_factor", dense_lu)
-    monkeypatch.setattr(scipy.integrate._ivp.bdf, "lu_solve", dense_lu)
+    for name in ("lu_factor", "lu_solve", "lu", "solve"):
+        monkeypatch.setattr(scipy.linalg, name, dense_lu)
+    monkeypatch.setattr(np.linalg, "solve", dense_lu)
     cfg = config(M=101)
     state = initialize(cfg)
     for _ in range(3):
         state = step(cfg, state, dt_max=1e-3)
     trace = run(config(M=101, t_max=1e-3))
     assert trace.solver["nlu"] >= 1 and trace.t.size > 1
+    solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1e-3)
+    solver.step()
+    n = state.r.size - 2
+    assert solver.J.shape == (5, n) and solver.LU[0].shape == (7, n)
+    for value in vars(meshsim).values():
+        module = getattr(value, "__module__", None) \
+            or getattr(value, "__name__", "")
+        assert not str(module).startswith(("scipy.sparse", "scipy.integrate"))
+        assert not any(value is f for f in dense), value
 
 
 def test_chunk_solver_memory_linear():
@@ -378,13 +423,55 @@ def test_chunk_solver_memory_linear():
     state = meshsim._extend(cfg, initialize(cfg), 0)
     tracemalloc.start()
     try:
-        solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0, {})
+        solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0)
         solver.step()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert solver.status == "running" and solver.njev == 1
     assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("shared_lu", [True, False])
+@pytest.mark.parametrize("kw", [
+    {"M": 161, "rtol": 1e-6, "max_gradient": 1e6},
+    {"d": 7.0, "L": math.pi, "M": 241, "rtol": 1e-6, "max_gradient": 1e6,
+     "initial_data": "r-sin(r)"},
+    {"d": 14.0, "k": 2},
+])
+def test_band_bdf_matches_scipy_bdf(kw, shared_lu):
+    # _BandBDF against scipy's BDF, given the sparse form of the same
+    # Jacobian, for 150 steps from the same chunk start.  Factoring with
+    # scipy's sparse LU too, the port takes scipy's steps bit for bit.  With
+    # its band LU it takes the same orders and counts at every step; the
+    # two LUs round differently, and the step control carries that to about
+    # 6e-8 of t and 4e-9 of y over the 150 steps
+    cfg = config(**kw)
+    state = initialize(cfg)
+    op = _op(cfg, state)
+    solver = meshsim._new_solver(cfg, op, state, cfg.t_max)
+    jac = meshsim._make_jac(op)
+    ref = BDF(meshsim._make_rhs(op, state.u[-1]), 0.0, solver.y.copy(),
+              cfg.t_max, rtol=cfg.rtol, atol=solver.atol,
+              jac=lambda t, y: _sparse(jac(t, y)).tocsc())
+    if shared_lu:
+        def sparse_lu(c):
+            solver.nlu += 1
+            return scipy.sparse.linalg.splu(
+                ref.I - c * _sparse(solver.J).tocsc())
+
+        solver.lu = sparse_lu
+        solver.solve_lu = lambda LU, b: LU.solve(b)
+    t_tol, y_tol = (0.0, 0.0) if shared_lu else (1e-6, 1e-7)
+    for _ in range(150):
+        solver.step()
+        ref.step()
+        assert solver.status == ref.status == "running"
+        assert solver.order == ref.order
+        assert (solver.nfev, solver.njev, solver.nlu) \
+            == (ref.nfev, ref.njev, ref.nlu)
+        assert abs(solver.t - ref.t) <= t_tol * ref.t
+        assert np.max(np.abs(solver.y - ref.y)) <= y_tol
 
 
 # ----------------------------------------------------------------------------
@@ -399,14 +486,15 @@ def test_quick_run_reaches_blowup(quick_trace):
 def test_quick_run_solver_counters(quick_trace):
     counters = quick_trace.solver
     assert set(counters) == {"chunks", "nfev", "njev", "nlu", "rhs_s",
-                             "jac_s"}
+                             "jac_s", "lu_s"}
     assert counters["njev"] >= counters["chunks"] >= 1
     assert counters["rhs_s"] > 0 and counters["jac_s"] > 0
+    assert counters["lu_s"] > 0
     assert counters["nfev"] >= quick_trace.t.size - 1
     # one chunk_log record per chunk solver, and they add up to the totals
     log = quick_trace.chunk_log
     assert len(log) == counters["chunks"]
-    for key in ("nfev", "njev", "nlu", "rhs_s", "jac_s"):
+    for key in ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s"):
         assert sum(line[key] for line in log) == counters[key], key
     assert sum(line["steps"] for line in log) == quick_trace.t.size - 1
     assert [line["end"] for line in log] == ["growth"] * (len(log) - 1) + ["blowup"]
