@@ -38,7 +38,7 @@ from . import __version__, coupling, meshsim, rates, spectral
 from . import profile as profile_mod
 from .errors import BadInitialData, BlowupLabError, NoBlowup
 from .params import ModelParams, classify, derive, eigenvalue
-from .tables import write_table
+from .tables import read_table, write_table
 
 #: the config keys besides d and k, each with its default: the SimConfig
 #: fields but params
@@ -119,18 +119,21 @@ def _read_config(path):
     return raw
 
 
-def _as_int(key, val):
-    """int(val), but a float with a fractional part, which int() would
-    truncate, is malformed."""
-    if isinstance(val, float) and not val.is_integer():
+def _as_number(key, val, conv):
+    """conv(val) for conv int or float; a bool, which either would take as 0
+    or 1, is malformed, and so, for int, is a float with a fractional part,
+    which int() would truncate."""
+    if isinstance(val, bool):
+        raise ConfigError(f"config key {key!r} must be a number, got {val!r}")
+    if conv is int and isinstance(val, float) and not val.is_integer():
         raise ConfigError(f"config key {key!r} must be an integer, got {val!r}")
-    return int(val)
+    return conv(val)
 
 
 def _sim_config(raw):
     """SimConfig from d, k and SimConfig fields; a float or int field's value
-    is converted by the type of its default (an int takes only integral
-    values), others pass through."""
+    is converted by the type of its default (_as_number), others pass
+    through."""
     for key in ("d", "k"):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
@@ -142,12 +145,10 @@ def _sim_config(raw):
             if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
             conv = type(_DEFAULTS[key])
-            if conv is int:
-                val = _as_int(key, val)
-            elif conv is float:
-                val = float(val)
-            kwargs[key] = val
-        params = ModelParams(d=float(raw["d"]), k=_as_int("k", raw["k"]))
+            kwargs[key] = (_as_number(key, val, conv) if conv in (int, float)
+                           else val)
+        params = ModelParams(d=_as_number("d", raw["d"], float),
+                             k=_as_number("k", raw["k"], int))
         return meshsim.SimConfig(params=params, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
@@ -349,8 +350,8 @@ def _latest_snapshot(snapshots, tau):
         return None
     base, t, t_left = min(before, key=lambda snap: snap[2])
     try:
-        data = np.genfromtxt(base + ".csv", delimiter=",", names=True)
-        state = meshsim.MeshState(t=t, r=data["r"], u=data["u"], t_left=t_left)
+        r, u = read_table(base + ".csv", ("r", "u"))
+        state = meshsim.MeshState(t=t, r=r, u=u, t_left=t_left)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read snapshot {base}.csv: {exc!r}") from exc
     return os.path.basename(base), state

@@ -19,9 +19,10 @@ Interior nodes take 5-point fourth-order central differences.  The node
 next to L and the first two nodes of the grid take the 3-point
 second-order stencil; at the first, the regularity condition u ~ r^k, that
 is u_x = k u, enters through the ghost node u_{-1} = u_1 - 2hk u_0.  The
-linear part is a constant pentadiagonal matrix (_operator), so the Jacobian
-is that matrix plus diag(-k(d+k-2) e^{-2x} cos 2u), kept in LAPACK band
-storage; no differencing is needed.  The stepper (_BandBDF) is scipy's BDF,
+linear part is a constant pentadiagonal matrix (_operator), kept in LAPACK
+band storage, so the RHS is one BLAS band product (dgbmv) plus the boundary
+and sine terms, and the Jacobian is that matrix plus diag(-k(d+k-2) e^{-2x}
+cos 2u); no differencing is needed.  The stepper (_BandBDF) is scipy's BDF,
 the variable-order NDF, with the Newton matrix factored by band LU.
 
 A fresh BDF solver starts each time sup |u_r| has grown by CHUNK_GROWTH,
@@ -54,6 +55,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import minimize_scalar
 
@@ -65,7 +67,7 @@ from .errors import (
     WindowTooShort,
 )
 from .params import ModelParams
-from .tables import write_table
+from .tables import read_table, write_table
 
 #: sup-gradient growth factor per solver chunk
 CHUNK_GROWTH = 10.0
@@ -199,9 +201,9 @@ class RunTrace:
 def trace_from_csv(path, config=None, stopped="blowup"):
     """Rebuild a fit-capable RunTrace from a persisted trace table (no
     snapshots; those live in their own files)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    columns = read_table(path, TRACE_COLUMNS)
     return RunTrace(config=config, stopped=stopped,
-                    **{name: np.atleast_1d(data[name]) for name in TRACE_COLUMNS})
+                    **dict(zip(TRACE_COLUMNS, columns)))
 
 
 @dataclass
@@ -227,12 +229,6 @@ class FitResult:
 # The helpers below take nodal arrays, the origin first, or states stacked
 # as rows.
 
-def _differences(r, u):
-    """Cell widths and midpoint gradients."""
-    dr = r[1:] - r[:-1]
-    return dr, (u[1:] - u[:-1]) / dr
-
-
 def _origin_gradient(r, u):
     """The one-sided origin gradient (2nd order, through u(0) = 0), from the
     secants u/r of the first two nodes, so that it is exact for u = c r."""
@@ -241,12 +237,15 @@ def _origin_gradient(r, u):
     return (s1 * r2 - s2 * r1) / (r2 - r1)
 
 
-def _steepest(r, u):
+def _steepest(r, u, dr=None):
     """sup |u_r| over the mesh (the largest midpoint or origin gradient) and
-    where it lies: 0 at the origin, else the midpoint of its cell."""
+    where it lies: 0 at the origin, else the midpoint of its cell.  A caller
+    that holds the cell widths r[1:] - r[:-1] passes them as dr."""
+    if dr is None:
+        dr = r[1:] - r[:-1]
     g0 = abs(_origin_gradient(r, u))
-    a = np.abs(_differences(r, u)[1])
-    j = int(np.argmax(a))
+    a = np.abs((u[1:] - u[:-1]) / dr)
+    j = int(a.argmax())
     return (g0, 0.0) if g0 >= a[j] else (float(a[j]), 0.5 * (r[j] + r[j + 1]))
 
 
@@ -312,7 +311,8 @@ _D1_3 = np.array([0.0, -0.5, 0.0, 0.5, 0.0])
 class _Operator:
     """u' = A u + u(L) to_L - w sin 2u on the unknowns u_0 .. u_{n-1}, every
     grid node but L; A is pentadiagonal and the same for the whole run."""
-    ab: np.ndarray     # A in LAPACK band storage: A[i, j] = ab[2 + i - j, j]
+    ab: np.ndarray     # A in LAPACK band storage, Fortran-ordered for BLAS:
+                       # A[i, j] = ab[2 + i - j, j]
     to_L: np.ndarray   # A's column at the fixed node L
     w: np.ndarray      # k(d+k-2)/2 e^{-2x}
 
@@ -338,24 +338,24 @@ def _operator(config, first=0):
         band[2 - o, 2 + o:n + 2 + o] = weights[:, 2 + o]
     to_L = np.zeros(n)
     to_L[-2:] = band[:2, n + 2]
-    return _Operator(band[:, 2:n + 2].copy(), to_L,
+    return _Operator(np.asfortranarray(band[:, 2:n + 2]), to_L,
                      0.5 * k * (d + k - 2.0) * np.exp(-2.0 * x[:n]))
 
 
 def _make_rhs(op, uL):
-    """The RHS of the unknowns, of one state (n,) or of a block (n, m)."""
-    b = (op.to_L * uL)[:, None]
-    w = op.w[:, None]
-    ab = op.ab[:, :, None]
+    """The RHS of the unknowns, of one state (n,) or, column by column, of a
+    block (n, m): the band product A u, the two entries of u(L) to_L, and
+    -w sin 2u."""
+    n = op.w.size
+    ab, w, boundary = op.ab, op.w, op.to_L[-2:] * uL
 
     def rhs(t, y):
-        v = y.reshape(y.shape[0], -1)
-        f = ab[2] * v + b - w * np.sin(2.0 * v)
-        f[:-1] += ab[1, 1:] * v[1:]
-        f[:-2] += ab[0, 2:] * v[2:]
-        f[1:] += ab[3, :-1] * v[:-1]
-        f[2:] += ab[4, :-2] * v[:-2]
-        return f.reshape(y.shape)
+        if y.ndim == 2:
+            return np.stack([rhs(t, v) for v in y.T], axis=1)
+        f = dgbmv(n, n, 2, 2, 1.0, ab, y)
+        f[-2:] += boundary
+        f -= w * np.sin(2.0 * y)
+        return f
 
     return rhs
 
@@ -483,10 +483,14 @@ def _compute_R(order, factor):
     return np.cumprod(M, axis=0)
 
 
+#: _compute_R(order, 1), which depends on the order alone, by order
+_R_UNIT = [_compute_R(order, 1) for order in range(_MAX_ORDER + 1)]
+
+
 def _change_D(D, order, factor):
     """Rescale the differences array in place to a step `factor` times the
     last."""
-    RU = _compute_R(order, factor).dot(_compute_R(order, 1))
+    RU = _compute_R(order, factor).dot(_R_UNIT[order])
     D[:order + 1] = np.dot(RU.T, D[:order + 1])
 
 
@@ -602,7 +606,7 @@ class _BandBDF:
 
     def _step_impl(self):
         t, D, order = self.t, self.D, self.order
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if self.h_abs < min_step:
             h_abs = min_step
             _change_D(D, order, min_step / self.h_abs)
@@ -624,7 +628,7 @@ class _BandBDF:
                 LU = None
             h = h_abs = t_new - t
 
-            y_predict = np.sum(D[:order + 1], axis=0)
+            y_predict = np.add.reduce(D[:order + 1])
             scale = self.atol + self.rtol * np.abs(y_predict)
             psi = np.dot(D[1:order + 1].T, _GAMMA[1:order + 1]) / _ALPHA[order]
 
@@ -748,13 +752,13 @@ def run(config, progress=None):
     next_snap = 10.0 ** SNAPSHOT_DECADES
     stopped = "tmax"
 
-    def hold(state, theta):
+    def hold(state, theta, dr):
         """Hold a state for its trace row; return sup |u_r|."""
-        gmax, loc = _steepest(state.r, state.u)
+        gmax, loc = _steepest(state.r, state.u, dr)
         held.append((state.t, state.r, state.u, gmax, loc, theta))
         return gmax
 
-    gmax = hold(state, 0.0)
+    gmax = hold(state, 0.0, None)
     while True:
         started = time.perf_counter()
         chunk_limit = CHUNK_GROWTH * gmax
@@ -762,12 +766,14 @@ def run(config, progress=None):
         first = min(config.M - state.r.size, _first_node(config, gmax))
         if first < config.M - state.r.size:
             state = _extend(config, state, first)
+        # the chunk's nodes, and so their cell widths, are fixed
+        dr = state.r[1:] - state.r[:-1]
         solver = _new_solver(config, _operator(config, first), state,
                              config.t_max - t_chunk)
         while solver.status == "running":
             state = _advance(solver, state.r, uL, t_chunk)
             steps += 1
-            gmax = hold(state, solver.t)
+            gmax = hold(state, solver.t, dr)
             if gmax >= next_snap:
                 snapshots.append(
                     MeshState(state.t, state.r.copy(), state.u.copy()))

@@ -120,6 +120,21 @@ def test_simulate_malformed_configs(tmp_path, capsys):
                          "--out", str(tmp_path)]) == 2, bad
     capsys.readouterr()
 
+    # JSON booleans are not numbers, although int() and float() take them
+    # as 0 and 1: one error line naming the key
+    for key, bad in (("k", '{"d": 8, "k": true}'),
+                     ("rtol", '{"d": 8, "k": 1, "rtol": true}'),
+                     ("L", '{"d": 8, "k": 1, "L": false}'),
+                     ("t_max", '{"d": 8, "k": 1, "t_max": true}'),
+                     ("d", '{"d": true, "k": 1}')):
+        path = tmp_path / "bad.json"
+        path.write_text(bad)
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path)]) == 2, bad
+        err = capsys.readouterr().err
+        assert err == f"error: config key {key!r} must be a number, got " \
+                      f"{'False' if 'false' in bad else 'True'}\n", err
+
 
 def test_simulate_huge_max_gradient_exit_2(tmp_path):
     # r_min = 1e-3/max_gradient = 1e-203: e^{-2x} there overflows, so the

@@ -474,6 +474,21 @@ def test_band_bdf_matches_scipy_bdf(kw, shared_lu):
         assert np.max(np.abs(solver.y - ref.y)) <= y_tol
 
 
+def test_change_D_matches_uncached():
+    # _change_D takes _compute_R(order, 1) from a table; the product it
+    # applies must be scipy's change_D bit for bit
+    rng = np.random.default_rng(5)
+    for order in range(1, meshsim._MAX_ORDER + 1):
+        for factor in (0.2, 0.5, 0.9137, 1.0, 2.5, 10.0):
+            D = rng.standard_normal((meshsim._MAX_ORDER + 3, 7))
+            ref = D.copy()
+            RU = meshsim._compute_R(order, factor).dot(
+                meshsim._compute_R(order, 1))
+            ref[:order + 1] = np.dot(RU.T, ref[:order + 1])
+            meshsim._change_D(D, order, factor)
+            assert np.array_equal(D, ref), (order, factor)
+
+
 # ----------------------------------------------------------------------------
 # runs and traces
 
