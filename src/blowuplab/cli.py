@@ -60,6 +60,15 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _write_output(path, write, *args):
+    """write(path, *args) for a path named on the command line; ConfigError
+    if it cannot be written (a missing directory, no permission)."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _params(d, k, N=None):
     """ModelParams from command-line values; out-of-range values are
     malformed arguments."""
@@ -100,7 +109,7 @@ def cmd_predict(args):
             print(f"  {key:>6s} = {table[key]:.9g}")
     out = {"rate_law": json.loads(law.to_json()), "constants": table}
     if args.json:
-        _write_json(args.json, out)
+        _write_output(args.json, _write_json, out)
     return 0
 
 
@@ -443,15 +452,18 @@ def cmd_compare(args):
 def cmd_profile_dump(args):
     consts = derive(_params(args.d, args.k))
     prof = profile_mod.solve_profile(consts)
-    prof.to_csv(args.out)
+    _write_output(args.out, prof.to_csv)
     print(f"{args.out}: h={prof.h:.8f} Cs={prof.Cs:.8f}")
     return 0
 
 
 def cmd_basis_dump(args):
     consts = derive(_params(args.d, args.k))
+    if args.n < 0:
+        raise ConfigError(f"invalid parameters: --n must be at least 0, "
+                          f"got {args.n}")
     basis = spectral.build_basis(consts, max_n=args.n)
-    basis.to_csv(args.out)
+    _write_output(args.out, basis.to_csv)
     print(f"{args.out}: n<={args.n}, "
           f"gram residual target {spectral.ORTHO_TARGET:g}")
     return 0

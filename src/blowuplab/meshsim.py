@@ -57,7 +57,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     BadInitialData,
@@ -959,13 +958,84 @@ def fit_power(trace):
                              float(trace.t[-1] + t[-1])))
 
 
+def _minimize_bounded(f, lo, hi, xatol):
+    """Minimum of f on [lo, hi] by Brent's golden-section search with
+    parabolic steps (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5): a step-for-step port of scipy's
+    minimize_scalar(method="bounded"), which takes the same points.  Returns
+    (x, f(x), converged); not converged after 500 evaluations of f, scipy's
+    default limit, or where x or f is NaN."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = f(x)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:       # try a parabola through the last three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        move = max(abs(rat), tol1)
+        x = xf + (move if rat >= 0 else -move)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            return xf, fx, False
+    return xf, fx, not any(map(math.isnan, (xf, fx, fu)))
+
+
 def fit_log(trace, delta=1.0):
     """Logarithmic-law fit: sqrt(T-t) sup_grad = C (-log(T-t) - s0)^{1/delta}
     over the last six e-folds of T - t in the resolved window.
 
     With T - t = t_left + tau and tau fixed the model is linear in
     -log(T-t) after raising to the delta power, so an inner linear solve
-    sits under a 1-D search over tau, the T - t of the last row."""
+    sits under a 1-D search over log tau, tau the T - t of the last row: the
+    bounded Brent search of _minimize_bounded, to 1e-12 in log tau."""
     t_left, g = _samples(trace)
     # parabolic scaling puts tau near 1/sup|u_r|^2 at the last row
     tau_guess = trace.sup_grad[-1] ** -2.0
@@ -990,16 +1060,14 @@ def fit_log(trace, delta=1.0):
         x, z, a, b = fit
         return float(np.mean((a + b * x - z) ** 2))
 
-    res = minimize_scalar(
-        misfit,
-        bounds=(math.log(tau_guess * 1e-3), math.log(tau_guess * 1e5)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if not res.success or res.fun >= 1e29:
+    log_tau, fun, converged = _minimize_bounded(
+        misfit, math.log(tau_guess * 1e-3), math.log(tau_guess * 1e5),
+        xatol=1e-12)
+    if not converged or fun >= 1e29:
         raise DegenerateFit("outer search over T failed")
-    # misfit(res.x) is finite, so the window at tau is full and its slope positive
-    tau = math.exp(res.x)
+    # misfit(log_tau) is finite, so the window at tau is full and its slope
+    # positive
+    tau = math.exp(log_tau)
     x, z, a, b = line_fit(tau)
     C = b ** (1.0 / delta)
     s0 = -a / b

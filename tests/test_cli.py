@@ -71,11 +71,26 @@ def test_predict_subcritical(capsys):
     ["predict", "--d", "8", "--N", "-1"],
     ["profile-dump", "--d", "nan", "--out", "x.csv"],
     ["basis-dump", "--d", "2", "--out", "x.csv"],
+    ["basis-dump", "--d", "8", "--n", "-1", "--out", "x.csv"],
 ])
 def test_bad_parameters_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     assert "invalid parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--d", "8", "--json"], ["profile-dump", "--d", "8", "--out"],
+    ["basis-dump", "--d", "8", "--out"],
+])
+def test_unwritable_output_exit_2(argv, tmp_path, capsys):
+    # an output path in a directory that does not exist ended in a
+    # FileNotFoundError traceback and exit 1
+    target = tmp_path / "missing" / "out"
+    assert cli.main([*argv, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_simulate_malformed_configs(tmp_path, capsys):
@@ -710,6 +725,38 @@ def test_cli_import_leaves_out_scipy_interpolate():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_commands_leave_out_scipy_integrate_optimize_sparse(tmp_path):
+    # the coupling integrals and the log-law search need only numpy: no
+    # blowuplab module, and none of predict, simulate + compare at d = 7 and
+    # the dominance diagnostic, loads scipy.integrate, scipy.optimize or
+    # scipy.sparse (with what they pull in, about 250 modules and 18 MB a
+    # process).  A fresh interpreter, because pytest's warning filters import
+    # scipy.integrate.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    cfg = write_config(tmp_path / "cfg.json", d=7, L=math.pi, M=161)
+    code = f"""
+import importlib, pkgutil, sys
+import blowuplab
+for mod in pkgutil.iter_modules(blowuplab.__path__):
+    importlib.import_module("blowuplab." + mod.name)
+from blowuplab import cli, coupling, params, profile, spectral
+root = {str(tmp_path)!r}
+assert cli.main(["predict", "--d", "8", "--json", root + "/p.json"]) == 0
+assert cli.main(["simulate", "--config", {cfg!r}, "--out", root]) == 0
+run, = [name for name in __import__("os").listdir(root) if name.startswith("run_")]
+assert cli.main(["compare", "--run", root + "/" + run]) == 0
+consts = params.derive(params.ModelParams(d=9, k=1))
+coupling.dominance_diagnostic(profile.solve_profile(consts),
+                              spectral.build_basis(consts), 1, 1e-3)
+print(sorted(m for m in sys.modules if m.startswith(
+    ("scipy.integrate", "scipy.optimize", "scipy.sparse"))))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_basis_dump(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_g_tail_limit(profile_at):
 
 @pytest.mark.parametrize("d,k", [(7.0, 1), (8.0, 1), (12.0, 2)])
 def test_inner_integral_second_scheme(profile_at, d, k):
-    """Adaptive Gauss-Kronrod vs. composite Simpson on a dense log grid."""
+    """Gauss-Legendre per Taylor step vs. composite Simpson on a dense log grid."""
     p = profile_at(d, k)
     c = p.consts
     base = inner_integral(p)
@@ -87,7 +87,7 @@ def test_inner_integral_second_scheme(profile_at, d, k):
 
 
 def test_outer_integral_second_scheme(basis_at):
-    """Gauss-Laguerre vs. adaptive quadrature plus the analytic small-y piece."""
+    """Gauss-Laguerre vs. panel Gauss-Legendre plus the analytic small-y piece."""
     basis = basis_at(9.0, 1)
     c = basis.consts
     gl = outer_integral(basis, 1, 1)
@@ -137,21 +137,21 @@ def test_truncated_inner_integral_monotone(profile_at):
     assert vals[0] < vals[1] < vals[2] < inner_integral(p)
 
 
-def _inner_integral_via_g_function(p, upper=None):
-    """inner_integral with the integrand taken through g_function(p, e^x),
-    and so through eval_u: the reference for the integrand on the orbit."""
+def _inner_integral_by_quad(p, upper, integrand, breaks=(), **quad_kw):
+    """inner_integral with the orbit piece taken by `quad` of integrand(x),
+    split at the points of `breaks` inside it, and the pieces below the
+    orbit and above x_switch in closed form."""
     c = p.consts
     d, k = c.params.d, c.params.k
     gam, om = c.gamma, c.omega
     pw = d - 2.0 - gam
     x_lo, x_sw = float(p.x[0]), p.x_switch
-
-    def integrand(x):
-        xi = math.exp(x)
-        return float(g_function(p, xi)) * xi**pw
-
     x_up = x_sw if upper is None else min(x_sw, math.log(upper))
-    val = quad(integrand, x_lo, x_up, limit=400)[0] if x_up > x_lo else 0.0
+    val = 0.0
+    if x_up > x_lo:
+        edges = [x_lo, *[b for b in breaks if x_lo < b < x_up], x_up]
+        val = sum(quad(integrand, a, b, **quad_kw)[0]
+                  for a, b in zip(edges[:-1], edges[1:]))
     val += 0.5 * k * (d + k - 2.0) * math.pi * math.exp(pw * min(x_lo, x_up)) / pw
     A = g_tail_coefficient(p)
     if upper is None:
@@ -160,6 +160,18 @@ def _inner_integral_via_g_function(p, upper=None):
         val += A * (upper ** (om - 2.0 * gam) - math.exp((om - 2.0 * gam) * x_sw)) \
             / (om - 2.0 * gam)
     return val
+
+
+def _inner_integral_via_g_function(p, upper=None):
+    """inner_integral with the integrand taken through g_function(p, e^x),
+    and so through eval_u: the reference for the integrand on the orbit."""
+    pw = p.consts.params.d - 2.0 - p.consts.gamma
+
+    def integrand(x):
+        xi = math.exp(x)
+        return float(g_function(p, xi)) * xi**pw
+
+    return _inner_integral_by_quad(p, upper, integrand, limit=400)
 
 
 @pytest.mark.parametrize("d,k", [(7.0, 1), (8.0, 1), (12.0, 2)])
@@ -192,3 +204,42 @@ def test_outer_integral_on_every_n_in_one_pass(basis_at, d, k, N):
     every = outer_integral(basis, N, np.arange(basis.max_n + 1))
     assert every.tolist() == [outer_integral(basis, N, n)
                               for n in range(basis.max_n + 1)]
+
+
+#: inner-regime points from near d* to the edge of the regime, at k = 1, 2, 3
+INNER_POINTS = [(7.0, 1), (7.05, 1), (7.3, 1), (7.5, 1), (8.0, 1), (8.15, 1),
+                (12.0, 2), (12.5, 2), (13.9672, 2), (13.9934, 2),
+                (14.2595, 2), (20.0, 3)]
+
+
+@pytest.mark.parametrize("d,k", INNER_POINTS)
+def test_inner_integral_matches_tight_quad(profile_at, d, k):
+    """The Gauss-Legendre rule per Taylor step against quad at epsrel 2e-14
+    split at the same steps, with the same integrand on the orbit."""
+    p = profile_at(d, k)
+    c = p.consts
+    pw = d - 2.0 - c.gamma
+
+    def integrand(x):
+        return float(coupling._g_of_v(c, p.orbit(x)[0])) * math.exp(pw * x)
+
+    for upper in (None, 1.0, 10.0, 1e4):
+        ref = _inner_integral_by_quad(p, upper, integrand, p.orbit.starts,
+                                      epsabs=0.0, epsrel=2e-14)
+        assert inner_integral(p, upper=upper) == pytest.approx(
+            ref, rel=1e-12), upper
+
+
+@pytest.mark.parametrize("d", [8.0, 9.0, 12.0])
+def test_outer_integral_truncated_matches_tight_quad(basis_at, d):
+    basis = basis_at(d, 1)
+
+    def integrand(y):
+        return float(basis.phi(1, y)) ** 4 * y ** (d - 3.0) \
+            * math.exp(-0.25 * y * y)
+
+    for y_lo in (1e-4, 1e-2, 0.0316, 0.1):
+        ref = quad(integrand, y_lo, float(basis.nodes_y[-1]), epsabs=0.0,
+                   epsrel=1e-13, limit=400)[0]
+        assert outer_integral_truncated(basis, 1, 1, y_lo) == pytest.approx(
+            ref, rel=1e-12), y_lo

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.integrate import BDF
@@ -13,6 +14,7 @@ from scipy.integrate._ivp.common import num_jac
 from blowuplab import meshsim
 from blowuplab.errors import (
     BadInitialData,
+    DegenerateFit,
     NoBlowup,
     StepSizeUnderflow,
     WindowTooShort,
@@ -389,7 +391,8 @@ def test_newton_bandwidths():
 def test_no_dense_lu(monkeypatch):
     # the Newton matrix is factored in band storage: no dense LU or solve
     # runs or is imported, the stepper holds (5, n) and (7, n) bands, and
-    # meshsim holds nothing of scipy.sparse or scipy.integrate
+    # meshsim holds nothing of scipy.sparse, scipy.integrate or
+    # scipy.optimize
     dense = {scipy.linalg.lu_factor, scipy.linalg.lu_solve, scipy.linalg.lu,
              scipy.linalg.solve, np.linalg.solve}
 
@@ -412,7 +415,8 @@ def test_no_dense_lu(monkeypatch):
     for value in vars(meshsim).values():
         module = getattr(value, "__module__", None) \
             or getattr(value, "__name__", "")
-        assert not str(module).startswith(("scipy.sparse", "scipy.integrate"))
+        assert not str(module).startswith(
+            ("scipy.sparse", "scipy.integrate", "scipy.optimize"))
         assert not any(value is f for f in dense), value
 
 
@@ -809,6 +813,68 @@ def test_fit_window_guard():
     trace.nodes_in_layer[:] = 5  # starved mesh everywhere
     with pytest.raises(WindowTooShort):
         fit_power(trace)
+
+
+def _bounded_searches(f, lo, hi):
+    """(x, f(x), converged, evaluations) of _minimize_bounded and of scipy's
+    minimize_scalar(method="bounded") on f over [lo, hi] at xatol 1e-12, as
+    reprs, so that NaN compares equal to NaN."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    port = (*meshsim._minimize_bounded(counted, lo, hi, xatol=1e-12),
+            len(calls))
+    res = scipy.optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                         options={"xatol": 1e-12})
+    ref = (float(res.x), float(res.fun), bool(res.success), res.nfev)
+    return list(map(repr, port)), list(map(repr, ref))
+
+
+@pytest.mark.parametrize("f,lo,hi,converged,nfev", [
+    (lambda x: (x - 0.3) ** 2, -2.0, 5.0, True, None),   # a parabola
+    (lambda x: x, -1.0, 3.0, True, None),       # minimum at the lower bound
+    (lambda x: -math.exp(x), -1.0, 3.0, True, None),     # and at the upper
+    (lambda x: math.cos(3.0 * x) + 0.1 * x, 0.0, 10.0, True, None),
+    (lambda x: math.nan, 0.0, 1.0, False, None),  # NaN never converges
+    (lambda x: x, 0.0, 1e100, False, 500),        # out of evaluations
+])
+def test_bounded_search_matches_scipy(f, lo, hi, converged, nfev):
+    port, ref = _bounded_searches(f, lo, hi)
+    assert port == ref
+    assert port[2] == repr(converged)
+    assert nfev is None or port[3] == repr(nfev)
+
+
+@pytest.mark.parametrize("family", ["r", "r-sin(r)"])
+def test_bounded_search_matches_scipy_on_log_fit(monkeypatch, family):
+    # the misfit of fit_log on the sim-neutral-d7 benchmark runs: the port
+    # takes scipy's points, so the fit is the one scipy's search gave
+    searches = []
+    search = meshsim._minimize_bounded
+
+    def recorded(f, lo, hi, xatol):
+        searches.append((f, lo, hi, xatol))
+        return search(f, lo, hi, xatol)
+
+    monkeypatch.setattr(meshsim, "_minimize_bounded", recorded)
+    fit_log(run(config(d=7.0, L=math.pi, M=241, rtol=1e-6, max_gradient=1e6,
+                       initial_data=family)))
+    (f, lo, hi, xatol), = searches
+    assert xatol == 1e-12
+    port, ref = _bounded_searches(f, lo, hi)
+    assert port == ref and port[2] == "True"
+
+
+def test_fit_log_nan_misfit_is_degenerate(monkeypatch):
+    # a NaN misfit everywhere leaves the search unconverged
+    trace = synthetic_trace(0.229, log_generator())
+    monkeypatch.setattr(meshsim.np, "polyfit",
+                        lambda x, z, deg: (math.nan, math.nan))
+    with pytest.raises(DegenerateFit, match="outer search"):
+        fit_log(trace)
 
 
 def _longest_run_loop(ok):
