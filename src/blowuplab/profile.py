@@ -29,6 +29,7 @@ normalization C_s = 1 / sup_xi |dU*/dxi|.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -70,20 +71,38 @@ class TrappingReport:
 class TaylorOrbit:
     """Taylor steps as lists of Python floats, v(starts[i] + t) =
     sum_m descending[i][-1 - m] t^m.  Called on x >= starts[0]: (v, v') by
-    Horner, on step i's list for a scalar, and for an array one column at a
-    time of the table made for the call: the same operations."""
+    Horner, on step i's list for a scalar, and for an array on the
+    (TAYLOR_ORDER + 1, steps) table built once per orbit, one gathered
+    coefficient at a time into buffers reused in place: the same operations."""
     starts: list
     descending: list     # coefficients of each step, highest order first
+
+    @functools.cached_property
+    def _table(self):
+        """The step starts and the (TAYLOR_ORDER + 1, steps) table of the
+        coefficients, highest order first, as read-only arrays."""
+        starts = np.array(self.starts)
+        table = np.ascontiguousarray(np.array(self.descending).T)
+        starts.flags.writeable = table.flags.writeable = False
+        return starts, table
 
     def __call__(self, x):
         if isinstance(x, float) or np.ndim(x) == 0:
             x, starts = float(x), self.starts
             step = bisect.bisect_right(starts, x, 1) - 1
             return _value_and_slope(self.descending[step], x - starts[step])
-        starts = np.array(self.starts)
+        starts, table = self._table
         step = np.searchsorted(starts[1:], x, side="right")
-        return _value_and_slope((c[step] for c in np.array(self.descending).T),
-                                x - starts[step])
+        t = x - starts.take(step)
+        # _value_and_slope's Horner pass, with p, dp and c overwritten; every
+        # step is in range, and "clip" spares take a copy that "raise" makes
+        p, dp, c = table[0].take(step), np.zeros_like(t), np.empty_like(t)
+        for row in table[1:]:
+            dp *= t
+            dp += p
+            p *= t
+            p += row.take(step, out=c, mode="clip")
+        return p, dp
 
 
 @dataclass
@@ -151,7 +170,8 @@ def solve_profile(consts, tolerance=1e-11):
     v, vp = orbit(grid)
 
     scale = np.maximum(np.abs(vp), 1e-280)
-    rel_viol = float(np.max(_trapping_excursions(consts, v, vp) / scale))
+    rel_viol = max(float(np.max(excursion / scale))
+                   for excursion in _trapping_excursions(consts, v, vp))
     if rel_viol > 1e4 * tolerance + 1e-9:
         raise TrappingViolation(
             f"orbit left trapping region by relative margin {rel_viol:.3e}"
@@ -233,8 +253,7 @@ def _taylor_coefficients(consts, v0, vp0):
 
 def _value_and_slope(descending, t):
     """p(t) and p'(t) by one Horner pass over the coefficients of p, given
-    from the highest order down.  Each may be an array, one coefficient per
-    entry of t."""
+    from the highest order down."""
     descending = iter(descending)
     p, dp = next(descending), 0.0
     for c in descending:
@@ -307,14 +326,15 @@ def _slope_normalization(consts, orbit, x, vp):
 
 def eval_u(profile, xi):
     """U*(xi) on [0, pi/2): origin series below e^{x_min}, the stored orbit
-    in between, tail formula beyond e^{x_switch}.  Vectorized in xi."""
+    in between, tail formula beyond e^{x_switch}.  Vectorized in xi; a
+    negative or NaN xi raises ValueError."""
     consts = profile.consts
     k = consts.params.k
     gamma, omega = consts.gamma, consts.omega
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 0
     xi = np.atleast_1d(xi)
-    if np.any(xi < 0):
+    if not np.all(xi >= 0):     # NaN too: it falls in none of the masks
         raise ValueError("xi must be >= 0")
     out = np.empty_like(xi)
 
@@ -340,15 +360,17 @@ def eval_u(profile, xi):
 
 def _trapping_excursions(consts, v, vp):
     """The pointwise excursions below and above S, (-k sin v - v')_+ and
-    (v' + gamma sin v)_+, as the two rows of one array."""
+    (v' + gamma sin v)_+, as two arrays."""
     sin_v = np.sin(v)
-    return np.maximum([-consts.params.k * sin_v - vp, vp + consts.gamma * sin_v], 0.0)
+    return (np.maximum(-consts.params.k * sin_v - vp, 0.0),
+            np.maximum(vp + consts.gamma * sin_v, 0.0))
 
 
 def check_trapping_arrays(consts, v, vp):
     """Worst excursion from S and inward-flux samples along its boundary."""
     k, gamma = consts.params.k, consts.gamma
-    lower, upper = np.max(_trapping_excursions(consts, v, vp), axis=1).tolist()
+    lower, upper = (float(np.max(excursion))
+                    for excursion in _trapping_excursions(consts, v, vp))
     vv = np.linspace(-math.pi, 0.0, 41)[1:-1]
     flux = [
         (float(a), float(-k * k * math.sin(a) * (1 - math.cos(a))),

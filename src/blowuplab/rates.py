@@ -20,6 +20,7 @@ R(t) = C_s sqrt(T-t) eps(-log(T-t)) these become the power law
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -89,6 +90,15 @@ class EpsilonTrajectory:
         if c.lam > 0:
             return None
         return -c.gamma * self.eps0 ** -c.delta / (c.delta * c.b)
+
+    @functools.cached_property
+    def _flow_source(self):
+        """eps^{gamma+delta} on the samples and the sample widths, the inputs
+        of every coefficient flow, as read-only arrays."""
+        c = self.constants
+        src, ds = self.eps ** (c.gamma + c.delta), np.diff(self.s)
+        src.flags.writeable = ds.flags.writeable = False
+        return src, ds
 
 
 #: samples of an eps trajectory on [0, s_max]
@@ -186,9 +196,8 @@ def _discounted_sums(ds, src, rate):
 def _tail_sums(traj, lam_n):
     """B(s) = int_s^{s_max} eps^{gamma+delta}(q) e^{lambda_n (q-s)} dq on the
     trajectory grid, summed backward from s_max (stable for lambda_n <= 0)."""
-    c = traj.constants
-    src = traj.eps ** (c.gamma + c.delta)
-    return _discounted_sums(np.diff(traj.s)[::-1], src[::-1], -lam_n)[::-1]
+    src, ds = traj._flow_source
+    return _discounted_sums(ds[::-1], src[::-1], -lam_n)[::-1]
 
 
 def coefficient_flow(traj, lam_n, Dn, an0):
@@ -201,10 +210,8 @@ def coefficient_flow(traj, lam_n, Dn, an0):
     against e^{|lambda_n| s} is left to rounding error."""
     s = traj.s
     if lam_n >= 0:
-        c = traj.constants
-        src = traj.eps ** (c.gamma + c.delta)
-        return an0 * np.exp(-lam_n * s) + Dn * _discounted_sums(
-            np.diff(s), src, lam_n)
+        src, ds = traj._flow_source
+        return an0 * np.exp(-lam_n * s) + Dn * _discounted_sums(ds, src, lam_n)
     tail = _tail_sums(traj, lam_n)
     return (an0 + Dn * tail[0]) * np.exp(-lam_n * s) - Dn * tail
 

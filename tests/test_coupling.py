@@ -55,6 +55,15 @@ def test_g_at_origin(profile_at):
     assert g_function(p, 0.0) == pytest.approx(0.5 * 7.0 * math.pi, rel=1e-10)
 
 
+def test_g_rejects_nan_and_vanishes_at_inf(profile_at):
+    # NaN goes to eval_u, which rejects it; g(inf) is the tail formula's 0
+    p = profile_at(8.0, 1)
+    for xi in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError):
+            g_function(p, xi)
+    assert g_function(p, math.inf) == 0.0
+
+
 def test_g_nonnegative(profile_at):
     p = profile_at(8.0, 1)
     xi = np.geomspace(1e-5, 1e6, 2000)

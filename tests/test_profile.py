@@ -231,6 +231,19 @@ def test_orbit_scalar_reads_match_array_reads(profile_at, d, k):
         v, vp = p.orbit(np.array([x]))
         for scalar in (float(x), np.float64(x), np.array(x)):
             assert p.orbit(scalar) == (v[0], vp[0])
+    # every point in one call, an unsorted copy, a 2-D reshape and no point:
+    # the gathers and in-place buffers follow the shape and order of x
+    v, vp = np.array([p.orbit(float(x)) for x in xs]).T
+    order = np.random.default_rng(0).permutation(xs.size)
+    even = xs.size - xs.size % 2
+    for x, want in ((xs, (v, vp)), (xs[order], (v[order], vp[order])),
+                    (xs[:even].reshape(2, -1),
+                     (v[:even].reshape(2, -1), vp[:even].reshape(2, -1))),
+                    (xs[:0], (v[:0], vp[:0]))):
+        got = p.orbit(x)
+        for a, b in zip(got, want):
+            assert a.shape == x.shape
+            assert np.array_equal(a, b)
 
 
 def test_k2_halved_x_reduction(profile_at):
@@ -348,6 +361,18 @@ def test_eval_u_region_continuity(profile_at):
 def test_eval_u_rejects_negative(profile_at):
     with pytest.raises(ValueError):
         eval_u(profile_at(8.0, 1), -0.5)
+
+
+def test_eval_u_rejects_nan_and_takes_inf(profile_at):
+    # NaN falls in none of the near, mid and far masks, so it must not reach
+    # them; U*(inf) = pi/2
+    p = profile_at(8.0, 1)
+    for xi in (math.nan, np.array([0.5, math.nan, 2.0])):
+        with pytest.raises(ValueError):
+            eval_u(p, xi)
+    assert eval_u(p, math.inf) == 0.5 * math.pi
+    assert np.array_equal(eval_u(p, np.array([1.0, math.inf])),
+                          [eval_u(p, 1.0), 0.5 * math.pi])
 
 
 def test_orbit_csv_roundtrip(tmp_path, profile_at):

@@ -187,6 +187,45 @@ def test_coefficient_flow_tuned_initial_data_below_N(consts_at, profile_at,
         exact_ratio(traj.s[j]) / exact_ratio(0.0), abs=1e-3)
 
 
+def _flow_per_call(traj, lam_n, Dn, an0):
+    """coefficient_flow and the backward sums of an_requirement, with
+    eps^{gamma+delta} and the sample widths made afresh, as each call once
+    made them."""
+    c = traj.constants
+    src, ds = traj.eps ** (c.gamma + c.delta), np.diff(traj.s)
+    tail = rates._discounted_sums(ds[::-1], src[::-1], -lam_n)[::-1]
+    if lam_n >= 0:
+        flow = an0 * np.exp(-lam_n * traj.s) + Dn * rates._discounted_sums(
+            ds, src, lam_n)
+    else:
+        flow = (an0 + Dn * tail[0]) * np.exp(-lam_n * traj.s) - Dn * tail
+    return flow, tail
+
+
+@pytest.mark.parametrize("d,N", [(8.0, 1), (7.0, 1)])
+def test_flow_source_matches_per_call_formula(consts_at, profile_at,
+                                                basis_at, d, N):
+    # a power-law and a neutral point: coefficient_flow for n <= 3 and
+    # an_requirement, in either order on a fresh trajectory, equal the
+    # per-call formula bit for bit and leave eps and s as they were
+    rc, c, p, b, cc = reduced(consts_at, profile_at, basis_at, d, 1, N)
+    modes = [(eigenvalue(c, n).lam, float(cc.D[n])) for n in range(4)]
+    ref = solve_epsilon(rc, eps0=0.05, s_max=50.0)
+    want_flows = [_flow_per_call(ref, lam, Dn, 1e-3)[0] for lam, Dn in modes]
+    lam0, D0 = modes[0]
+    want_a0 = -D0 * float(_flow_per_call(ref, lam0, D0, 0.0)[1][0])
+    for flows_first in (True, False):
+        traj = solve_epsilon(rc, eps0=0.05, s_max=50.0)
+        eps, s = traj.eps.copy(), traj.s.copy()
+        if not flows_first:
+            assert an_requirement(traj, lam0, D0) == want_a0
+        for n in (range(4) if flows_first else reversed(range(4))):
+            assert np.array_equal(
+                coefficient_flow(traj, *modes[n], 1e-3), want_flows[n])
+        assert an_requirement(traj, lam0, D0) == want_a0
+        assert np.array_equal(traj.eps, eps) and np.array_equal(traj.s, s)
+
+
 def test_ansatz_jump_small(consts_at, profile_at, basis_at):
     p = profile_at(8.0, 1)
     b = basis_at(8.0, 1)
