@@ -23,7 +23,7 @@ linear part is a constant pentadiagonal matrix (_operator), kept in LAPACK
 band storage, so the RHS is one BLAS band product (dgbmv) plus the boundary
 and sine terms, and the Jacobian is that matrix plus diag(-k(d+k-2) e^{-2x}
 cos 2u); no differencing is needed.  The stepper (_BandBDF) is scipy's BDF,
-the variable-order NDF, with the Newton matrix factored by band LU.
+the variable-order NDF, with a band LU and a fresh J for each factorisation.
 
 A fresh BDF solver starts each time sup |u_r| has grown by CHUNK_GROWTH,
 on a clock of its own, so that times near the blow-up stay distinct.  It
@@ -54,7 +54,6 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -443,7 +442,17 @@ def _settle(op, y, uL):
     m = int(np.sum(op.w > op.w[0] / SETTLE_SPAN ** 2))
     rhs, jac = _make_rhs(op, uL), _make_jac(op)
     for _ in range(3):
-        y[:m] -= solve_banded((2, 2), jac(0.0, y)[:, :m], rhs(0.0, y)[:m])
+        lu, piv, info = _band_lu(jac(0.0, y)[:, :m])
+        y[:m] -= dgbtrs(lu, 2, 2, rhs(0.0, y)[:m], piv)[0]
+        if info or not np.isfinite(y[:m]).all():
+            raise StepSizeUnderflow("singular or non-finite settle solve")
+
+
+def _band_lu(ab):
+    """dgbtrf's (lu, piv, info) of a (5, n) band storage like _Operator.ab."""
+    lu = np.empty((7, ab.shape[1]), order="F")
+    lu[2:] = ab
+    return dgbtrf(lu, 2, 2, overwrite_ab=1)
 
 
 # ----------------------------------------------------------------------------
@@ -454,7 +463,9 @@ def _settle(op, y, uL):
 # constants, initial step, Newton iteration, error test and step and order
 # control.  It leaves out what a chunk does not use (dense output, complex y,
 # max_step, backward time, finite-difference Jacobians) and factors the
-# Newton matrix I - cJ, pentadiagonal here, with LAPACK's band LU.
+# Newton matrix I - cJ, pentadiagonal here, with LAPACK's band LU.  Its one
+# departure: where scipy keeps J until Newton fails, it evaluates J at
+# (t_new, y_predict) with every factorisation, as J costs a copy and a cos.
 
 _MAX_ORDER = 5
 _NEWTON_MAXITER = 4
@@ -496,8 +507,8 @@ def _change_D(D, order, factor):
 class _BandBDF:
     """The NDF stepper on y' = fun(t, y) from t = 0 to t_bound > 0, with
     jac(t, y) in the (5, n) band storage of _Operator.ab.  It counts nfev,
-    njev and nlu as scipy's BDF does, and the wall seconds in fun (rhs_s),
-    in jac (jac_s) and in band factorisations and solves (lu_s)."""
+    njev and nlu (one J per LU), and the wall seconds in fun (rhs_s), in jac
+    (jac_s) and in band factorisations and solves (lu_s)."""
 
     def __init__(self, fun, jac, y0, t_bound, rtol, atol):
         self._fun, self._jac = fun, jac
@@ -509,13 +520,10 @@ class _BandBDF:
         f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step(f)
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
-        self.J = self.jac(self.t, self.y)
         self.D = np.empty((_MAX_ORDER + 3, self.y.size))
         self.D[0] = self.y
         self.D[1] = f * self.h_abs
-        self.order = 1
-        self.n_equal_steps = 0
-        self.LU = None
+        self.order, self.n_equal_steps, self.LU = 1, 0, None
 
     def fun(self, t, y):
         start = time.perf_counter()
@@ -531,13 +539,12 @@ class _BandBDF:
         self.njev += 1
         return J
 
-    def lu(self, c):
+    def lu(self, c, J):
         """The band LU of I - c J."""
         start = time.perf_counter()
-        ab = np.empty((7, self.y.size), order="F")
-        ab[2:] = -c * self.J
-        ab[4] += 1.0
-        lu, piv = dgbtrf(ab, 2, 2, overwrite_ab=1)[:2]
+        ab = -c * J
+        ab[2] += 1.0
+        lu, piv = _band_lu(ab)[:2]
         self.lu_s += time.perf_counter() - start
         self.nlu += 1
         return lu, piv
@@ -552,12 +559,12 @@ class _BandBDF:
         """scipy's select_initial_step (Hairer, Norsett & Wanner, Sec. II.4)
         at error order 1."""
         interval_length = self.t_bound - self.t
-        if interval_length == 0.0:
-            return 0.0
         scale =self.atol + np.abs(self.y) * self.rtol
         d0, d1 = _rms(self.y / scale), _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
+        if not h0 > 0:   # an empty interval, or d1 overflowed
+            return h0
         f1 = self.fun(self.t + h0, self.y + h0 * f0)
         d2 = _rms((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -595,10 +602,10 @@ class _BandBDF:
 
     def step(self):
         """Take one step; status becomes "finished" at t_bound and "failed"
-        when the step would fall below 10 roundings of t."""
+        when the step is not finite or would fall below 10 roundings of t."""
         if self.t == self.t_bound:
             self.status = "finished"
-        elif not self._step_impl():
+        elif not (0 < self.h_abs < math.inf and self._step_impl()):
             self.status = "failed"
         elif self.t >= self.t_bound:
             self.status = "finished"
@@ -613,7 +620,6 @@ class _BandBDF:
         else:
             h_abs = self.h_abs
         LU = self.LU
-        current_jac = False
 
         step_accepted = False
         while not step_accepted:
@@ -631,19 +637,16 @@ class _BandBDF:
             scale = self.atol + self.rtol * np.abs(y_predict)
             psi = np.dot(D[1:order + 1].T, _GAMMA[1:order + 1]) / _ALPHA[order]
 
-            converged = False
             c = h / _ALPHA[order]
-            while not converged:
-                if LU is None:
-                    LU = self.lu(c)
+            while True:
+                current_jac = LU is None
+                if current_jac:
+                    LU = self.lu(c, self.jac(t_new, y_predict))
                 converged, n_iter, y_new, d = self._solve_bdf_system(
                     t_new, y_predict, c, psi, LU, scale)
-                if not converged:
-                    if current_jac:
-                        break
-                    self.J = self.jac(t_new, y_predict)
-                    LU = None
-                    current_jac = True
+                if converged or current_jac:
+                    break
+                LU = None   # refactor with a fresh J
 
             if not converged:
                 factor = 0.5
@@ -668,10 +671,7 @@ class _BandBDF:
                 step_accepted = True
 
         self.n_equal_steps += 1
-        self.t = t_new
-        self.y = y_new
-        self.h_abs = h_abs
-        self.LU = LU
+        self.t, self.y, self.h_abs, self.LU = t_new, y_new, h_abs, LU
 
         # D^{j+1} y_n = D^j y_n - D^j y_{n-1}, and d = D^{order+1} y_n
         D[order + 2] = d - D[order + 1]

@@ -284,7 +284,7 @@ def _jac_error(cfg, state):
     solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0)
     rhs, y = _rhs(cfg, state)[0], solver.y
     J_ref, _ = num_jac(rhs, state.t, y, rhs(state.t, y), solver.atol, None)
-    return _row_error(_dense(solver.J), J_ref)
+    return _row_error(_dense(solver.jac(solver.t, y)), J_ref)
 
 
 def _newton_error(cfg, state, extra_c=()):
@@ -293,12 +293,13 @@ def _newton_error(cfg, state, extra_c=()):
     to 100 times the first step the stepper selects and for each of
     extra_c."""
     solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0)
-    J = _dense(solver.J)
+    J_band = solver.jac(solver.t, solver.y)
+    J = _dense(J_band)
     n = J.shape[0]
     b = np.random.default_rng(0).standard_normal(n)
     errors = []
     for c in [*(solver.h_abs * np.array([1e-2, 1.0, 1e2])), *extra_c]:
-        x = solver.solve_lu(solver.lu(c), b)
+        x = solver.solve_lu(solver.lu(c, J_band), b)
         x_ref = scipy.linalg.solve(np.eye(n) - c * J, b)
         errors.append(np.max(np.abs(x - x_ref)) / np.max(np.abs(x_ref)))
     return max(errors)
@@ -368,7 +369,7 @@ def test_newton_band_gather_matches_masks(kw):
     ref = scipy.sparse.coo_array((data, (coo.row, coo.col)),
                                  shape=coo.shape).toarray()
     assert np.array_equal(_dense(meshsim._make_jac(op)(0.0, y)), ref)
-    assert np.array_equal(_dense(solver.J), ref)
+    assert np.array_equal(_dense(solver.jac(solver.t, y)), ref)
 
 
 def test_newton_bandwidths():
@@ -411,7 +412,8 @@ def test_no_dense_lu(monkeypatch):
     solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1e-3)
     solver.step()
     n = state.r.size - 2
-    assert solver.J.shape == (5, n) and solver.LU[0].shape == (7, n)
+    assert solver.jac(solver.t, solver.y).shape == (5, n)
+    assert solver.LU[0].shape == (7, n)
     for value in vars(meshsim).values():
         module = getattr(value, "__module__", None) \
             or getattr(value, "__name__", "")
@@ -436,33 +438,41 @@ def test_chunk_solver_memory_linear():
     assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.parametrize("shared_lu", [True, False])
-@pytest.mark.parametrize("kw", [
+#: the configs on which _BandBDF is held to scipy's BDF
+BDF_CASES = [
     {"M": 161, "rtol": 1e-6, "max_gradient": 1e6},
     {"d": 7.0, "L": math.pi, "M": 241, "rtol": 1e-6, "max_gradient": 1e6,
      "initial_data": "r-sin(r)"},
     {"d": 14.0, "k": 2},
-])
+]
+
+
+@pytest.mark.parametrize("shared_lu", [True, False])
+@pytest.mark.parametrize("kw", BDF_CASES)
 def test_band_bdf_matches_scipy_bdf(kw, shared_lu):
     # _BandBDF against scipy's BDF, given the sparse form of the same
-    # Jacobian, for 150 steps from the same chunk start.  Factoring with
-    # scipy's sparse LU too, the port takes scipy's steps bit for bit.  With
-    # its band LU it takes the same orders and counts at every step; the
-    # two LUs round differently, and the step control carries that to about
-    # 6e-8 of t and 4e-9 of y over the 150 steps
+    # Jacobian, for 150 steps from the same settled chunk start.  scipy keeps
+    # J until Newton fails and the port takes a fresh one with every LU, so
+    # they are compared on the linear part of the operator (w = 0), where
+    # every J is the same.  Factoring with scipy's sparse LU too, the port
+    # takes scipy's steps bit for bit, with njev == nlu.  With its band LU it
+    # takes the same orders and counts at every step; the two LUs round
+    # differently, and the step control carries that to at most 6e-9 of t
+    # and 2e-11 of y over the 150 steps
     cfg = config(**kw)
     state = initialize(cfg)
     op = _op(cfg, state)
-    solver = meshsim._new_solver(cfg, op, state, cfg.t_max)
-    jac = meshsim._make_jac(op)
-    ref = BDF(meshsim._make_rhs(op, state.u[-1]), 0.0, solver.y.copy(),
-              cfg.t_max, rtol=cfg.rtol, atol=solver.atol,
+    lin = replace(op, w=np.zeros_like(op.w))
+    y0 = meshsim._new_solver(cfg, op, state, cfg.t_max).y
+    rhs, jac = meshsim._make_rhs(lin, state.u[-1]), meshsim._make_jac(lin)
+    solver = meshsim._BandBDF(rhs, jac, y0.copy(), cfg.t_max, cfg.rtol,
+                              meshsim.ATOL_U * state.r[1:-1])
+    ref = BDF(rhs, 0.0, y0.copy(), cfg.t_max, rtol=cfg.rtol, atol=solver.atol,
               jac=lambda t, y: _sparse(jac(t, y)).tocsc())
     if shared_lu:
-        def sparse_lu(c):
+        def sparse_lu(c, J):
             solver.nlu += 1
-            return scipy.sparse.linalg.splu(
-                ref.I - c * _sparse(solver.J).tocsc())
+            return scipy.sparse.linalg.splu(ref.I - c * _sparse(J).tocsc())
 
         solver.lu = sparse_lu
         solver.solve_lu = lambda LU, b: LU.solve(b)
@@ -472,10 +482,140 @@ def test_band_bdf_matches_scipy_bdf(kw, shared_lu):
         ref.step()
         assert solver.status == ref.status == "running"
         assert solver.order == ref.order
-        assert (solver.nfev, solver.njev, solver.nlu) \
-            == (ref.nfev, ref.njev, ref.nlu)
+        assert (solver.nfev, solver.nlu) == (ref.nfev, ref.nlu)
+        assert solver.njev == solver.nlu
         assert abs(solver.t - ref.t) <= t_tol * ref.t
         assert np.max(np.abs(solver.y - ref.y)) <= y_tol
+
+
+@pytest.mark.parametrize("kw", BDF_CASES)
+def test_each_lu_follows_one_jacobian(kw):
+    # on the nonlinear operator every factorisation of I - cJ takes the J
+    # evaluated just before it, once, at that step's t_new and predictor
+    # y_predict (the sum of the differences D up to the order), and the
+    # stepper keeps no J of its own
+    cfg = config(**kw)
+    state = initialize(cfg)
+    solver = meshsim._new_solver(cfg, _op(cfg, state), state, cfg.t_max)
+    jac, lu, calls = solver.jac, solver.lu, []
+
+    def traced_jac(t, y):
+        y_predict = np.add.reduce(solver.D[:solver.order + 1])
+        J = jac(t, y)
+        calls.append(("jac", J, t > solver.t and np.array_equal(y, y_predict)))
+        return J
+
+    def traced_lu(c, J):
+        calls.append(("lu", J))
+        return lu(c, J)
+
+    solver.jac, solver.lu = traced_jac, traced_lu
+    for _ in range(150):
+        solver.step()
+        assert solver.status == "running"
+    assert not hasattr(solver, "J")
+    assert solver.njev == solver.nlu >= 1 and len(calls) == 2 * solver.nlu
+    for (kind, J, at_predict), (kind_lu, J_lu) in zip(calls[::2], calls[1::2]):
+        assert (kind, kind_lu, at_predict) == ("jac", "lu", True)
+        assert J_lu is J
+
+
+def test_newton_failure_on_a_kept_lu_refactors():
+    # Newton fails on an LU the step took over, from the last step and then
+    # through a failed error test: each time the step refactors at the same
+    # t_new with a fresh J.  A failure on the LU just factored halves the
+    # step, as in scipy
+    cfg = config(M=161, rtol=1e-6, max_gradient=1e6)
+    state = initialize(cfg)
+    solver = meshsim._new_solver(cfg, _op(cfg, state), state, cfg.t_max)
+    while solver.LU is None:
+        solver.step()
+    newton, calls = solver._solve_bdf_system, []
+    script = iter(["fail", "error", "fail", "fail"])
+
+    def scripted(t_new, y_predict, c, psi, LU, scale):
+        calls.append((t_new, solver.njev))
+        what = next(script, None)
+        if what == "fail":
+            return False, 1, y_predict, 0
+        if what == "error":
+            return True, 1, y_predict, np.full_like(y_predict, 1e3)
+        return newton(t_new, y_predict, c, psi, LU, scale)
+
+    solver._solve_bdf_system = scripted
+    t, njev = solver.t, solver.njev
+    solver.step()
+    assert solver.status == "running" and solver.t == calls[-1][0]
+    assert [j - njev for _, j in calls] == [0, 1, 1, 2, 3]
+    t_new = [tn for tn, _ in calls]
+    assert t_new[0] == t_new[1] > t_new[2] == t_new[3] > t
+    assert t_new[4] == t + 0.5 * (t_new[3] - t)
+
+
+def test_chunks_evaluate_one_jacobian_per_lu():
+    trace = run(config(M=161, rtol=1e-6, max_gradient=1e6))
+    assert trace.stopped == "blowup"
+    for line in trace.chunk_log:
+        assert line["njev"] == line["nlu"] >= 1, line
+    assert trace.solver["njev"] == trace.solver["nlu"]
+
+
+def test_rhs_norm_overflow_is_a_failed_step():
+    # an RHS whose RMS norm overflows gives a zero initial step (scipy's
+    # select_initial_step divides d0 by an infinite d1); the stepper must
+    # come up, and its first step end in StepSizeUnderflow
+    n = 10
+
+    def fun(t, y):
+        return np.full(n, 1e200)
+
+    def jac(t, y):
+        J = np.zeros((5, n))
+        J[2] = -1.0
+        return J
+
+    with np.errstate(over="ignore"):
+        solver = meshsim._BandBDF(fun, jac, np.ones(n), 1.0, 1e-6,
+                                  np.full(n, 1e-9))
+        assert solver.h_abs == 0.0
+        with pytest.raises(StepSizeUnderflow):
+            meshsim._advance(solver, np.linspace(0.0, 1.0, n + 2), 1.0, 0.0)
+    assert solver.status == "failed" and solver.nlu == 0
+    # a step size that later turns infinite or NaN fails the same way
+    for h_abs in (math.inf, math.nan):
+        solver = meshsim._BandBDF(lambda t, y: -y, jac, np.ones(n), 1.0,
+                                  1e-6, np.full(n, 1e-9))
+        solver.h_abs = h_abs
+        solver.step()
+        assert solver.status == "failed"
+
+
+def _settle_banded(op, y, uL):
+    """The reference settle: _settle's three Newton solves by
+    scipy.linalg.solve_banded (LAPACK's gbsv)."""
+    m = int(np.sum(op.w > op.w[0] / meshsim.SETTLE_SPAN ** 2))
+    rhs, jac = meshsim._make_rhs(op, uL), meshsim._make_jac(op)
+    for _ in range(3):
+        y[:m] -= scipy.linalg.solve_banded((2, 2), jac(0.0, y)[:, :m],
+                                           rhs(0.0, y)[:m])
+
+
+@pytest.mark.parametrize("kw", BDF_CASES)
+def test_settle_matches_solve_banded(kw):
+    # the settle solves go through the stepper's dgbtrf/dgbtrs; they are
+    # LAPACK's gbsv split in two, so the settled state is bit for bit what
+    # solve_banded gave.  A non-finite solve is a typed error
+    cfg = config(**kw)
+    state = initialize(cfg)
+    op, uL = _op(cfg, state), state.u[-1]
+    y, y_ref = state.u[1:-1].copy(), state.u[1:-1].copy()
+    meshsim._settle(op, y, uL)
+    _settle_banded(op, y_ref, uL)
+    assert np.array_equal(y, y_ref)
+    assert not np.array_equal(y, state.u[1:-1])
+    y[0] = math.nan
+    with pytest.raises(StepSizeUnderflow):
+        meshsim._settle(op, y, uL)
 
 
 def test_change_D_matches_uncached():
