@@ -11,7 +11,7 @@ Subcommands:
 
 Every printed number is mirrored in a JSON artifact, and a run directory
 (config.json, trace.csv, snapshots/, fit.json, solver.jsonl with one line
-per chunk solver, manifest.json) is the stable on-disk contract.
+per chunk, manifest.json) is the stable on-disk contract.
 BLOWUPLAB_OUT overrides the output root.
 Exit codes: 0 success, 2 malformed config/arguments, 1 anything else.  A
 failing config in a sweep does not stop the others; the sweep exits with

@@ -25,21 +25,25 @@ and sine terms, and the Jacobian is that matrix plus diag(-k(d+k-2) e^{-2x}
 cos 2u); no differencing is needed.  The stepper (_BandBDF) is scipy's BDF,
 the variable-order NDF, with a band LU and a fresh J for each factorisation.
 
-A fresh BDF solver starts each time sup |u_r| has grown by CHUNK_GROWTH,
-on a clock of its own, so that times near the blow-up stay distinct.  It
+A new chunk starts each time sup |u_r| has grown by CHUNK_GROWTH, on a
+clock of its own, so that times near the blow-up stay distinct.  It
 integrates from the node at or below R_MIN_SCALE / (CHUNK_GROWTH sup|u_r|)
 (_first_node); below it u is r^k to within (r/R)^2, and the next chunk
 takes those nodes on that profile (_extend).  So each chunk's stiffness is
-a fixed multiple of the layer's: a fresh solver's first steps are set by
-the rounding of its stiffest nodes, which at r_min would make them shorter
-than the spacing of doubles near the blow-up time.  A stored state is the
-origin (r = 0, u = 0) and its chunk's nodes; M counts the origin, the grid
-and L.
+a fixed multiple of the layer's: the first steps of the run are set by the
+rounding of its stiffest nodes, which at r_min would make them shorter
+than the spacing of doubles near the blow-up time.  One solver steps the
+whole run.  At a chunk start it keeps its order and step size, and its
+NDF history takes the new nodes on the same r^k profile; near the new
+first node the state goes on its quasi-steady state and the higher
+differences on that state's tangent (_carry, _settle), so a chunk goes on
+at the order the last one reached.  A stored state is the origin (r = 0,
+u = 0) and its chunk's nodes; M counts the origin, the grid and L.
 
 Blow-up observables (sup |u_r| = 1/R, the layer scale for every k, and its
 location, the energy, the grid resolution) are recorded at every accepted
 step; the stepping loop takes only sup |u_r| itself, and the rest of each
-row is computed once per solver chunk for all of its steps (_trace_rows).
+row is computed once per chunk for all of its steps (_trace_rows).
 Rate fitting recovers the exponent 1/2 + beta or the log law from R, on
 samples at fixed values of sup |u_r| (_samples).
 """
@@ -67,12 +71,12 @@ from .errors import (
 from .params import ModelParams
 from .tables import read_table, write_table
 
-#: sup-gradient growth factor per solver chunk
+#: sup-gradient growth factor per chunk
 CHUNK_GROWTH = 10.0
 
-#: the counters of a chunk solver that a run records (see _BandBDF): RHS and
-#: Jacobian evaluations and LU factorisations, and the wall seconds in the
-#: RHS, the Jacobian, and the band factorisations and solves
+#: the counters of the solver that a run records per chunk (see _BandBDF):
+#: RHS and Jacobian evaluations and LU factorisations, and the wall seconds
+#: in the RHS, the Jacobian, and the band factorisations and solves
 _SOLVER_COUNTERS = ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s")
 
 #: the grid starts at r_min = R_MIN_SCALE / max_gradient; a chunk that
@@ -174,10 +178,10 @@ class RunTrace:
     stopped: str = "blowup"      # "blowup" | "tmax"
     # the _SOLVER_COUNTERS nfev/njev/nlu and the wall seconds in RHS
     # evaluations (rhs_s), Jacobian evaluations (jac_s) and band LU
-    # factorisations and solves (lu_s), summed over the chunk solvers, and the
+    # factorisations and solves (lu_s), summed over the chunks, and the
     # number of chunks; empty for a trace read back from csv
     solver: dict = field(default_factory=dict)
-    # one record per chunk solver, the lines of solver.jsonl: its start and
+    # one record per chunk, the lines of solver.jsonl: its start and
     # end (t0, t1, sup_grad0, sup_grad1), its exact duration dt, its
     # accepted steps, its share of the counters above, its wall seconds and
     # why it ended ("growth" when the sup gradient grew by CHUNK_GROWTH,
@@ -432,20 +436,25 @@ def _extend(config, state, first):
     return MeshState(state.t, r, np.concatenate([[0.0], below, state.u[1:]]))
 
 
-def _settle(op, y, uL):
+def _settle(op, y, uL, tangents=()):
     """Put the unknowns y within SETTLE_SPAN of the first node on their
     quasi-steady state, the RHS 0 there with the others held, in place.
     Their relaxation time is SETTLE_SPAN^2 times the first node's at most,
     far below the layer's time scale, while what a chunk's start leaves
     there (the ghost closure below sampled or extended data, rounding)
-    would set its first steps."""
-    m = int(np.sum(op.w > op.w[0] / SETTLE_SPAN ** 2))
+    would set its first steps.  The rows of `tangents` (a carried step
+    history, see _carry) go on that state's tangent in place, (J v)[:m] = 0,
+    by the J and the m x m band LU of the last Newton solve."""
+    n, m = y.size, int(np.sum(op.w > op.w[0] / SETTLE_SPAN ** 2))
     rhs, jac = _make_rhs(op, uL), _make_jac(op)
     for _ in range(3):
-        lu, piv, info = _band_lu(jac(0.0, y)[:, :m])
+        J = jac(0.0, y)
+        lu, piv, info = _band_lu(J[:, :m])
         y[:m] -= dgbtrs(lu, 2, 2, rhs(0.0, y)[:m], piv)[0]
         if info or not np.isfinite(y[:m]).all():
             raise StepSizeUnderflow("singular or non-finite settle solve")
+    for v in tangents:
+        v[:m] -= dgbtrs(lu, 2, 2, dgbmv(m, n, 2, 2, 1.0, J, v), piv)[0]
 
 
 def _band_lu(ab):
@@ -461,11 +470,13 @@ def _band_lu(ab):
 # _BandBDF is scipy.integrate.BDF, the variable-order NDF of Shampine &
 # Reichelt (SIAM J. Sci. Comput. 18, 1997), step for step: the same
 # constants, initial step, Newton iteration, error test and step and order
-# control.  It leaves out what a chunk does not use (dense output, complex y,
+# control.  It leaves out what a run does not use (dense output, complex y,
 # max_step, backward time, finite-difference Jacobians) and factors the
 # Newton matrix I - cJ, pentadiagonal here, with LAPACK's band LU.  Its one
 # departure: where scipy keeps J until Newton fails, it evaluates J at
 # (t_new, y_predict) with every factorisation, as J costs a copy and a cos.
+# One stepper serves a whole run: at each chunk start rebase restarts its
+# clock on the chunk's system and keeps the step history (see _carry).
 
 _MAX_ORDER = 5
 _NEWTON_MAXITER = 4
@@ -508,22 +519,31 @@ class _BandBDF:
     """The NDF stepper on y' = fun(t, y) from t = 0 to t_bound > 0, with
     jac(t, y) in the (5, n) band storage of _Operator.ab.  It counts nfev,
     njev and nlu (one J per LU), and the wall seconds in fun (rhs_s), in jac
-    (jac_s) and in band factorisations and solves (lu_s)."""
+    (jac_s) and in band factorisations and solves (lu_s), since its start or
+    its last rebase."""
 
     def __init__(self, fun, jac, y0, t_bound, rtol, atol):
-        self._fun, self._jac = fun, jac
-        self.t, self.y, self.t_bound = 0.0, y0, t_bound
-        self.rtol, self.atol = max(rtol, 100 * _EPS), atol
-        self.status = "running"
-        self.nfev = self.njev = self.nlu = 0
-        self.rhs_s = self.jac_s = self.lu_s = 0.0
+        self.rtol = max(rtol, 100 * _EPS)
+        self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+        self.order, self.n_equal_steps = 1, 0
+        # zeros, as in scipy: a carry maps every row, read or not (_carry)
+        D = np.zeros((_MAX_ORDER + 3, y0.size))
+        D[0] = y0
+        self.rebase(fun, jac, D, t_bound, atol)
         f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step(f)
-        self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
-        self.D = np.empty((_MAX_ORDER + 3, self.y.size))
-        self.D[0] = self.y
-        self.D[1] = f * self.h_abs
-        self.order, self.n_equal_steps, self.LU = 1, 0, None
+        D[1] = f * self.h_abs
+
+    def rebase(self, fun, jac, D, t_bound, atol):
+        """Go on from the step history D, its row 0 the state, as the
+        stepper of y' = fun(t, y) with the absolute tolerance atol, on a
+        clock restarted at 0 toward t_bound.  The order, the step size and
+        n_equal_steps carry over; the LU and the counters start afresh."""
+        self._fun, self._jac, self.D, self.atol = fun, jac, D, atol
+        self.t, self.y, self.t_bound = 0.0, D[0].copy(), t_bound
+        self.status, self.LU = "running", None
+        self.nfev = self.njev = self.nlu = 0
+        self.rhs_s = self.jac_s = self.lu_s = 0.0
 
     def fun(self, t, y):
         start = time.perf_counter()
@@ -557,9 +577,10 @@ class _BandBDF:
 
     def _initial_step(self, f0):
         """scipy's select_initial_step (Hairer, Norsett & Wanner, Sec. II.4)
-        at error order 1."""
+        at error order 1.  It runs once per run: later chunks carry the step
+        size over (rebase)."""
         interval_length = self.t_bound - self.t
-        scale =self.atol + np.abs(self.y) * self.rtol
+        scale = self.atol + np.abs(self.y) * self.rtol
         d0, d1 = _rms(self.y / scale), _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
@@ -723,11 +744,29 @@ def step(config, state, dt_max=np.inf):
 
 def _new_solver(config, op, state, t_bound):
     """A _BandBDF solver from `state` on its own clock, from 0 (the RHS is
-    autonomous)."""
+    autonomous): the first chunk's, later chunks carry it (_carry)."""
     y0 = state.u[1:-1].copy()
     _settle(op, y0, state.u[-1])
     return _BandBDF(_make_rhs(op, state.u[-1]), _make_jac(op), y0, t_bound,
                     config.rtol, ATOL_U * state.r[1:-1])
+
+
+def _carry(config, solver, op, state, t_bound):
+    """Carry `solver` into the chunk on the nodes of `state` (_extend's) and
+    their operator `op`, on a clock restarted at 0 toward t_bound.  The new
+    nodes below the solver's first node take every row of its step history
+    D on the regular solution through that node, as _extend takes u (D is
+    linear in u); then _settle puts D[0] near the new first node on its
+    quasi-steady state and the higher rows on its tangent.  Without new
+    nodes D is kept as it is: the nodes it has stepped are settled."""
+    D = solver.D
+    new = state.r.size - 2 - D.shape[1]
+    if new:
+        below = (state.r[1:new + 1] / state.r[new + 1]) ** config.params.k
+        D = np.concatenate([D[:, :1] * below, D], axis=1)
+        _settle(op, D[0], state.u[-1], D[1:])
+    solver.rebase(_make_rhs(op, state.u[-1]), _make_jac(op), D, t_bound,
+                  ATOL_U * state.r[1:-1])
 
 
 def run(config, progress=None):
@@ -737,8 +776,10 @@ def run(config, progress=None):
     Each step only takes what the loop needs (_steepest); the accepted
     states of a chunk are held until the chunk ends and then turned into
     trace rows at once (_trace_rows), so the buffer never outgrows a chunk.
-    Each chunk solver counts its own time from 0 (_new_solver), which gives
-    t_left.  Each chunk also leaves one record in RunTrace.chunk_log."""
+    One solver steps the whole run (_new_solver, then _carry at each chunk
+    start); it counts each chunk's time from 0, which gives t_left.  Each
+    chunk also leaves one record in RunTrace.chunk_log, with the solver's
+    counters of that chunk."""
     state = initialize(config)
     uL = state.u[-1]
 
@@ -758,17 +799,20 @@ def run(config, progress=None):
         return gmax
 
     gmax = hold(state, 0.0, None)
+    solver = None
     while True:
         started = time.perf_counter()
         chunk_limit = CHUNK_GROWTH * gmax
         t_chunk, g_chunk, steps = state.t, gmax, 0
         first = min(config.M - state.r.size, _first_node(config, gmax))
-        if first < config.M - state.r.size:
-            state = _extend(config, state, first)
+        state = _extend(config, state, first)
         # the chunk's nodes, and so their cell widths, are fixed
         dr = state.r[1:] - state.r[:-1]
-        solver = _new_solver(config, _operator(config, first), state,
-                             config.t_max - t_chunk)
+        op, t_bound = _operator(config, first), config.t_max - t_chunk
+        if solver is None:
+            solver = _new_solver(config, op, state, t_bound)
+        else:
+            _carry(config, solver, op, state, t_bound)
         while solver.status == "running":
             state = _advance(solver, state.r, uL, t_chunk)
             steps += 1

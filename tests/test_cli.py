@@ -11,9 +11,17 @@ import pytest
 
 from blowuplab import cli
 from blowuplab.errors import StepSizeUnderflow
-from blowuplab.meshsim import INITIAL_DATA_FAMILIES, TRACE_COLUMNS, SimConfig
-from blowuplab.params import ModelParams
-from blowuplab.tables import write_table
+from blowuplab.meshsim import (
+    INITIAL_DATA_FAMILIES,
+    TRACE_COLUMNS,
+    MeshState,
+    SimConfig,
+    to_self_similar,
+)
+from blowuplab.params import ModelParams, derive
+from blowuplab.profile import solve_profile
+from blowuplab.rates import EPS_MAX
+from blowuplab.tables import read_table, write_table
 
 
 def write_config(path, **overrides):
@@ -578,10 +586,23 @@ def test_simulate_k2_fits_layer_scale(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     run = tmp_path / [d for d in os.listdir(tmp_path) if d.startswith("run_")][0]
     capsys.readouterr()
-    assert 0.45 <= 0.5 + read_json(run / "fit.json")["beta"] <= 0.7
+    fit = read_json(run / "fit.json")
+    assert 0.45 <= 0.5 + fit["beta"] <= 0.7
     assert cli.main(["compare", "--run", str(run)]) == 0
     capsys.readouterr()
-    assert "overlay" in read_json(run / "compare.json")
+    # the run is type I, so eps at the last snapshot sits near the ansatz's
+    # EPS_MAX on either side, as the fitted tau falls: compare writes the
+    # overlay exactly when the latest snapshot before T has eps in range
+    snaps = [read_json(path) for path in (run / "snapshots").glob("*.json")]
+    latest = min((s for s in snaps if s["t_left"] > -fit["tau"]),
+                 key=lambda s: s["t_left"])
+    r, u = read_table(run / "snapshots" / f"snap_{latest['index']:03d}.csv",
+                      ("r", "u"))
+    state = MeshState(t=latest["t"], r=r, u=u, t_left=latest["t_left"])
+    Cs = solve_profile(derive(ModelParams(d=14, k=2))).Cs
+    eps = to_self_similar(state, fit["tau"], Cs).eps
+    report = read_json(run / "compare.json")
+    assert ("overlay" in report) == (0.0 < eps <= EPS_MAX), (eps, report)
 
 
 def test_compare_no_blowup(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from dataclasses import replace
@@ -558,6 +559,101 @@ def test_chunks_evaluate_one_jacobian_per_lu():
     for line in trace.chunk_log:
         assert line["njev"] == line["nlu"] >= 1, line
     assert trace.solver["njev"] == trace.solver["nlu"]
+
+
+def _first_chunk_solver(cfg, steps):
+    """The solver of a run's first chunk after `steps` steps, and the state
+    it reached."""
+    state = initialize(cfg)
+    solver = meshsim._new_solver(cfg, _op(cfg, state), state, cfg.t_max)
+    for _ in range(steps):
+        state = meshsim._advance(solver, state.r, state.u[-1], 0.0)
+    return solver, state
+
+
+def test_clock_rebase_reproduces_the_next_steps():
+    # a carry without new nodes only restarts the clock: from the same step
+    # history (a carry drops the LU, so the reference drops it too) the
+    # next steps are the unrebased ones to rounding
+    cfg = config(M=161, rtol=1e-6, max_gradient=1e6)
+    solver, state = _first_chunk_solver(cfg, 60)
+    assert solver.order == meshsim._MAX_ORDER
+    t0 = solver.t
+    twin = copy.deepcopy(solver)
+    meshsim._carry(cfg, twin, _op(cfg, state), state, cfg.t_max - t0)
+    assert (twin.t, twin.t_bound, twin.LU) == (0.0, cfg.t_max - t0, None)
+    solver.LU = None
+    for _ in range(8):
+        solver.step()
+        twin.step()
+        assert twin.order == solver.order
+        assert twin.h_abs == pytest.approx(solver.h_abs, rel=1e-12, abs=0)
+        assert twin.t + t0 == pytest.approx(solver.t, rel=1e-12, abs=0)
+        scale = solver.atol + cfg.rtol * np.abs(solver.y)
+        assert np.max(np.abs(twin.y - solver.y) / scale) <= 1e-6
+
+
+def test_carry_puts_the_history_on_the_quasi_steady_state():
+    # the new nodes take every row of the history on the regular solution;
+    # then, near the new first node, f(D[0]) = 0 and J D[j] = 0 for every
+    # higher row, J at D[0]: each to rounding against the size of its terms
+    cfg = config(M=161, rtol=1e-6, max_gradient=1e6)
+    solver, state = _first_chunk_solver(cfg, 60)
+    first = cfg.M - state.r.size - 12
+    state = meshsim._extend(cfg, state, first)
+    op = meshsim._operator(cfg, first)
+    meshsim._carry(cfg, solver, op, state, 1.0)
+    D, order = solver.D, solver.order
+    assert D.shape[1] == state.r.size - 2 and order == meshsim._MAX_ORDER
+    assert np.array_equal(solver.y, D[0])
+    m = int(np.sum(op.w > op.w[0] / meshsim.SETTLE_SPAN ** 2))
+    A = _dense(op.ab)
+    f = meshsim._make_rhs(op, state.u[-1])(0.0, D[0])
+    size = np.abs(A) @ np.abs(D[0]) + op.w * np.abs(np.sin(2.0 * D[0]))
+    assert np.max(np.abs(f[:m]) / size[:m]) <= 1e-14
+    J = _dense(meshsim._make_jac(op)(0.0, D[0]))
+    for j in range(1, order + 2):
+        JD = (J @ D[j])[:m] / (np.abs(J) @ np.abs(D[j]))[:m]
+        assert np.max(np.abs(JD)) <= 1e-14, j
+
+
+def test_carried_chunks_keep_the_order(monkeypatch):
+    # one solver steps the whole run: a fresh solver would start each chunk
+    # at order 1, and a history left off the settled state's tangent drops
+    # to order 4 at each carry; carried, later chunks step at order 5 only
+    orders, advance = [], meshsim._advance
+
+    def recording(solver, *args):
+        orders.append(solver.order)   # the order this step is taken at
+        return advance(solver, *args)
+
+    monkeypatch.setattr(meshsim, "_advance", recording)
+    trace = run(config(M=161, rtol=1e-6, max_gradient=1e6))
+    steps = [line["steps"] for line in trace.chunk_log]
+    assert len(steps) >= 5 and sum(steps) == len(orders)
+    assert 1 in orders[:steps[0]]
+    assert set(orders[steps[0]:]) == {meshsim._MAX_ORDER}
+
+
+def test_chunk_counters_add_up_to_the_run(monkeypatch):
+    # the carried solver's counters restart at each carry: each chunk_log
+    # record is that chunk's share, its solver seconds within its wall
+    # time, and the records add up to the calls of the whole run
+    calls = dict.fromkeys(("nfev", "njev", "nlu"), 0)
+    for key, name in (("nfev", "fun"), ("njev", "jac"), ("nlu", "lu")):
+        def counted(self, *args, _method=getattr(meshsim._BandBDF, name),
+                    _key=key):
+            calls[_key] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(meshsim._BandBDF, name, counted)
+    trace = run(config(M=161, rtol=1e-6, max_gradient=1e6))
+    log = trace.chunk_log
+    assert len(log) == trace.solver["chunks"] >= 5
+    for key, count in calls.items():
+        assert sum(line[key] for line in log) == trace.solver[key] == count
+    for line in log:
+        assert line["rhs_s"] + line["jac_s"] + line["lu_s"] <= line["wall_s"]
 
 
 def test_rhs_norm_overflow_is_a_failed_step():
