@@ -29,7 +29,6 @@ import shutil
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import scipy
@@ -260,6 +259,9 @@ def _sweep(configs, out_root, workers):
     error line and does not stop the others; returns the results of the
     runs that succeeded and the exit code (2 if any config was malformed,
     1 if any run failed otherwise)."""
+    # imported here, so that no other command loads the process pool
+    from concurrent.futures import ProcessPoolExecutor
+
     results, code = [], 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_one, path, out_root) for path in configs]

@@ -15,9 +15,12 @@ cubic Taylor term (it reduces to 2(d-1) only at k=1).
 At omega = 2*gamma both integrals diverge logarithmically; that regime is
 rejected upstream.
 
-The integrals that no closed rule covers, the inner one and the truncated
-outer one, take a GAUSS_NODES-point Gauss-Legendre rule per panel (Golub &
-Welsch, Math. Comp. 23, 1969) with every node evaluated in one array call.
+The outer integral is z^alpha e^{-z} times a polynomial in z = y^2/4, so
+a generalized Gauss-Laguerre rule of its exact size, (3N + max_n)//2 + 1
+nodes, gives it to rounding.  The integrals that no closed rule covers, the
+inner one and the truncated outer one, take a GAUSS_NODES-point
+Gauss-Legendre rule per panel (Golub & Welsch, Math. Comp. 23, 1969) with
+every node evaluated in one array call.
 The inner integral's panels are the Taylor steps of the profile orbit: on
 each step v is one polynomial, so the integrand is analytic there and the
 rule converges geometrically.
@@ -31,11 +34,11 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 from .errors import FloatRangeExceeded, RegimeMismatch
 from .params import Regime
 from .profile import eval_u
+from .spectral import gauss_laguerre, laguerre
 
 #: nodes of the Gauss-Legendre rule on every panel of the inner and the
 #: truncated outer integral
@@ -150,29 +153,24 @@ def inner_integral(profile, upper=None):
     return val
 
 
-@functools.lru_cache(maxsize=8)
-def _laguerre_rule(order, alpha):
-    """Nodes and weights of the generalized Gauss-Laguerre rule, read-only."""
-    z, w = roots_genlaguerre(order, alpha)
-    z.flags.writeable = w.flags.writeable = False
-    return z, w
-
-
 def outer_integral(basis, N, n):
     """int_0^inf phi_N^3 phi_n y^{d-3} e^{-y^2/4} dy, for an int n or an array
-    of them, via a Gauss-Laguerre rule matched to the y^{omega-2gamma-1}
-    origin behavior.  One rule, exact for the Laguerre polynomial part
-    (degree 3N + n) of every n <= basis.max_n, serves them all in one pass."""
+    of them, via a Gauss-Laguerre rule in z = y^2/4 for the weight
+    z^alpha e^{-z}, alpha = (omega - 2 gamma)/2 - 1, the y^{omega-2gamma-1}
+    origin behavior.  What is left is the Laguerre polynomial part, of degree
+    3N + n, so the rule of (3N + n_max)//2 + 1 nodes, n_max the larger of
+    max(n) and basis.max_n, is exact for every n and serves them all in one
+    pass."""
     consts = basis.consts
     d = consts.params.d
     gam, om = consts.gamma, consts.omega
     if om <= 2.0 * gam:
         raise RegimeMismatch("outer integral diverges for omega <= 2*gamma")
     alpha = 0.5 * (om - 2.0 * gam) - 1.0
-    z, w = _laguerre_rule(2 * (3 * N + max(np.max(n), basis.max_n)) + 32, alpha)
-    a = basis._alpha
-    LN = eval_genlaguerre(N, a, z)
-    Ln = eval_genlaguerre(np.asarray(n)[..., None], a, z)
+    n_max = max(int(np.max(n)), basis.max_n)
+    z, w = gauss_laguerre((3 * N + n_max) // 2 + 1, alpha)
+    L = laguerre(n_max, basis._alpha, z)
+    LN, Ln = L[N], L[n]
     pref = basis.norm[N] ** 3 * basis.norm[n] * 2.0 ** (d - 3.0 - 4.0 * gam)
     return pref * np.sum(w * LN**3 * Ln, axis=-1)
 

@@ -74,9 +74,10 @@ from .tables import read_table, write_table
 #: sup-gradient growth factor per chunk
 CHUNK_GROWTH = 10.0
 
-#: the counters of the solver that a run records per chunk (see _BandBDF):
-#: RHS and Jacobian evaluations and LU factorisations, and the wall seconds
-#: in the RHS, the Jacobian, and the band factorisations and solves
+#: the counters of the solver that a run records per chunk and in total
+#: (see _BandBDF): RHS and Jacobian evaluations and LU factorisations, and
+#: the wall seconds in the RHS, the Jacobian, and the band factorisations and
+#: solves
 _SOLVER_COUNTERS = ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s")
 
 #: the grid starts at r_min = R_MIN_SCALE / max_gradient; a chunk that
@@ -178,8 +179,9 @@ class RunTrace:
     stopped: str = "blowup"      # "blowup" | "tmax"
     # the _SOLVER_COUNTERS nfev/njev/nlu and the wall seconds in RHS
     # evaluations (rhs_s), Jacobian evaluations (jac_s) and band LU
-    # factorisations and solves (lu_s), summed over the chunks, and the
-    # number of chunks; empty for a trace read back from csv
+    # factorisations and solves (lu_s) of the whole run, as the solver
+    # counted them (not summed from chunk_log), and the number of chunks;
+    # empty for a trace read back from csv
     solver: dict = field(default_factory=dict)
     # one record per chunk, the lines of solver.jsonl: its start and
     # end (t0, t1, sup_grad0, sup_grad1), its exact duration dt, its
@@ -519,13 +521,15 @@ class _BandBDF:
     """The NDF stepper on y' = fun(t, y) from t = 0 to t_bound > 0, with
     jac(t, y) in the (5, n) band storage of _Operator.ab.  It counts nfev,
     njev and nlu (one J per LU), and the wall seconds in fun (rhs_s), in jac
-    (jac_s) and in band factorisations and solves (lu_s), since its start or
-    its last rebase."""
+    (jac_s) and in band factorisations and solves (lu_s), since its start;
+    chunk_counters() gives their growth since the last rebase."""
 
     def __init__(self, fun, jac, y0, t_bound, rtol, atol):
         self.rtol = max(rtol, 100 * _EPS)
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
         self.order, self.n_equal_steps = 1, 0
+        self.nfev = self.njev = self.nlu = 0
+        self.rhs_s = self.jac_s = self.lu_s = 0.0
         # zeros, as in scipy: a carry maps every row, read or not (_carry)
         D = np.zeros((_MAX_ORDER + 3, y0.size))
         D[0] = y0
@@ -538,12 +542,21 @@ class _BandBDF:
         """Go on from the step history D, its row 0 the state, as the
         stepper of y' = fun(t, y) with the absolute tolerance atol, on a
         clock restarted at 0 toward t_bound.  The order, the step size and
-        n_equal_steps carry over; the LU and the counters start afresh."""
+        n_equal_steps carry over; the LU and chunk_counters() start afresh,
+        the run's counters go on."""
         self._fun, self._jac, self.D, self.atol = fun, jac, D, atol
         self.t, self.y, self.t_bound = 0.0, D[0].copy(), t_bound
         self.status, self.LU = "running", None
-        self.nfev = self.njev = self.nlu = 0
-        self.rhs_s = self.jac_s = self.lu_s = 0.0
+        self._chunk_start = self.counters()
+
+    def counters(self):
+        """The _SOLVER_COUNTERS since the solver's start."""
+        return {key: getattr(self, key) for key in _SOLVER_COUNTERS}
+
+    def chunk_counters(self):
+        """The _SOLVER_COUNTERS since the last rebase."""
+        return {key: getattr(self, key) - start
+                for key, start in self._chunk_start.items()}
 
     def fun(self, t, y):
         start = time.perf_counter()
@@ -779,7 +792,8 @@ def run(config, progress=None):
     One solver steps the whole run (_new_solver, then _carry at each chunk
     start); it counts each chunk's time from 0, which gives t_left.  Each
     chunk also leaves one record in RunTrace.chunk_log, with the solver's
-    counters of that chunk."""
+    counters of that chunk; RunTrace.solver takes the run's counters from
+    the solver, so the records adding up to them is a check."""
     state = initialize(config)
     uL = state.u[-1]
 
@@ -840,7 +854,7 @@ def run(config, progress=None):
         chunk_log.append({
             "t0": t_chunk, "t1": state.t, "dt": solver.t, "sup_grad0": g_chunk,
             "sup_grad1": gmax, "steps": steps,
-            **{key: getattr(solver, key) for key in _SOLVER_COUNTERS},
+            **solver.chunk_counters(),
             "wall_s": time.perf_counter() - started,
             "end": stopped if done else "growth",
         })
@@ -861,11 +875,9 @@ def run(config, progress=None):
     if snap_rows[-1] != t_left.size - 1:
         snapshots.append(
             MeshState(state.t, state.r.copy(), state.u.copy(), 0.0))
-    totals = {"chunks": len(chunk_log)}
-    for key in _SOLVER_COUNTERS:
-        totals[key] = sum(line[key] for line in chunk_log)
     return RunTrace(config=config, snapshots=snapshots, stopped=stopped,
-                    solver=totals, chunk_log=chunk_log, t_left=t_left,
+                    solver={"chunks": len(chunk_log), **solver.counters()},
+                    chunk_log=chunk_log, t_left=t_left,
                     **dict(zip(TRACE_COLUMNS, map(np.concatenate, zip(*columns)))))
 
 

@@ -736,25 +736,15 @@ def test_predict_past_float_range_exit_1(capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
-    # nothing reads the orbit through an interpolant, so no module imports
-    # scipy.interpolate, which adds tens of ms to every start-up
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys, blowuplab.cli; "
-            "print('scipy.interpolate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
-
-
-def test_commands_leave_out_scipy_integrate_optimize_sparse(tmp_path):
-    # the coupling integrals and the log-law search need only numpy: no
-    # blowuplab module, and none of predict, simulate + compare at d = 7 and
-    # the dominance diagnostic, loads scipy.integrate, scipy.optimize or
-    # scipy.sparse (with what they pull in, about 250 modules and 18 MB a
-    # process).  A fresh interpreter, because pytest's warning filters import
-    # scipy.integrate.
+def test_commands_leave_out_unused_scipy_and_the_process_pool(tmp_path):
+    # the coupling integrals, the log-law search and the Laguerre rules need
+    # only numpy and scipy.linalg: no blowuplab module, and none of predict,
+    # simulate + compare at d = 7 and the dominance diagnostic, loads
+    # scipy.interpolate, scipy.integrate, scipy.optimize or scipy.sparse
+    # (with what they pull in, about 250 modules and 18 MB a process) or
+    # scipy.special (25 modules, 3.5 MB), nor the process pool that only a
+    # simulate sweep uses (test_simulate_sweep runs one).  A fresh
+    # interpreter, because pytest's warning filters import scipy.integrate.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     cfg = write_config(tmp_path / "cfg.json", d=7, L=math.pi, M=161)
     code = f"""
@@ -772,7 +762,8 @@ consts = params.derive(params.ModelParams(d=9, k=1))
 coupling.dominance_diagnostic(profile.solve_profile(consts),
                               spectral.build_basis(consts), 1, 1e-3)
 print(sorted(m for m in sys.modules if m.startswith(
-    ("scipy.integrate", "scipy.optimize", "scipy.sparse"))))
+    ("scipy.interpolate", "scipy.integrate", "scipy.optimize",
+     "scipy.sparse", "scipy.special", "concurrent.futures.process"))))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

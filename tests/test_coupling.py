@@ -193,8 +193,9 @@ def test_inner_integral_on_orbit_matches_g_function(profile_at, d, k, upper):
 
 @pytest.mark.parametrize("d,k,N", [(9.0, 1, 1), (16.0, 2, 2)])
 def test_outer_integral_one_rule_matches_rule_per_n(basis_at, d, k, N):
-    """The shared rule of order 2(3N + max_n) + 32 against a rule of order
-    2(3N + n) + 32 for each n; both are exact for the polynomial part."""
+    """The shared rule of (3N + max_n)//2 + 1 nodes against scipy's rule of
+    order 2(3N + n) + 32 for each n; both are exact for the polynomial
+    part."""
     basis = basis_at(d, k)
     c = basis.consts
     alpha = 0.5 * (c.omega - 2.0 * c.gamma) - 1.0
@@ -252,3 +253,30 @@ def test_outer_integral_truncated_matches_tight_quad(basis_at, d):
                    epsrel=1e-13, limit=400)[0]
         assert outer_integral_truncated(basis, 1, 1, y_lo) == pytest.approx(
             ref, rel=1e-12), y_lo
+
+
+#: outer-regime points from near the regime's edge to d = 100, k = 1, 2, 3
+OUTER_POINTS = [(8.3, 1, 1), (8.5, 1, 1), (9.0, 1, 1), (9.0, 1, 2),
+                (10.0, 1, 1), (12.0, 1, 1), (20.0, 1, 1), (50.0, 1, 1),
+                (100.0, 1, 1), (14.5, 2, 2), (16.0, 2, 2), (25.0, 2, 2),
+                (21.0, 3, 3), (30.0, 3, 3)]
+
+
+@pytest.mark.parametrize("d,k,N", OUTER_POINTS)
+def test_outer_integral_exact_rule_matches_the_oversized_one(basis_at, d, k,
+                                                             N):
+    """The integrand is z^alpha e^{-z} times a polynomial of degree
+    3N + max_n, so (3N + max_n)//2 + 1 nodes are exact: every n within
+    1e-13 of the integral at n = N (5.1e-14 measured) against scipy's rule
+    of the former size 2(3N + max_n) + 32, which has 7 to 9 times the
+    nodes."""
+    basis = basis_at(d, k)
+    c = basis.consts
+    alpha = 0.5 * (c.omega - 2.0 * c.gamma) - 1.0
+    ns = np.arange(basis.max_n + 1)
+    z, w = roots_genlaguerre(2 * (3 * N + basis.max_n) + 32, alpha)
+    L = eval_genlaguerre(ns[:, None], basis._alpha, z)
+    ref = basis.norm[N] ** 3 * basis.norm * 2.0 ** (d - 3.0 - 4.0 * c.gamma) \
+        * np.sum(w * L[N] ** 3 * L, axis=-1)
+    got = outer_integral(basis, N, ns)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * abs(ref[N])

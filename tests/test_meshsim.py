@@ -656,6 +656,25 @@ def test_chunk_counters_add_up_to_the_run(monkeypatch):
         assert line["rhs_s"] + line["jac_s"] + line["lu_s"] <= line["wall_s"]
 
 
+def test_rebase_restarts_the_chunk_counters():
+    # a carry restarts the chunk's counters and not the run's; the run's are
+    # the manifest's totals, so records that did not restart would add up
+    # to more than them
+    cfg = config(M=161, rtol=1e-6, max_gradient=1e6)
+    solver, state = _first_chunk_solver(cfg, 20)
+    first = solver.counters()
+    assert solver.chunk_counters() == first and first["nlu"] >= 1
+    meshsim._carry(cfg, solver, _op(cfg, state), state, cfg.t_max - solver.t)
+    assert solver.counters() == first
+    assert set(solver.chunk_counters().values()) == {0}
+    for _ in range(10):
+        solver.step()
+    now = solver.counters()
+    assert now["nfev"] > first["nfev"]
+    assert solver.chunk_counters() == {key: now[key] - first[key]
+                                       for key in now}
+
+
 def test_rhs_norm_overflow_is_a_failed_step():
     # an RHS whose RMS norm overflows gives a zero initial step (scipy's
     # select_initial_step divides d0 by an infinite d1); the stepper must
@@ -746,11 +765,16 @@ def test_quick_run_solver_counters(quick_trace):
     assert counters["rhs_s"] > 0 and counters["jac_s"] > 0
     assert counters["lu_s"] > 0
     assert counters["nfev"] >= quick_trace.t.size - 1
-    # one chunk_log record per chunk solver, and they add up to the totals
+    # one chunk_log record per chunk, and they add up to the totals, which
+    # the solver counted over the run: the counts exactly, the seconds to
+    # the rounding of differences of one float sum
     log = quick_trace.chunk_log
     assert len(log) == counters["chunks"]
-    for key in ("nfev", "njev", "nlu", "rhs_s", "jac_s", "lu_s"):
+    for key in ("nfev", "njev", "nlu"):
         assert sum(line[key] for line in log) == counters[key], key
+    for key in ("rhs_s", "jac_s", "lu_s"):
+        assert sum(line[key] for line in log) == pytest.approx(
+            counters[key], rel=1e-12, abs=0), key
     assert sum(line["steps"] for line in log) == quick_trace.t.size - 1
     assert [line["end"] for line in log] == ["growth"] * (len(log) - 1) + ["blowup"]
     for prev, line in zip(log, log[1:]):
