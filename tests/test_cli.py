@@ -736,7 +736,19 @@ def test_predict_past_float_range_exit_1(capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_commands_leave_out_unused_scipy_and_the_process_pool(tmp_path):
+def test_cli_import_leaves_out_scipy_interpolate():
+    # nothing reads the orbit through an interpolant, so no module imports
+    # scipy.interpolate, which adds tens of ms to every start-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, blowuplab.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def test_commands_leave_out_scipy_integrate_optimize_sparse(tmp_path):
     # the coupling integrals, the log-law search and the Laguerre rules need
     # only numpy and scipy.linalg: no blowuplab module, and none of predict,
     # simulate + compare at d = 7 and the dominance diagnostic, loads
