@@ -28,16 +28,17 @@ the variable-order NDF, with a band LU and a fresh J for each factorisation.
 A new chunk starts each time sup |u_r| has grown by CHUNK_GROWTH, on a
 clock of its own, so that times near the blow-up stay distinct.  It
 integrates from the node at or below R_MIN_SCALE / (CHUNK_GROWTH sup|u_r|)
-(_first_node); below it u is r^k to within (r/R)^2, and the next chunk
-takes those nodes on that profile (_extend).  So each chunk's stiffness is
-a fixed multiple of the layer's: the first steps of the run are set by the
-rounding of its stiffest nodes, which at r_min would make them shorter
-than the spacing of doubles near the blow-up time.  One solver steps the
-whole run.  At a chunk start it keeps its order and step size, and its
-NDF history takes the new nodes on the same r^k profile; near the new
-first node the state goes on its quasi-steady state and the higher
-differences on that state's tangent (_carry, _settle), so a chunk goes on
-at the order the last one reached.  A stored state is the origin (r = 0,
+(_first_node); below it u is r^k to within (r/R)^2.  So each chunk's
+stiffness is a fixed multiple of the layer's: the first steps of the run
+are set by the rounding of its stiffest nodes, which at r_min would make
+them shorter than the spacing of doubles near the blow-up time.  One
+solver steps the whole run.  The first chunk starts on initialize's nodes.
+At each later start the solver keeps its order and step size, and every
+row of its NDF history takes the nodes below its first on the r^k profile
+through it; near the new first node the state goes on its quasi-steady
+state and the higher differences on that state's tangent (_carry,
+_settle), so a chunk goes on at the order the last one reached.  A chunk's
+steps share its one node array; a stored state is the origin (r = 0,
 u = 0) and its chunk's nodes; M counts the origin, the grid and L.
 
 Blow-up observables (sup |u_r| = 1/R, the layer scale for every k, and its
@@ -255,24 +256,27 @@ def _steepest(r, u, dr=None):
 
 def _energy(config, r, u):
     """Dirichlet energy by the midpoint rule, of one state or, along the
-    last axis, of states stacked as the rows of r and u."""
+    last axis, of states on the nodes r stacked as the rows of u."""
     d, k = config.params.d, config.params.k
-    dr = r[..., 1:] - r[..., :-1]
+    dr = r[1:] - r[:-1]
     gmid = (u[..., 1:] - u[..., :-1]) / dr
-    rmid = 0.5 * (r[..., :-1] + r[..., 1:])
+    rmid = 0.5 * (r[:-1] + r[1:])
     umid = 0.5 * (u[..., :-1] + u[..., 1:])
     dens = gmid * gmid + k * (d + k - 2.0) * np.sin(umid) ** 2 / (rmid * rmid)
     return 0.5 * np.sum(dens * rmid ** (d - 1.0) * dr, axis=-1)
 
 
 def _trace_rows(config, t, r, u, gmax, loc):
-    """The TRACE_COLUMNS but t_left of states stacked as the rows of r and
-    u, shape (states, nodes), given their sup |u_r| gmax and its locations
-    loc (see _steepest).  Every reduction runs along a row on its own, so
-    each row is bit for bit what its state gives alone."""
-    dr = r[:, 1:] - r[:, :-1]
-    return (t, gmax, _energy(config, r, u), dr.min(axis=1), loc,
-            np.sum(r <= (5.0 / gmax)[:, None], axis=1))
+    """The TRACE_COLUMNS but t_left of states on the nodes r stacked as the
+    rows of u, shape (states, r.size), given their sup |u_r| gmax and its
+    locations loc (see _steepest).  Every reduction runs along a row on its
+    own, so each row is bit for bit what its state gives alone.  min_dx is
+    the narrowest cell of r; nodes_in_layer counts the nodes with r <=
+    5 / gmax, every node where gmax = 0 (no layer)."""
+    with np.errstate(divide="ignore"):
+        layer = 5.0 / gmax
+    return (t, gmax, _energy(config, r, u), np.full(t.size, np.diff(r).min()),
+            loc, np.searchsorted(r, layer, side="right"))
 
 
 # ----------------------------------------------------------------------------
@@ -427,15 +431,6 @@ def initialize(config):
     first = _first_node(config, _steepest(r, u)[0])
     u = np.concatenate([[0.0], u[first + 1:]])
     return MeshState(t=0.0, r=_nodes(config, first), u=u)
-
-
-def _extend(config, state, first):
-    """A state on the grid nodes from index `first` on, the nodes below its
-    own first node filled with the regular solution u ~ r^k through it."""
-    r = _nodes(config, first)
-    new = r.size - state.r.size
-    below = state.u[1] * (r[1:new + 1] / state.r[1]) ** config.params.k
-    return MeshState(state.t, r, np.concatenate([[0.0], below, state.u[1:]]))
 
 
 def _settle(op, y, uL, tangents=()):
@@ -734,16 +729,16 @@ class _BandBDF:
         return True
 
 
-def _advance(solver, r, uL, t0):
-    """Take one step of `solver`, whose clock starts at 0 at the absolute
-    time t0, and return the accepted MeshState on the nodes r;
-    StepSizeUnderflow if the step failed."""
+def _advance(solver, uL):
+    """Take one step of `solver` and return the accepted u on its nodes,
+    the origin's 0 first and uL last; StepSizeUnderflow if the step
+    failed."""
     solver.step()
     if solver.status == "failed":
         raise StepSizeUnderflow("implicit step failed; increase M or tolerances")
-    u = np.empty_like(r)
+    u = np.empty(solver.y.size + 2)
     u[0], u[1:-1], u[-1] = 0.0, solver.y, uL
-    return MeshState(t=t0 + solver.t, r=r, u=u)
+    return u
 
 
 def step(config, state, dt_max=np.inf):
@@ -752,7 +747,8 @@ def step(config, state, dt_max=np.inf):
     run() takes its steps through the same _new_solver and _advance."""
     op = _operator(config, config.M - state.r.size)
     solver = _new_solver(config, op, state, dt_max)
-    return _advance(solver, state.r, state.u[-1], state.t)
+    u = _advance(solver, state.u[-1])
+    return MeshState(t=state.t + solver.t, r=state.r, u=u)
 
 
 def _new_solver(config, op, state, t_bound):
@@ -764,102 +760,105 @@ def _new_solver(config, op, state, t_bound):
                     config.rtol, ATOL_U * state.r[1:-1])
 
 
-def _carry(config, solver, op, state, t_bound):
-    """Carry `solver` into the chunk on the nodes of `state` (_extend's) and
-    their operator `op`, on a clock restarted at 0 toward t_bound.  The new
-    nodes below the solver's first node take every row of its step history
-    D on the regular solution through that node, as _extend takes u (D is
-    linear in u); then _settle puts D[0] near the new first node on its
-    quasi-steady state and the higher rows on its tangent.  Without new
-    nodes D is kept as it is: the nodes it has stepped are settled."""
+def _carry(config, solver, op, r, uL, t_bound):
+    """Carry `solver` into the chunk on the nodes r (_nodes', the origin
+    first and L, where u = uL, last) and their operator `op`, on a clock
+    restarted at 0 toward t_bound.  The nodes below the solver's first node
+    take every row of its step history D on the regular solution u ~ r^k
+    through that node (D is linear in u); then _settle puts D[0] near the
+    new first node on its quasi-steady state and the higher rows on its
+    tangent.  Without new nodes D is kept as it is: the nodes it has stepped
+    are settled."""
     D = solver.D
-    new = state.r.size - 2 - D.shape[1]
+    new = r.size - 2 - D.shape[1]
     if new:
-        below = (state.r[1:new + 1] / state.r[new + 1]) ** config.params.k
+        below = (r[1:new + 1] / r[new + 1]) ** config.params.k
         D = np.concatenate([D[:, :1] * below, D], axis=1)
-        _settle(op, D[0], state.u[-1], D[1:])
-    solver.rebase(_make_rhs(op, state.u[-1]), _make_jac(op), D, t_bound,
-                  ATOL_U * state.r[1:-1])
+        _settle(op, D[0], uL, D[1:])
+    solver.rebase(_make_rhs(op, uL), _make_jac(op), D, t_bound,
+                  ATOL_U * r[1:-1])
 
 
 def run(config, progress=None):
     """Step until sup|u_r| >= max_gradient or t >= t_max, recording
     observables at every accepted step and snapshots on a gradient ladder.
 
-    Each step only takes what the loop needs (_steepest); the accepted
-    states of a chunk are held until the chunk ends and then turned into
-    trace rows at once (_trace_rows), so the buffer never outgrows a chunk.
-    One solver steps the whole run (_new_solver, then _carry at each chunk
-    start); it counts each chunk's time from 0, which gives t_left.  Each
-    chunk also leaves one record in RunTrace.chunk_log, with the solver's
-    counters of that chunk; RunTrace.solver takes the run's counters from
-    the solver, so the records adding up to them is a check."""
+    The first chunk starts on initialize's nodes and each later one on its
+    _first_node's, through _carry alone; a chunk never drops nodes, and one
+    that starts at sup|u_r| = 0 has no layer to follow and never ends by
+    growth.  Each step only takes what the loop needs (_steepest); a chunk
+    holds its steps as (theta, u, sup|u_r|, its location) on its one node
+    array until it ends, and then turns them into trace rows at once
+    (_trace_rows, with t = the chunk's start + theta), so the buffer never
+    outgrows a chunk.  One solver steps the whole run (_new_solver, then
+    _carry at each chunk start); it counts each chunk's time theta from 0,
+    which gives t_left.  Each chunk also leaves one record in
+    RunTrace.chunk_log, with the solver's counters of that chunk;
+    RunTrace.solver takes the run's counters from the solver, so the
+    records adding up to them is a check."""
     state = initialize(config)
-    uL = state.u[-1]
+    r, u, uL = state.r, state.u, state.u[-1]
+    first = config.M - r.size
 
     columns = []   # the _trace_rows of each chunk
     thetas = []    # the chunk-local times of the rows of each chunk
-    held = []      # (t, r, u, gmax, loc, theta) of states not yet in columns
+    gmax, loc = _steepest(r, u)
+    held = [(0.0, u, gmax, loc)]   # (theta, u, gmax, loc) not yet in columns
+    rows = 0       # the trace row of the last step
     chunk_log = []
-    snapshots = [MeshState(state.t, state.r.copy(), state.u.copy())]
-    snap_rows = [0]   # the trace row of each snapshot
+    snapshots, snap_rows = [state], [0]   # and the trace row of each
     next_snap = 10.0 ** SNAPSHOT_DECADES
     stopped = "tmax"
-
-    def hold(state, theta, dr):
-        """Hold a state for its trace row; return sup |u_r|."""
-        gmax, loc = _steepest(state.r, state.u, dr)
-        held.append((state.t, state.r, state.u, gmax, loc, theta))
-        return gmax
-
-    gmax = hold(state, 0.0, None)
-    solver = None
+    t_chunk, solver = state.t, None
     while True:
         started = time.perf_counter()
-        chunk_limit = CHUNK_GROWTH * gmax
-        t_chunk, g_chunk, steps = state.t, gmax, 0
-        first = min(config.M - state.r.size, _first_node(config, gmax))
-        state = _extend(config, state, first)
-        # the chunk's nodes, and so their cell widths, are fixed
-        dr = state.r[1:] - state.r[:-1]
-        op, t_bound = _operator(config, first), config.t_max - t_chunk
+        chunk_limit = CHUNK_GROWTH * gmax if gmax > 0 else math.inf
+        g_chunk, row0 = gmax, rows
+        t_bound = config.t_max - t_chunk
         if solver is None:
+            op = _operator(config, first)
             solver = _new_solver(config, op, state, t_bound)
         else:
-            _carry(config, solver, op, state, t_bound)
+            first = min(first, _first_node(config, gmax))
+            r, op = _nodes(config, first), _operator(config, first)
+            _carry(config, solver, op, r, uL, t_bound)
+        # the chunk's nodes, and so their cell widths, are fixed
+        dr = r[1:] - r[:-1]
         while solver.status == "running":
-            state = _advance(solver, state.r, uL, t_chunk)
-            steps += 1
-            gmax = hold(state, solver.t, dr)
+            u = _advance(solver, uL)
+            rows += 1
+            gmax, loc = _steepest(r, u, dr)
+            held.append((solver.t, u, gmax, loc))
             if gmax >= next_snap:
-                snapshots.append(
-                    MeshState(state.t, state.r.copy(), state.u.copy()))
-                snap_rows.append(sum(map(len, thetas)) + len(held) - 1)
+                snapshots.append(MeshState(t_chunk + solver.t, r, u))
+                snap_rows.append(rows)
                 next_snap = 10.0 ** (
                     math.floor(math.log10(gmax) / SNAPSHOT_DECADES + 1)
                     * SNAPSHOT_DECADES
                 )
             if progress is not None:
-                progress(state.t, gmax)
+                progress(t_chunk + solver.t, gmax)
             if gmax >= config.max_gradient:
                 stopped = "blowup"
                 break
             if gmax >= chunk_limit:
                 break
-        *rows, theta = map(np.array, zip(*held))
-        columns.append(_trace_rows(config, *rows))
+        theta, us, gs, locs = map(np.array, zip(*held))
+        columns.append(_trace_rows(config, t_chunk + theta, r, us, gs, locs))
         thetas.append(theta)
         held.clear()
+        t_end = t_chunk + solver.t
         done = stopped != "tmax" or solver.status == "finished"
         chunk_log.append({
-            "t0": t_chunk, "t1": state.t, "dt": solver.t, "sup_grad0": g_chunk,
-            "sup_grad1": gmax, "steps": steps,
+            "t0": t_chunk, "t1": t_end, "dt": solver.t, "sup_grad0": g_chunk,
+            "sup_grad1": gmax, "steps": rows - row0,
             **solver.chunk_counters(),
             "wall_s": time.perf_counter() - started,
             "end": stopped if done else "growth",
         })
         if done:
             break
+        t_chunk = t_end
 
     # a chunk's rows lie theta[-1] - theta before its end, plus the later
     # chunks' exact durations: no absolute times, which stop being distinct
@@ -872,9 +871,8 @@ def run(config, progress=None):
     for snap, row in zip(snapshots, snap_rows):
         snap.t_left = float(t_left[row])
     # the last row closes the snapshots, unless it already is a rung's
-    if snap_rows[-1] != t_left.size - 1:
-        snapshots.append(
-            MeshState(state.t, state.r.copy(), state.u.copy(), 0.0))
+    if snap_rows[-1] != rows:
+        snapshots.append(MeshState(t_end, r, u, 0.0))
     return RunTrace(config=config, snapshots=snapshots, stopped=stopped,
                     solver={"chunks": len(chunk_log), **solver.counters()},
                     chunk_log=chunk_log, t_left=t_left,

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.special import eval_genlaguerre
 
-from blowuplab import params, profile, spectral
+from blowuplab import meshsim, params, profile, spectral
 
 #: parameter points exercised throughout the suite
 POINTS = [(7.0, 1), (8.0, 1), (9.0, 1), (12.0, 2)]
@@ -25,6 +25,23 @@ def c_origin_by_quadrature(consts, n):
 
     norm2 = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
     return eval_genlaguerre(n, alpha, 0.0) / math.sqrt(norm2)
+
+
+@pytest.fixture
+def kink_config():
+    """d=8 data with a concave kink between the first two nodes of the first
+    chunk: u = 10 r up to their geometric mean rk, then flat to r = 1.  On
+    the whole grid sup |u_r| is 10; on the first chunk's nodes the origin
+    gradient through the kink is 14.5, whose _first_node lies 3 nodes
+    lower.  The tables are lists, so that a config file can take them."""
+    cfg = meshsim.SimConfig(params=params.ModelParams(d=8.0, k=1), M=161,
+                            rtol=1e-6, max_gradient=1e6)
+    first = meshsim._first_node(cfg, 10.0)
+    r = meshsim._nodes(cfg, first)
+    rk = float(math.sqrt(r[1] * r[2]))
+    assert first == 68 and rk == pytest.approx(1.0163598813e-05, rel=1e-10)
+    cfg.initial_data = [[0.0, rk, 1.0, 2.0], [0.0, 10 * rk, 10 * rk, 2.0]]
+    return cfg
 
 
 def eps_by_dop853(rc, eps0, s):

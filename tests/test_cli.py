@@ -579,6 +579,17 @@ def test_simulate_flat_near_origin(tmp_path, capsys):
     assert 0.05 < read_json(run / "fit.json")["beta"] < 0.25
 
 
+def test_simulate_kink_at_the_first_node(tmp_path, capsys, kink_config):
+    # data whose origin gradient on the first chunk's nodes lies above the
+    # whole grid's (see conftest.kink_config): the run finishes
+    path = write_config(tmp_path / "kink.json", M=161,
+                        initial_data=kink_config.initial_data)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+    run = tmp_path / [d for d in os.listdir(tmp_path) if d.startswith("run_")][0]
+    assert read_json(run / "manifest.json")["stop"]["reason"] == "blowup"
+    capsys.readouterr()
+
+
 def test_simulate_k2_fits_layer_scale(tmp_path, capsys):
     # at k = 2 the layer U*(y/eps) has u_r(0) = 0; the fits and the overlay
     # read R = 1/sup |u_r|, whose exponent 1/2 + beta is of the order 1/2

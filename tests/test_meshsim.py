@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -427,7 +428,8 @@ def test_chunk_solver_memory_linear():
     # a chunk solver holds no n x n dense array: on the whole grid at
     # M = 1921 a dense identity alone would be 29 MB
     cfg = config(M=1921)
-    state = meshsim._extend(cfg, initialize(cfg), 0)
+    r = meshsim._nodes(cfg, 0)
+    state = MeshState(0.0, r, meshsim.initial_profile(cfg)(r))
     tracemalloc.start()
     try:
         solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0)
@@ -567,7 +569,8 @@ def _first_chunk_solver(cfg, steps):
     state = initialize(cfg)
     solver = meshsim._new_solver(cfg, _op(cfg, state), state, cfg.t_max)
     for _ in range(steps):
-        state = meshsim._advance(solver, state.r, state.u[-1], 0.0)
+        state = MeshState(solver.t, state.r,
+                          meshsim._advance(solver, state.u[-1]))
     return solver, state
 
 
@@ -580,7 +583,8 @@ def test_clock_rebase_reproduces_the_next_steps():
     assert solver.order == meshsim._MAX_ORDER
     t0 = solver.t
     twin = copy.deepcopy(solver)
-    meshsim._carry(cfg, twin, _op(cfg, state), state, cfg.t_max - t0)
+    meshsim._carry(cfg, twin, _op(cfg, state), state.r, state.u[-1],
+                   cfg.t_max - t0)
     assert (twin.t, twin.t_bound, twin.LU) == (0.0, cfg.t_max - t0, None)
     solver.LU = None
     for _ in range(8):
@@ -600,11 +604,10 @@ def test_carry_puts_the_history_on_the_quasi_steady_state():
     cfg = config(M=161, rtol=1e-6, max_gradient=1e6)
     solver, state = _first_chunk_solver(cfg, 60)
     first = cfg.M - state.r.size - 12
-    state = meshsim._extend(cfg, state, first)
-    op = meshsim._operator(cfg, first)
-    meshsim._carry(cfg, solver, op, state, 1.0)
+    r, op = meshsim._nodes(cfg, first), meshsim._operator(cfg, first)
+    meshsim._carry(cfg, solver, op, r, state.u[-1], 1.0)
     D, order = solver.D, solver.order
-    assert D.shape[1] == state.r.size - 2 and order == meshsim._MAX_ORDER
+    assert D.shape[1] == r.size - 2 and order == meshsim._MAX_ORDER
     assert np.array_equal(solver.y, D[0])
     m = int(np.sum(op.w > op.w[0] / meshsim.SETTLE_SPAN ** 2))
     A = _dense(op.ab)
@@ -664,7 +667,8 @@ def test_rebase_restarts_the_chunk_counters():
     solver, state = _first_chunk_solver(cfg, 20)
     first = solver.counters()
     assert solver.chunk_counters() == first and first["nlu"] >= 1
-    meshsim._carry(cfg, solver, _op(cfg, state), state, cfg.t_max - solver.t)
+    meshsim._carry(cfg, solver, _op(cfg, state), state.r, state.u[-1],
+                   cfg.t_max - solver.t)
     assert solver.counters() == first
     assert set(solver.chunk_counters().values()) == {0}
     for _ in range(10):
@@ -694,7 +698,7 @@ def test_rhs_norm_overflow_is_a_failed_step():
                                   np.full(n, 1e-9))
         assert solver.h_abs == 0.0
         with pytest.raises(StepSizeUnderflow):
-            meshsim._advance(solver, np.linspace(0.0, 1.0, n + 2), 1.0, 0.0)
+            meshsim._advance(solver, 1.0)
     assert solver.status == "failed" and solver.nlu == 0
     # a step size that later turns infinite or NaN fails the same way
     for h_abs in (math.inf, math.nan):
@@ -808,13 +812,14 @@ def test_trace_rows_match_per_state(quick_trace):
     cfg = quick_trace.config
     snaps = quick_trace.snapshots + [
         initialize(replace(cfg, initial_data="r-sin(r)"))]
-    # a chunk's states share their nodes; stacked here as run() does
+    # a chunk's states share its one node array; stacked here as run() does
     locs = []
     for size in {s.r.size for s in snaps}:
         group = [s for s in snaps if s.r.size == size]
+        assert all(np.array_equal(s.r, group[0].r) for s in group)
         steepest = [meshsim._steepest(s.r, s.u) for s in group]
         got = meshsim._trace_rows(
-            cfg, np.array([s.t for s in group]), np.array([s.r for s in group]),
+            cfg, np.array([s.t for s in group]), group[0].r,
             np.array([s.u for s in group]), *map(np.array, zip(*steepest)))
         ref = np.array([_observe_one(cfg, s.t, s.r, s.u) for s in group]).T
         # t_left needs the whole run (see run), the other columns one state each
@@ -937,6 +942,37 @@ def test_log_fit_stable_under_roundoff(monkeypatch):
         monkeypatch.setattr(meshsim, "ATOL_U", 1e-9 * (1.0 + k * 1e-9))
         Cs.append(fit_log(run(cfg)).C)
     assert (max(Cs) - min(Cs)) / min(Cs) <= 1e-6, Cs
+
+
+def test_first_chunk_starts_on_initialize_nodes(kink_config):
+    # the first chunk steps on initialize's nodes even where the origin
+    # gradient on them asks for a lower first node: its rows then share one
+    # node array (stacking rows of two lengths raised a ValueError)
+    cfg = kink_config
+    state = initialize(cfg)
+    g = meshsim._steepest(state.r, state.u)[0]
+    assert g == pytest.approx(14.517, rel=1e-4)
+    assert meshsim._first_node(cfg, g) == cfg.M - state.r.size - 3
+    trace = run(cfg)
+    assert trace.stopped == "blowup"
+    assert np.array_equal(trace.snapshots[0].r, state.r)
+    assert trace.min_dx[0] == np.diff(state.r).min()
+    assert trace.nodes_in_layer[0] <= state.r.size
+
+
+def test_zero_data_is_one_chunk():
+    # u = 0 is a fixed point with sup |u_r| = 0: no layer, so every node is
+    # in it, no divide by 0, and the chunk never ends by growth (a limit of
+    # 10 x 0 opened a chunk after every step)
+    cfg = config(M=64, t_max=1e-2, initial_data=([0.0, 2.0], [0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(cfg)
+    assert trace.stopped == "tmax" and len(trace.chunk_log) == 1
+    assert trace.chunk_log[0]["end"] == "tmax"
+    assert trace.chunk_log[0]["steps"] == trace.t.size - 1 >= 2
+    assert np.all(trace.sup_grad == 0.0)
+    assert np.all(trace.nodes_in_layer == initialize(cfg).r.size)
 
 
 def test_failed_step_not_retried(monkeypatch):
