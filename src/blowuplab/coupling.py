@@ -79,8 +79,7 @@ def _g_of_v(consts, v):
     """g = k(d+k-2)/2 * (sin(v) - v) at v = 2U* - pi, an array.  sin(v) - v
     cancels catastrophically for small |v|; the Taylor series takes over well
     before that happens."""
-    k = consts.params.k
-    pref = 0.5 * k * (consts.params.d + k - 2.0)
+    pref = 0.5 * consts.params.kappa
     v2 = v * v
     series = -(v * v2 / 6.0) * (1.0 - v2 / 20.0 * (1.0 - v2 / 42.0))
     return pref * np.where(np.abs(v) < 1e-2, series, np.sin(v) - v)
@@ -88,8 +87,7 @@ def _g_of_v(consts, v):
 
 def g_tail_coefficient(profile):
     """lim xi^{3 gamma} g(xi) = 2k(d+k-2)h^3/3."""
-    d, k = profile.consts.params.d, profile.consts.params.k
-    return (2.0 / 3.0) * k * (d + k - 2.0) * profile.h**3
+    return (2.0 / 3.0) * profile.consts.params.kappa * profile.h**3
 
 
 @functools.lru_cache(maxsize=1)
@@ -180,12 +178,12 @@ def _outer_prefactor(profile, basis, N):
     Raises FloatRangeExceeded once N_N^4, the scale of that integral at
     n = N, is below the normal floats, so that D_N would lose its digits
     (k = 1, N = 1: from d ~ 151.7 on).  c_N >= N_N keeps 1/c_N^3 finite."""
-    d, k = basis.consts.params.d, basis.consts.params.k
+    params = basis.consts.params
     if not basis.norm[N] ** 4 >= sys.float_info.min:
         raise FloatRangeExceeded(
-            f"N_N^4 = {basis.norm[N] ** 4:.3g} underflows at d = {d:g}: "
+            f"N_N^4 = {basis.norm[N] ** 4:.3g} underflows at d = {params.d:g}: "
             "D_N would lose its digits")
-    return 2.0 * k * (d + k - 2.0) * profile.h**3 / (3.0 * basis.c_origin[N] ** 3)
+    return 2.0 * params.kappa * profile.h**3 / (3.0 * basis.c_origin[N] ** 3)
 
 
 def outer_integral_truncated(basis, N, n, y_lo):

@@ -25,7 +25,8 @@ and sine terms, and the Jacobian is that matrix plus diag(-k(d+k-2) e^{-2x}
 cos 2u); no differencing is needed.  The stepper (_BandBDF) is scipy's BDF,
 the variable-order NDF, with a band LU and a fresh J for each factorisation.
 
-A new chunk starts each time sup |u_r| has grown by CHUNK_GROWTH, on a
+A new chunk starts each time sup |u_r| has grown by CHUNK_GROWTH, or its
+first node has reached R_MIN_SCALE of the layer R if that comes first, on a
 clock of its own, so that times near the blow-up stay distinct.  It
 integrates from the node at or below R_MIN_SCALE / (CHUNK_GROWTH sup|u_r|)
 (_first_node); below it u is r^k to within (r/R)^2.  So each chunk's
@@ -46,7 +47,8 @@ location, the energy, the grid resolution) are recorded at every accepted
 step; the stepping loop takes only sup |u_r| itself, and the rest of each
 row is computed once per chunk for all of its steps (_trace_rows).
 Rate fitting recovers the exponent 1/2 + beta or the log law from R, on
-samples at fixed values of sup |u_r| (_samples).
+samples of the whole run at fixed values of sup |u_r| (_samples); it
+refuses a run whose layer ever held fewer than MIN_LAYER_NODES nodes.
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ class SimConfig:
 
 
 #: the per-step observables of a run, in trace.csv column order; the first
-#: four are the stable contract, the next two let the rate fits recover
-#: their resolved window after a reload, and t_left gives every T - t
+#: four are the stable contract, the next two let the rate fits check the
+#: layer's resolution after a reload, and t_left gives every T - t
 TRACE_COLUMNS = ("t", "sup_grad", "energy", "min_dx",
                  "sup_grad_loc", "nodes_in_layer", "t_left")
 
@@ -187,8 +189,8 @@ class RunTrace:
     # one record per chunk, the lines of solver.jsonl: its start and
     # end (t0, t1, sup_grad0, sup_grad1), its exact duration dt, its
     # accepted steps, its share of the counters above, its wall seconds and
-    # why it ended ("growth" when the sup gradient grew by CHUNK_GROWTH,
-    # else the run's stop reason); empty for a trace read back from csv
+    # why it ended ("growth" at its growth limit, see run, else the run's
+    # stop reason); empty for a trace read back from csv
     chunk_log: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -257,12 +259,12 @@ def _steepest(r, u, dr=None):
 def _energy(config, r, u):
     """Dirichlet energy by the midpoint rule, of one state or, along the
     last axis, of states on the nodes r stacked as the rows of u."""
-    d, k = config.params.d, config.params.k
+    d, kappa = config.params.d, config.params.kappa
     dr = r[1:] - r[:-1]
     gmid = (u[..., 1:] - u[..., :-1]) / dr
     rmid = 0.5 * (r[:-1] + r[1:])
     umid = 0.5 * (u[..., :-1] + u[..., 1:])
-    dens = gmid * gmid + k * (d + k - 2.0) * np.sin(umid) ** 2 / (rmid * rmid)
+    dens = gmid * gmid + kappa * np.sin(umid) ** 2 / (rmid * rmid)
     return 0.5 * np.sum(dens * rmid ** (d - 1.0) * dr, axis=-1)
 
 
@@ -347,7 +349,7 @@ def _operator(config, first=0):
     to_L = np.zeros(n)
     to_L[-2:] = band[:2, n + 2]
     return _Operator(np.asfortranarray(band[:, 2:n + 2]), to_L,
-                     0.5 * k * (d + k - 2.0) * np.exp(-2.0 * x[:n]))
+                     0.5 * config.params.kappa * np.exp(-2.0 * x[:n]))
 
 
 def _make_rhs(op, uL):
@@ -786,7 +788,9 @@ def run(config, progress=None):
     The first chunk starts on initialize's nodes and each later one on its
     _first_node's, through _carry alone; a chunk never drops nodes, and one
     that starts at sup|u_r| = 0 has no layer to follow and never ends by
-    growth.  Each step only takes what the loop needs (_steepest); a chunk
+    growth.  A chunk ends at a CHUNK_GROWTH-fold growth of sup|u_r|, or
+    when its first node reaches R_MIN_SCALE of the layer, whichever comes
+    first.  Each step only takes what the loop needs (_steepest); a chunk
     holds its steps as (theta, u, sup|u_r|, its location) on its one node
     array until it ends, and then turns them into trace rows at once
     (_trace_rows, with t = the chunk's start + theta), so the buffer never
@@ -812,7 +816,6 @@ def run(config, progress=None):
     t_chunk, solver = state.t, None
     while True:
         started = time.perf_counter()
-        chunk_limit = CHUNK_GROWTH * gmax if gmax > 0 else math.inf
         g_chunk, row0 = gmax, rows
         t_bound = config.t_max - t_chunk
         if solver is None:
@@ -822,6 +825,10 @@ def run(config, progress=None):
             first = min(first, _first_node(config, gmax))
             r, op = _nodes(config, first), _operator(config, first)
             _carry(config, solver, op, r, uL, t_bound)
+        # later chunks' nodes are chosen for the growth, so the node limit
+        # binds only on a first chunk whose sup|u_r| exceeds the whole grid's
+        chunk_limit = min(CHUNK_GROWTH * gmax if gmax > 0 else math.inf,
+                          R_MIN_SCALE / r[1])
         # the chunk's nodes, and so their cell widths, are fixed
         dr = r[1:] - r[:-1]
         while solver.status == "running":
@@ -899,50 +906,42 @@ def _subsample_log(g):
     return np.array(keep, dtype=int)
 
 
-#: a scale counts as resolved while at least this many nodes sit inside it
+#: the layer counts as resolved while at least this many nodes sit inside it
 MIN_LAYER_NODES = 20
-
-
-def _resolved_window(trace):
-    """The window of every rate fit, the rows and sup |u_r| at the kept rows
-    of the first longest contiguous stretch with enough nodes inside the
-    layer: the recorded gradient is not trustworthy outside it.  NoBlowup if
-    the run did not blow up."""
-    if trace.no_blowup:
-        raise NoBlowup("trace ended before the stop criterion")
-    idx = _subsample_log(trace.sup_grad)
-    ok = trace.nodes_in_layer[idx] >= MIN_LAYER_NODES
-    # (start, end) of each run of resolved samples
-    runs = np.flatnonzero(np.diff(np.concatenate(([False], ok, [False]))))
-    runs = runs.reshape(-1, 2)
-    lengths = runs[:, 1] - runs[:, 0]
-    if not np.any(lengths >= 12):
-        raise WindowTooShort("no resolved stretch of 12+ samples in the trace")
-    start, end = runs[np.argmax(lengths)]
-    idx = idx[start:end]
-    return idx, trace.sup_grad[idx]
 
 
 def _samples(trace):
     """The samples of every rate fit: t_left and sup |u_r| on the rungs
-    sup |u_r| = 10^(j / SAMPLES_PER_DECADE) of the resolved window.
+    sup |u_r| = 10^(j / SAMPLES_PER_DECADE) of the whole run; NoBlowup if
+    it did not blow up.  The grid holds the same nodes per decade at every
+    depth, and a chunk ends at a CHUNK_GROWTH-fold growth of sup |u_r| or
+    when its first node reaches R_MIN_SCALE of the layer, whichever comes
+    first: the layer's node count repeats chunk by chunk.  So the fits take
+    the whole run, and WindowTooShort refuses it if the layer ever held
+    fewer than MIN_LAYER_NODES nodes, where sup |u_r| is not trustworthy.
 
-    t_left is interpolated, by 4 points in log sup |u_r|, between the
-    window's kept rows (_subsample_log) after the last row at which
-    sup |u_r| lay a rung or more below its maximum so far; the run's last
-    row takes the place of the window's last kept one when the window ends
-    the run.  The rungs do not depend on where the steps fell, so each
-    difference spans the same fraction of T - t at every depth, and a
-    change of the step sequence moves a fit only as far as it moves the
-    solution."""
-    idx = _resolved_window(trace)[0]
+    t_left is interpolated, by 4 points in log sup |u_r|, between the run's
+    kept rows (_subsample_log) after the last row at which sup |u_r| lay a
+    rung or more below its maximum so far; the run's last row takes the
+    place of the last kept one.  The rungs do not depend on where the steps
+    fell, so each difference spans the same fraction of T - t at every
+    depth, and a change of the step sequence moves a fit only as far as it
+    moves the solution."""
+    if trace.no_blowup:
+        raise NoBlowup("trace ended before the stop criterion")
+    least = int(trace.nodes_in_layer.min())
+    if least < MIN_LAYER_NODES:
+        raise WindowTooShort(
+            f"the layer held {least} < {MIN_LAYER_NODES} nodes; raise M")
     g, n = trace.sup_grad, SAMPLES_PER_DECADE
-    end = idx[-1]
-    if not np.any(g[end:] >= g[end] * 10.0 ** (1.0 / n)) and g[-1] > g[end]:
-        end = g.size - 1
+    idx = _subsample_log(g)
+    if idx.size < 12:
+        raise WindowTooShort("fewer than 12 samples in the trace")
+    end = g.size - 1
+    if g[end] > g[idx[-1]]:
         idx = np.append(idx[:-1] if g[end] < g[idx[-1]] * 10.0 ** (0.5 / n)
                         else idx, end)
-    window = g[idx[0]:end + 1]
+    window = g[idx[0]:idx[-1] + 1]
     low = np.flatnonzero(
         window < np.maximum.accumulate(window) * 10.0 ** (-1.0 / n))
     rows = idx[idx > idx[0] + low[-1]] if low.size else idx
@@ -970,8 +969,8 @@ def fit_power(trace):
 
     q(t) = d log(sup_grad)/dt equals (1/2+beta)/(T-t) for a pure power law,
     so 1/q is linear in t with root T; a line fit over the last three
-    decades of the resolved window gives beta and tau = T - t at the last
-    row.  Time is -t_left, which is exact however close the rows are to T."""
+    decades of the run gives beta and tau = T - t at the last row.  Time
+    is -t_left, which is exact however close the rows are to T."""
     t_left, g = _samples(trace)
     mask = g >= g[-1] / 1e3
     t_left, g = t_left[mask], g[mask]
@@ -1084,7 +1083,7 @@ def _minimize_bounded(f, lo, hi, xatol):
 
 def fit_log(trace, delta=1.0):
     """Logarithmic-law fit: sqrt(T-t) sup_grad = C (-log(T-t) - s0)^{1/delta}
-    over the last six e-folds of T - t in the resolved window.
+    over the last six e-folds of T - t in the run.
 
     With T - t = t_left + tau and tau fixed the model is linear in
     -log(T-t) after raising to the delta power, so an inner linear solve

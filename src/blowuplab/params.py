@@ -58,6 +58,12 @@ class ModelParams:
             raise ValueError(f"d = {self.d} is too large: (d - 2(k+1))^2, "
                              "whose root is omega, overflows")
 
+    @property
+    def kappa(self):
+        """k(d+k-2): the flow's term is -kappa/(2 r^2) sin(2u), and the
+        energy density's kappa sin(u)^2 / r^2."""
+        return self.k * (self.d + self.k - 2.0)
+
 
 @dataclass(frozen=True)
 class DerivedConstants:

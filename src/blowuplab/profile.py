@@ -134,8 +134,7 @@ def _origin_series(consts, s):
 
 def _pendulum_coefficients(consts):
     """(damping, torque) of v'' = -damping v' - torque sin v."""
-    d, k = consts.params.d, consts.params.k
-    return d - 2.0, k * (d + k - 2.0)
+    return consts.params.d - 2.0, consts.params.kappa
 
 
 def _pendulum_rhs(consts):

@@ -187,13 +187,12 @@ class EigenBasis:
     def apply_operator(self, n, y):
         """A phi_n evaluated from the analytic derivatives (equals
         lambda_n phi_n up to rounding error)."""
-        d = self.consts.params.d
-        k = self.consts.params.k
+        d, kappa = self.consts.params.d, self.consts.params.kappa
         y = np.asarray(y, dtype=float)
         return (
             -self.phi_second(n, y)
             - ((d - 1.0) / y - 0.5 * y) * self.phi_prime(n, y)
-            - k * (d + k - 2.0) / (y * y) * self.phi(n, y)
+            - kappa / (y * y) * self.phi(n, y)
         )
 
     def project(self, psi, y_max=None):

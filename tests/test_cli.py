@@ -590,6 +590,26 @@ def test_simulate_kink_at_the_first_node(tmp_path, capsys, kink_config):
     capsys.readouterr()
 
 
+def test_coarse_run_has_no_fit(tmp_path, capsys):
+    # M = 64 to sup|u_r| = 1e12 holds fewer than 20 nodes in the layer at
+    # each chunk's end: simulate keeps the run and says why it has no fit;
+    # compare exits 1 with one line and writes no tables
+    cfg = write_config(tmp_path / "coarse.json", M=64, rtol=1e-7,
+                       max_gradient=1e12)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    run = tmp_path / [d for d in os.listdir(tmp_path) if d.startswith("run_")][0]
+    assert read_json(run / "manifest.json")["stop"]["reason"] == "blowup"
+    assert read_json(run / "fit.json") == {
+        "error": "WindowTooShort",
+        "message": "the layer held 16 < 20 nodes; raise M"}
+    capsys.readouterr()
+    assert cli.main(["compare", "--run", str(run)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "WindowTooShort: the layer held 16 < 20 nodes; raise M\n"
+    for table in ("rate_plot.csv", "overlay.csv"):
+        assert not (run / table).exists()
+
+
 def test_simulate_k2_fits_layer_scale(tmp_path, capsys):
     # at k = 2 the layer U*(y/eps) has u_r(0) = 0; the fits and the overlay
     # read R = 1/sup |u_r|, whose exponent 1/2 + beta is of the order 1/2
@@ -684,6 +704,25 @@ def test_simulate_sweep_keeps_good_runs(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert dirs[0] in out and "stopped=tmax" in out
     assert err.count("\n") == 1 and bad in err
+
+
+def test_simulate_sweep_reports_a_failed_run(tmp_path, capsys):
+    # u(L) = 1e300 makes the first chunk's settle solve non-finite: the
+    # typed error gets one line naming its config, the good run is kept
+    good = write_config(tmp_path / "good.json", t_max=1e-3, M=101)
+    bad = str(tmp_path / "huge.json")
+    with open(bad, "w") as fh:
+        json.dump({"d": 8, "k": 1, "M": 64,
+                   "initial_data": [[0, 2], [0, 1e300]]}, fh)
+    assert cli.main(["simulate", "--config", bad, "--sweep", good,
+                     "--out", str(tmp_path), "--workers", "2"]) == 1
+    dirs = [d for d in os.listdir(tmp_path) if d.startswith("run_")]
+    assert len(dirs) == 1
+    assert os.path.exists(tmp_path / dirs[0] / "manifest.json")
+    out, err = capsys.readouterr()
+    assert dirs[0] in out and "stopped=tmax" in out
+    assert err == (f"{bad}: StepSizeUnderflow: singular or non-finite "
+                   "settle solve\n")
 
 
 def test_out_root_env_override(tmp_path, monkeypatch, capsys):

@@ -897,10 +897,16 @@ def test_tiny_tmax_flags_no_blowup():
         fit_power(trace)
 
 
-def test_deep_run_reaches_max_gradient():
+@pytest.fixture(scope="module")
+def deep_trace():
+    """A run on the coarsest grid, M = 64, to sup|u_r| = 1e12."""
+    return run(config(M=64, max_gradient=1e12))
+
+
+def test_deep_run_reaches_max_gradient(deep_trace):
     # far past sup|u_r| ~ 1e8, where the absolute times of the last rows
     # coincide: each chunk solver's own clock keeps stepping to the stop
-    trace = run(config(M=64, max_gradient=1e12))
+    trace = deep_trace
     assert trace.stopped == "blowup"
     assert trace.sup_grad[-1] >= 1e12
     assert trace.t[-1] == trace.t[-2]
@@ -920,6 +926,27 @@ def test_deep_run_reaches_max_gradient():
     # the rows of every chunk are kept
     assert trace.chunk_log[-1]["end"] == "blowup"
     assert sum(line["steps"] for line in trace.chunk_log) == trace.t.size - 1
+
+
+def test_coarse_run_has_no_fit(deep_trace):
+    # on this grid the layer falls below MIN_LAYER_NODES nodes: the fits
+    # refuse the run rather than fit a piece of it
+    assert deep_trace.nodes_in_layer.min() == 16
+    for fit in (fit_power, fit_log):
+        with pytest.raises(WindowTooShort, match="16 < 20 nodes; raise M"):
+            fit(deep_trace)
+
+
+def test_progress_reports_every_accepted_step():
+    # progress(t, sup|u_r|) is called once per accepted step with that row's
+    # own values (the benchmark's tracer stamps the steps by it)
+    calls = []
+    trace = run(config(M=161, rtol=1e-6, max_gradient=1e6),
+                progress=lambda t, g: calls.append((t, g)))
+    t, g = map(np.array, zip(*calls))
+    assert len(calls) == trace.t.size - 1 == 414
+    assert np.array_equal(t, trace.t[1:])
+    assert np.array_equal(g, trace.sup_grad[1:])
 
 
 def test_snapshots_distinct(quick_trace):
@@ -958,6 +985,11 @@ def test_first_chunk_starts_on_initialize_nodes(kink_config):
     assert np.array_equal(trace.snapshots[0].r, state.r)
     assert trace.min_dx[0] == np.diff(state.r).min()
     assert trace.nodes_in_layer[0] <= state.r.size
+    # the nodes were chosen for sup|u_r| = 10: the chunk ends where its
+    # first node reaches R_MIN_SCALE of the layer (at 106.8), before the
+    # 10-fold growth of its 14.5 (147.3, 1.4 R_MIN_SCALE)
+    end = trace.chunk_log[0]["sup_grad1"]
+    assert state.r[1] * end <= 1.1 * meshsim.R_MIN_SCALE
 
 
 def test_zero_data_is_one_chunk():
@@ -1171,43 +1203,6 @@ def test_fit_log_nan_misfit_is_degenerate(monkeypatch):
                         lambda x, z, deg: (math.nan, math.nan))
     with pytest.raises(DegenerateFit, match="outer search"):
         fit_log(trace)
-
-
-def _longest_run_loop(ok):
-    """(start, length) of the first longest run of True in ok, by the
-    run-length loop that _resolved_window replaced: its reference."""
-    best, run, start, best_start = 0, 0, 0, 0
-    for j, flag in enumerate(ok):
-        if flag:
-            if run == 0:
-                start = j
-            run += 1
-            if run > best:
-                best, best_start = run, start
-        else:
-            run = 0
-    return best_start, best
-
-
-def test_resolved_window_matches_loop():
-    # resolved stretches of random lengths, and equal ones of 4 to 40
-    # samples: too short, ties, and resolved throughout
-    trace = synthetic_trace(0.25, lambda tau: tau ** -0.6306)
-    idx = meshsim._subsample_log(trace.sup_grad)
-    rng = np.random.default_rng(7)
-    for case in range(40):
-        ok = rng.random(idx.size) < 0.97 if case % 2 else \
-            np.tile(np.arange(40) < 4 + case, idx.size // 40 + 1)[:idx.size]
-        trace.nodes_in_layer[idx] = np.where(ok, 50, 5)
-        start, length = _longest_run_loop(ok)
-        if length < 12:
-            with pytest.raises(WindowTooShort):
-                meshsim._resolved_window(trace)
-            continue
-        rows, g = meshsim._resolved_window(trace)
-        kept = idx[start:start + length]
-        assert np.array_equal(rows, kept)
-        assert np.array_equal(g, trace.sup_grad[kept])
 
 
 # ----------------------------------------------------------------------------
