@@ -18,11 +18,12 @@ criterion the layer R = 1/sup|u_r| is still 1/R_MIN_SCALE times r_min.
 Interior nodes take 5-point fourth-order central differences.  The node
 next to L and the first two nodes of the grid take the 3-point
 second-order stencil; at the first, the regularity condition u ~ r^k, that
-is u_x = k u, enters through the ghost node u_{-1} = u_1 - 2hk u_0.  The
-linear part is a constant pentadiagonal matrix (_operator), kept in LAPACK
-band storage, so the RHS is one BLAS band product (dgbmv) plus the boundary
-and sine terms, and the Jacobian is that matrix plus diag(-k(d+k-2) e^{-2x}
-cos 2u); no differencing is needed.  The stepper (_BandBDF) is scipy's BDF,
+is u_x = k u, enters through the ghost node u_{-1} = u_1 - 2hk u_0.  A
+chunk's system (_Chunk, built by _chunk) holds its nodes and its linear
+part, a constant pentadiagonal matrix kept in LAPACK band storage, so the
+RHS is one BLAS band product (dgbmv) plus the boundary and sine terms, and
+the Jacobian is that matrix plus diag(-k(d+k-2) e^{-2x} cos 2u); no
+differencing is needed.  The stepper (_BandBDF) is scipy's BDF,
 the variable-order NDF, with a band LU and a fresh J for each factorisation.
 
 A new chunk starts each time sup |u_r| has grown by CHUNK_GROWTH, or its
@@ -302,13 +303,6 @@ def _first_node(config, g):
     return min(max(first, 0), x.size - 8)
 
 
-def _nodes(config, first):
-    """The origin and the grid nodes from index `first` on."""
-    r = np.concatenate([[0.0], np.exp(_log_grid(config)[0][first:])])
-    r[-1] = config.L
-    return r
-
-
 #: weights of u_{j-2} .. u_{j+2} in h^2 u_xx and h u_x: 5-point fourth
 #: order, and 3-point second order
 _D2_5 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -318,18 +312,41 @@ _D1_3 = np.array([0.0, -0.5, 0.0, 0.5, 0.0])
 
 
 @dataclass(frozen=True)
-class _Operator:
-    """u' = A u + u(L) to_L - w sin 2u on the unknowns u_0 .. u_{n-1}, every
-    grid node but L; A is pentadiagonal and the same for the whole run."""
-    ab: np.ndarray     # A in LAPACK band storage, Fortran-ordered for BLAS:
-                       # A[i, j] = ab[2 + i - j, j]
-    to_L: np.ndarray   # A's column at the fixed node L
-    w: np.ndarray      # k(d+k-2)/2 e^{-2x}
+class _Chunk:
+    """The system of one chunk, u' = A u + boundary - w sin 2u on the
+    unknowns u_0 .. u_{n-1}, every grid node of the chunk but L; A is
+    pentadiagonal and fixed for the chunk."""
+    r: np.ndarray          # the origin, the chunk's grid nodes and L
+    ab: np.ndarray         # A in LAPACK band storage, Fortran-ordered for
+                           # BLAS: A[i, j] = ab[2 + i - j, j]
+    boundary: np.ndarray   # u(L) times A's column at L: its last two
+                           # entries, the others are 0
+    w: np.ndarray          # k(d+k-2)/2 e^{-2x}
+
+    @property
+    def atol(self):
+        """The absolute tolerance of each unknown."""
+        return ATOL_U * self.r[1:-1]
+
+    def rhs(self, t, y):
+        """The RHS of one state: the band product A y, the two boundary
+        entries, and -w sin 2y."""
+        f = dgbmv(y.size, y.size, 2, 2, 1.0, self.ab, y)
+        f[-2:] += self.boundary
+        f -= self.w * np.sin(2.0 * y)
+        return f
+
+    def jac(self, t, y):
+        """The Jacobian of rhs, A + diag(-2 w cos 2y), in the band storage
+        of ab."""
+        J = self.ab.copy()
+        J[2] -= 2.0 * self.w * np.cos(2.0 * y)
+        return J
 
 
-def _operator(config, first=0):
-    """The _Operator of a config's grid from node index `first` on, with
-    the ghost node below that node (see the module docstring)."""
+def _chunk(config, first, uL):
+    """The _Chunk of a config's grid from node index `first` on, with u(L)
+    = uL and the ghost node below that node (see the module docstring)."""
     x, h = _log_grid(config)
     x = x[first:]
     d, k = config.params.d, config.params.k
@@ -346,39 +363,10 @@ def _operator(config, first=0):
     band = np.zeros((5, n + 4))
     for o in range(-2, 3):
         band[2 - o, 2 + o:n + 2 + o] = weights[:, 2 + o]
-    to_L = np.zeros(n)
-    to_L[-2:] = band[:2, n + 2]
-    return _Operator(np.asfortranarray(band[:, 2:n + 2]), to_L,
-                     0.5 * config.params.kappa * np.exp(-2.0 * x[:n]))
-
-
-def _make_rhs(op, uL):
-    """The RHS of the unknowns, of one state (n,) or, column by column, of a
-    block (n, m): the band product A u, the two entries of u(L) to_L, and
-    -w sin 2u."""
-    n = op.w.size
-    ab, w, boundary = op.ab, op.w, op.to_L[-2:] * uL
-
-    def rhs(t, y):
-        if y.ndim == 2:
-            return np.stack([rhs(t, v) for v in y.T], axis=1)
-        f = dgbmv(n, n, 2, 2, 1.0, ab, y)
-        f[-2:] += boundary
-        f -= w * np.sin(2.0 * y)
-        return f
-
-    return rhs
-
-
-def _make_jac(op):
-    """The Jacobian of _make_rhs(op, uL) for any uL, A + diag(-2 w cos 2u),
-    in the band storage of op.ab."""
-    def jac(t, y):
-        J = op.ab.copy()
-        J[2] -= 2.0 * op.w * np.cos(2.0 * y)
-        return J
-
-    return jac
+    r = np.concatenate([[0.0], np.exp(x)])
+    r[-1] = config.L
+    return _Chunk(r, np.asfortranarray(band[:, 2:n + 2]), band[:2, n + 2] * uL,
+                  0.5 * config.params.kappa * np.exp(-2.0 * x[:n]))
 
 
 # ----------------------------------------------------------------------------
@@ -425,17 +413,17 @@ def initialize(config):
     """Sample the initial data on the origin and the grid nodes of the first
     chunk (_first_node of its sup |u_r| on the whole grid)."""
     fam = initial_profile(config)
-    r = _nodes(config, 0)
+    r = _chunk(config, 0, 0.0).r
     u = np.array(fam(r), dtype=float)
     if abs(u[0]) > 1e-14:
         raise BadInitialData("initial data must satisfy u(0) = 0")
     u[0] = 0.0
     first = _first_node(config, _steepest(r, u)[0])
-    u = np.concatenate([[0.0], u[first + 1:]])
-    return MeshState(t=0.0, r=_nodes(config, first), u=u)
+    return MeshState(t=0.0, r=np.concatenate([[0.0], r[first + 1:]]),
+                     u=np.concatenate([[0.0], u[first + 1:]]))
 
 
-def _settle(op, y, uL, tangents=()):
+def _settle(chunk, y, tangents=()):
     """Put the unknowns y within SETTLE_SPAN of the first node on their
     quasi-steady state, the RHS 0 there with the others held, in place.
     Their relaxation time is SETTLE_SPAN^2 times the first node's at most,
@@ -443,21 +431,23 @@ def _settle(op, y, uL, tangents=()):
     there (the ghost closure below sampled or extended data, rounding)
     would set its first steps.  The rows of `tangents` (a carried step
     history, see _carry) go on that state's tangent in place, (J v)[:m] = 0,
-    by the J and the m x m band LU of the last Newton solve."""
-    n, m = y.size, int(np.sum(op.w > op.w[0] / SETTLE_SPAN ** 2))
-    rhs, jac = _make_rhs(op, uL), _make_jac(op)
+    by the J and the m x m band LU of the last Newton solve.  (J v)[:m] is
+    the first m entries of the whole band product: dgbmv takes no fewer
+    rows than the band's width, five, and m is below that on a grid coarser
+    than ln SETTLE_SPAN / 4 in x."""
+    n, m = y.size, int(np.sum(chunk.w > chunk.w[0] / SETTLE_SPAN ** 2))
     for _ in range(3):
-        J = jac(0.0, y)
+        J = chunk.jac(0.0, y)
         lu, piv, info = _band_lu(J[:, :m])
-        y[:m] -= dgbtrs(lu, 2, 2, rhs(0.0, y)[:m], piv)[0]
+        y[:m] -= dgbtrs(lu, 2, 2, chunk.rhs(0.0, y)[:m], piv)[0]
         if info or not np.isfinite(y[:m]).all():
             raise StepSizeUnderflow("singular or non-finite settle solve")
     for v in tangents:
-        v[:m] -= dgbtrs(lu, 2, 2, dgbmv(m, n, 2, 2, 1.0, J, v), piv)[0]
+        v[:m] -= dgbtrs(lu, 2, 2, dgbmv(n, n, 2, 2, 1.0, J, v)[:m], piv)[0]
 
 
 def _band_lu(ab):
-    """dgbtrf's (lu, piv, info) of a (5, n) band storage like _Operator.ab."""
+    """dgbtrf's (lu, piv, info) of a (5, n) band storage like _Chunk.ab."""
     lu = np.empty((7, ab.shape[1]), order="F")
     lu[2:] = ab
     return dgbtrf(lu, 2, 2, overwrite_ab=1)
@@ -516,7 +506,7 @@ def _change_D(D, order, factor):
 
 class _BandBDF:
     """The NDF stepper on y' = fun(t, y) from t = 0 to t_bound > 0, with
-    jac(t, y) in the (5, n) band storage of _Operator.ab.  It counts nfev,
+    jac(t, y) in the (5, n) band storage of _Chunk.ab.  It counts nfev,
     njev and nlu (one J per LU), and the wall seconds in fun (rhs_s), in jac
     (jac_s) and in band factorisations and solves (lu_s), since its start;
     chunk_counters() gives their growth since the last rebase."""
@@ -747,38 +737,36 @@ def step(config, state, dt_max=np.inf):
     """Advance one accepted implicit step from a state on grid nodes of
     `config` (initialize's, or a snapshot's); mostly a testing convenience,
     run() takes its steps through the same _new_solver and _advance."""
-    op = _operator(config, config.M - state.r.size)
-    solver = _new_solver(config, op, state, dt_max)
+    chunk = _chunk(config, config.M - state.r.size, state.u[-1])
+    solver = _new_solver(config, chunk, state.u[1:-1], dt_max)
     u = _advance(solver, state.u[-1])
     return MeshState(t=state.t + solver.t, r=state.r, u=u)
 
 
-def _new_solver(config, op, state, t_bound):
-    """A _BandBDF solver from `state` on its own clock, from 0 (the RHS is
-    autonomous): the first chunk's, later chunks carry it (_carry)."""
-    y0 = state.u[1:-1].copy()
-    _settle(op, y0, state.u[-1])
-    return _BandBDF(_make_rhs(op, state.u[-1]), _make_jac(op), y0, t_bound,
-                    config.rtol, ATOL_U * state.r[1:-1])
+def _new_solver(config, chunk, y0, t_bound):
+    """A _BandBDF solver of `chunk` from the unknowns y0, settled, on its
+    own clock from 0 (the RHS is autonomous): the first chunk's, later
+    chunks carry it (_carry)."""
+    y0 = y0.copy()
+    _settle(chunk, y0)
+    return _BandBDF(chunk.rhs, chunk.jac, y0, t_bound, config.rtol,
+                    chunk.atol)
 
 
-def _carry(config, solver, op, r, uL, t_bound):
-    """Carry `solver` into the chunk on the nodes r (_nodes', the origin
-    first and L, where u = uL, last) and their operator `op`, on a clock
-    restarted at 0 toward t_bound.  The nodes below the solver's first node
-    take every row of its step history D on the regular solution u ~ r^k
-    through that node (D is linear in u); then _settle puts D[0] near the
-    new first node on its quasi-steady state and the higher rows on its
-    tangent.  Without new nodes D is kept as it is: the nodes it has stepped
-    are settled."""
-    D = solver.D
+def _carry(config, solver, chunk, t_bound):
+    """Carry `solver` into `chunk` on a clock restarted at 0 toward t_bound.
+    The nodes below the solver's first node take every row of its step
+    history D on the regular solution u ~ r^k through that node (D is
+    linear in u); then _settle puts D[0] near the new first node on its
+    quasi-steady state and the higher rows on its tangent.  Without new
+    nodes D is kept as it is: the nodes it has stepped are settled."""
+    D, r = solver.D, chunk.r
     new = r.size - 2 - D.shape[1]
     if new:
         below = (r[1:new + 1] / r[new + 1]) ** config.params.k
         D = np.concatenate([D[:, :1] * below, D], axis=1)
-        _settle(op, D[0], uL, D[1:])
-    solver.rebase(_make_rhs(op, uL), _make_jac(op), D, t_bound,
-                  ATOL_U * r[1:-1])
+        _settle(chunk, D[0], D[1:])
+    solver.rebase(chunk.rhs, chunk.jac, D, t_bound, chunk.atol)
 
 
 def run(config, progress=None):
@@ -819,12 +807,13 @@ def run(config, progress=None):
         g_chunk, row0 = gmax, rows
         t_bound = config.t_max - t_chunk
         if solver is None:
-            op = _operator(config, first)
-            solver = _new_solver(config, op, state, t_bound)
+            chunk = _chunk(config, first, uL)
+            solver = _new_solver(config, chunk, u[1:-1], t_bound)
         else:
             first = min(first, _first_node(config, gmax))
-            r, op = _nodes(config, first), _operator(config, first)
-            _carry(config, solver, op, r, uL, t_bound)
+            chunk = _chunk(config, first, uL)
+            _carry(config, solver, chunk, t_bound)
+        r = chunk.r
         # later chunks' nodes are chosen for the growth, so the node limit
         # binds only on a first chunk whose sup|u_r| exceeds the whole grid's
         chunk_limit = min(CHUNK_GROWTH * gmax if gmax > 0 else math.inf,
@@ -1088,7 +1077,9 @@ def fit_log(trace, delta=1.0):
     With T - t = t_left + tau and tau fixed the model is linear in
     -log(T-t) after raising to the delta power, so an inner linear solve
     sits under a 1-D search over log tau, tau the T - t of the last row: the
-    bounded Brent search of _minimize_bounded, to 1e-12 in log tau."""
+    bounded Brent search of _minimize_bounded.  Like scipy's, it stops at
+    about 1.5e-8 |log tau| + xatol / 3 in log tau, so its relative part
+    binds and xatol = 1e-12 does not (3.6e-7 at log tau = -24)."""
     t_left, g = _samples(trace)
     # parabolic scaling puts tau near 1/sup|u_r|^2 at the last row
     tau_guess = trace.sup_grad[-1] ** -2.0

@@ -37,7 +37,7 @@ def kink_config():
     cfg = meshsim.SimConfig(params=params.ModelParams(d=8.0, k=1), M=161,
                             rtol=1e-6, max_gradient=1e6)
     first = meshsim._first_node(cfg, 10.0)
-    r = meshsim._nodes(cfg, first)
+    r = meshsim._chunk(cfg, first, 0.0).r
     rk = float(math.sqrt(r[1] * r[2]))
     assert first == 68 and rk == pytest.approx(1.0163598813e-05, rel=1e-10)
     cfg.initial_data = [[0.0, rk, 1.0, 2.0], [0.0, 10 * rk, 10 * rk, 2.0]]

@@ -128,7 +128,7 @@ def test_solver_at_its_bound_finishes_without_a_step():
     # first step() finishes at t = 0 without a Newton solve, as in scipy
     cfg = config(M=101)
     state = initialize(cfg)
-    solver = meshsim._new_solver(cfg, _op(cfg, state), state, 0.0)
+    solver = _solver(cfg, state, 0.0)
     assert solver.h_abs == 0.0
     solver.step()
     assert (solver.status, solver.t, solver.nlu) == ("finished", 0.0, 0)
@@ -159,27 +159,25 @@ def test_energy_decreases_across_steps():
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
 
 
-def _op(cfg, state):
-    """The operator on the grid nodes of `state`."""
-    return meshsim._operator(cfg, cfg.M - state.r.size)
+def _chunk(cfg, state):
+    """The chunk on the grid nodes of `state`, with its u(L)."""
+    return meshsim._chunk(cfg, cfg.M - state.r.size, state.u[-1])
 
 
 def _rhs(cfg, state):
     """The RHS of the unknowns of `state` and their values."""
-    return meshsim._make_rhs(_op(cfg, state), state.u[-1]), state.u[1:-1]
+    return _chunk(cfg, state).rhs, state.u[1:-1]
 
 
-def test_rhs_batched_matches_single_columns():
-    cfg = config(M=121)
-    rhs, y = _rhs(cfg, initialize(cfg))
-    rng = np.random.default_rng(0)
-    Y = y[:, None] * (1.0 + 1e-3 * rng.standard_normal((y.size, 5)))
-    F = rhs(0.0, Y)
-    assert F.shape == Y.shape
-    for j in range(Y.shape[1]):
-        f = rhs(0.0, Y[:, j])
-        assert f.shape == y.shape
-        assert np.max(np.abs(F[:, j] - f)) <= 1e-12 * np.max(np.abs(f))
+def _solver(cfg, state, t_bound):
+    """The first-chunk solver from `state` toward t_bound."""
+    return meshsim._new_solver(cfg, _chunk(cfg, state), state.u[1:-1], t_bound)
+
+
+def _columns(rhs):
+    """rhs of each column of a block, stacked as columns: the vectorized
+    form that num_jac evaluates."""
+    return lambda t, Y: np.stack([rhs(t, y) for y in Y.T], axis=1)
 
 
 def _reference_rhs(cfg, r, u):
@@ -235,7 +233,7 @@ def test_rhs_fourth_order():
         state = initialize(cfg)
         r = state.r
         u = 2.0 * np.arctan(r)
-        rhs = meshsim._make_rhs(_op(cfg, state), u[-1])
+        rhs = meshsim._chunk(cfg, cfg.M - r.size, u[-1]).rhs
         ur, urr = 2.0 / (1.0 + r * r), -4.0 * r / (1.0 + r * r) ** 2
         exact = urr[1:-1] + (d - 1.0) / r[1:-1] * ur[1:-1] \
             - (d - 1.0) / (2.0 * r[1:-1] ** 2) * np.sin(2.0 * u[1:-1])
@@ -283,9 +281,10 @@ def _dense(ab):
 def _jac_error(cfg, state):
     """Distance (see _row_error) of the Jacobian the stepper was given from
     scipy's dense finite-difference one."""
-    solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0)
+    solver = _solver(cfg, state, 1.0)
     rhs, y = _rhs(cfg, state)[0], solver.y
-    J_ref, _ = num_jac(rhs, state.t, y, rhs(state.t, y), solver.atol, None)
+    J_ref, _ = num_jac(_columns(rhs), state.t, y, rhs(state.t, y),
+                       solver.atol, None)
     return _row_error(_dense(solver.jac(solver.t, y)), J_ref)
 
 
@@ -294,7 +293,7 @@ def _newton_error(cfg, state, extra_c=()):
     from a dense solve, relative to the largest entry of x, for c from 1/100
     to 100 times the first step the stepper selects and for each of
     extra_c."""
-    solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0)
+    solver = _solver(cfg, state, 1.0)
     J_band = solver.jac(solver.t, solver.y)
     J = _dense(J_band)
     n = J.shape[0]
@@ -334,11 +333,12 @@ def test_jacobian_matches_central_differences(kw):
     # their own scale (see _row_error)
     cfg = config(**{"d": 8.0, **kw})
     state = initialize(cfg)
-    rhs, y = _rhs(cfg, state)
+    chunk, y = _chunk(cfg, state), state.u[1:-1]
+    rhs = _columns(chunk.rhs)
     step = 1e-4 * np.maximum(np.abs(y), meshsim.ATOL_U * state.r[1:-1])
     Y = y[:, None] + np.diag(step)
     J_ref = (rhs(0.0, Y) - rhs(0.0, y[:, None] - np.diag(step))) / (2.0 * step)
-    J = _dense(meshsim._make_jac(_op(cfg, state))(0.0, y))
+    J = _dense(chunk.jac(0.0, y))
     assert _row_error(J, J_ref) <= 1e-8
 
 
@@ -360,35 +360,39 @@ def test_newton_band_gather_matches_masks(kw):
     # dense A that a boolean mask of A's coordinate form picks out
     cfg = config(**kw)
     state = initialize(cfg)
-    op = _op(cfg, state)
-    solver = meshsim._new_solver(cfg, op, state, 1.0)
+    chunk = _chunk(cfg, state)
+    solver = meshsim._new_solver(cfg, chunk, state.u[1:-1], 1.0)
     y = solver.y
-    coo = _sparse(op.ab).tocoo()
+    coo = _sparse(chunk.ab).tocoo()
     on_diag = coo.row == coo.col
     data = coo.data.copy()
     rows = coo.row[on_diag]
-    data[on_diag] -= 2.0 * op.w[rows] * np.cos(2.0 * y[rows])
+    data[on_diag] -= 2.0 * chunk.w[rows] * np.cos(2.0 * y[rows])
     ref = scipy.sparse.coo_array((data, (coo.row, coo.col)),
                                  shape=coo.shape).toarray()
-    assert np.array_equal(_dense(meshsim._make_jac(op)(0.0, y)), ref)
+    assert np.array_equal(_dense(chunk.jac(0.0, y)), ref)
     assert np.array_equal(_dense(solver.jac(solver.t, y)), ref)
 
 
 def test_newton_bandwidths():
     # the Jacobian, and so the Newton matrix, is pentadiagonal at any n, its
     # band storage holds no entry outside the matrix, and the diagonal is
-    # stored whole for the nonlinear term
+    # stored whole for the nonlinear term; u(L) reaches the last two
+    # unknowns alone, through the two boundary entries
     for M in (64, 201):
-        op = meshsim._operator(config(M=M))
+        chunk = meshsim._chunk(config(M=M), 0, 1.0)
         n = M - 2
-        assert op.ab.shape == (5, n)
-        rows, cols = np.nonzero(_dense(op.ab))
+        assert chunk.ab.shape == (5, n)
+        rows, cols = np.nonzero(_dense(chunk.ab))
         assert (np.max(rows - cols), np.max(cols - rows)) == (2, 2)
-        assert np.all(op.ab[2] != 0.0)
-        outside = [op.ab[0, :2], op.ab[1, :1], op.ab[3, n - 1:],
-                   op.ab[4, n - 2:]]
+        assert np.all(chunk.ab[2] != 0.0)
+        outside = [chunk.ab[0, :2], chunk.ab[1, :1], chunk.ab[3, n - 1:],
+                   chunk.ab[4, n - 2:]]
         assert not np.any(np.concatenate(outside))
-        assert np.count_nonzero(op.to_L) == 2
+        assert chunk.boundary.shape == (2,) and np.all(chunk.boundary != 0.0)
+        f = chunk.rhs(0.0, np.zeros(n))
+        assert np.count_nonzero(f) == 2
+        assert np.array_equal(f[-2:], chunk.boundary)
 
 
 def test_no_dense_lu(monkeypatch):
@@ -411,7 +415,7 @@ def test_no_dense_lu(monkeypatch):
         state = step(cfg, state, dt_max=1e-3)
     trace = run(config(M=101, t_max=1e-3))
     assert trace.solver["nlu"] >= 1 and trace.t.size > 1
-    solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1e-3)
+    solver = _solver(cfg, state, 1e-3)
     solver.step()
     n = state.r.size - 2
     assert solver.jac(solver.t, solver.y).shape == (5, n)
@@ -428,11 +432,11 @@ def test_chunk_solver_memory_linear():
     # a chunk solver holds no n x n dense array: on the whole grid at
     # M = 1921 a dense identity alone would be 29 MB
     cfg = config(M=1921)
-    r = meshsim._nodes(cfg, 0)
+    r = meshsim._chunk(cfg, 0, 0.0).r
     state = MeshState(0.0, r, meshsim.initial_profile(cfg)(r))
     tracemalloc.start()
     try:
-        solver = meshsim._new_solver(cfg, _op(cfg, state), state, 1.0)
+        solver = _solver(cfg, state, 1.0)
         solver.step()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -464,12 +468,12 @@ def test_band_bdf_matches_scipy_bdf(kw, shared_lu):
     # and 2e-11 of y over the 150 steps
     cfg = config(**kw)
     state = initialize(cfg)
-    op = _op(cfg, state)
-    lin = replace(op, w=np.zeros_like(op.w))
-    y0 = meshsim._new_solver(cfg, op, state, cfg.t_max).y
-    rhs, jac = meshsim._make_rhs(lin, state.u[-1]), meshsim._make_jac(lin)
+    chunk = _chunk(cfg, state)
+    lin = replace(chunk, w=0.0)
+    y0 = meshsim._new_solver(cfg, chunk, state.u[1:-1], cfg.t_max).y
+    rhs, jac = lin.rhs, lin.jac
     solver = meshsim._BandBDF(rhs, jac, y0.copy(), cfg.t_max, cfg.rtol,
-                              meshsim.ATOL_U * state.r[1:-1])
+                              lin.atol)
     ref = BDF(rhs, 0.0, y0.copy(), cfg.t_max, rtol=cfg.rtol, atol=solver.atol,
               jac=lambda t, y: _sparse(jac(t, y)).tocsc())
     if shared_lu:
@@ -499,7 +503,7 @@ def test_each_lu_follows_one_jacobian(kw):
     # stepper keeps no J of its own
     cfg = config(**kw)
     state = initialize(cfg)
-    solver = meshsim._new_solver(cfg, _op(cfg, state), state, cfg.t_max)
+    solver = _solver(cfg, state, cfg.t_max)
     jac, lu, calls = solver.jac, solver.lu, []
 
     def traced_jac(t, y):
@@ -530,7 +534,7 @@ def test_newton_failure_on_a_kept_lu_refactors():
     # step, as in scipy
     cfg = config(M=161, rtol=1e-6, max_gradient=1e6)
     state = initialize(cfg)
-    solver = meshsim._new_solver(cfg, _op(cfg, state), state, cfg.t_max)
+    solver = _solver(cfg, state, cfg.t_max)
     while solver.LU is None:
         solver.step()
     newton, calls = solver._solve_bdf_system, []
@@ -567,7 +571,7 @@ def _first_chunk_solver(cfg, steps):
     """The solver of a run's first chunk after `steps` steps, and the state
     it reached."""
     state = initialize(cfg)
-    solver = meshsim._new_solver(cfg, _op(cfg, state), state, cfg.t_max)
+    solver = _solver(cfg, state, cfg.t_max)
     for _ in range(steps):
         state = MeshState(solver.t, state.r,
                           meshsim._advance(solver, state.u[-1]))
@@ -583,8 +587,7 @@ def test_clock_rebase_reproduces_the_next_steps():
     assert solver.order == meshsim._MAX_ORDER
     t0 = solver.t
     twin = copy.deepcopy(solver)
-    meshsim._carry(cfg, twin, _op(cfg, state), state.r, state.u[-1],
-                   cfg.t_max - t0)
+    meshsim._carry(cfg, twin, _chunk(cfg, state), cfg.t_max - t0)
     assert (twin.t, twin.t_bound, twin.LU) == (0.0, cfg.t_max - t0, None)
     solver.LU = None
     for _ in range(8):
@@ -597,27 +600,46 @@ def test_clock_rebase_reproduces_the_next_steps():
         assert np.max(np.abs(twin.y - solver.y) / scale) <= 1e-6
 
 
-def test_carry_puts_the_history_on_the_quasi_steady_state():
-    # the new nodes take every row of the history on the regular solution;
-    # then, near the new first node, f(D[0]) = 0 and J D[j] = 0 for every
-    # higher row, J at D[0]: each to rounding against the size of its terms
-    cfg = config(M=161, rtol=1e-6, max_gradient=1e6)
-    solver, state = _first_chunk_solver(cfg, 60)
-    first = cfg.M - state.r.size - 12
-    r, op = meshsim._nodes(cfg, first), meshsim._operator(cfg, first)
-    meshsim._carry(cfg, solver, op, r, state.u[-1], 1.0)
+def _carry_settled(cfg, steps, new):
+    """Carry the solver of a run's first chunk, after `steps` steps, into
+    the chunk with `new` more nodes; check that the new nodes took every
+    row of the history on the regular solution and that then, near the new
+    first node, f(D[0]) = 0 and J D[j] = 0 for every higher row, J at D[0]:
+    each to rounding against the size of its terms.  Returns the solver
+    and the m unknowns that _settle put on the quasi-steady state."""
+    solver, state = _first_chunk_solver(cfg, steps)
+    chunk = meshsim._chunk(cfg, cfg.M - state.r.size - new, state.u[-1])
+    meshsim._carry(cfg, solver, chunk, 1.0)
     D, order = solver.D, solver.order
-    assert D.shape[1] == r.size - 2 and order == meshsim._MAX_ORDER
+    assert D.shape[1] == chunk.r.size - 2
     assert np.array_equal(solver.y, D[0])
-    m = int(np.sum(op.w > op.w[0] / meshsim.SETTLE_SPAN ** 2))
-    A = _dense(op.ab)
-    f = meshsim._make_rhs(op, state.u[-1])(0.0, D[0])
-    size = np.abs(A) @ np.abs(D[0]) + op.w * np.abs(np.sin(2.0 * D[0]))
+    m = int(np.sum(chunk.w > chunk.w[0] / meshsim.SETTLE_SPAN ** 2))
+    A = _dense(chunk.ab)
+    f = chunk.rhs(0.0, D[0])
+    size = np.abs(A) @ np.abs(D[0]) + chunk.w * np.abs(np.sin(2.0 * D[0]))
     assert np.max(np.abs(f[:m]) / size[:m]) <= 1e-14
-    J = _dense(meshsim._make_jac(op)(0.0, D[0]))
+    J = _dense(chunk.jac(0.0, D[0]))
     for j in range(1, order + 2):
         JD = (J @ D[j])[:m] / (np.abs(J) @ np.abs(D[j]))[:m]
         assert np.max(np.abs(JD)) <= 1e-14, j
+    return solver, m
+
+
+def test_carry_puts_the_history_on_the_quasi_steady_state():
+    cfg = config(M=161, rtol=1e-6, max_gradient=1e6)
+    solver, _ = _carry_settled(cfg, 60, 12)
+    assert solver.order == meshsim._MAX_ORDER
+
+
+def test_carry_settles_a_coarse_grid():
+    # at 2.66 nodes per decade only m = 4 unknowns lie within SETTLE_SPAN of
+    # the new first node, fewer than the band's width: the tangent solve
+    # takes its rows of the whole band product (dgbmv refuses fewer rows
+    # than kl + ku + 1 = 5, and the run ended in a traceback)
+    cfg = config(M=64, max_gradient=1e20)
+    assert cfg.M - initialize(cfg).r.size == 50
+    _, m = _carry_settled(cfg, 5, 2)
+    assert m == 4
 
 
 def test_carried_chunks_keep_the_order(monkeypatch):
@@ -667,8 +689,7 @@ def test_rebase_restarts_the_chunk_counters():
     solver, state = _first_chunk_solver(cfg, 20)
     first = solver.counters()
     assert solver.chunk_counters() == first and first["nlu"] >= 1
-    meshsim._carry(cfg, solver, _op(cfg, state), state.r, state.u[-1],
-                   cfg.t_max - solver.t)
+    meshsim._carry(cfg, solver, _chunk(cfg, state), cfg.t_max - solver.t)
     assert solver.counters() == first
     assert set(solver.chunk_counters().values()) == {0}
     for _ in range(10):
@@ -709,14 +730,13 @@ def test_rhs_norm_overflow_is_a_failed_step():
         assert solver.status == "failed"
 
 
-def _settle_banded(op, y, uL):
+def _settle_banded(chunk, y):
     """The reference settle: _settle's three Newton solves by
     scipy.linalg.solve_banded (LAPACK's gbsv)."""
-    m = int(np.sum(op.w > op.w[0] / meshsim.SETTLE_SPAN ** 2))
-    rhs, jac = meshsim._make_rhs(op, uL), meshsim._make_jac(op)
+    m = int(np.sum(chunk.w > chunk.w[0] / meshsim.SETTLE_SPAN ** 2))
     for _ in range(3):
-        y[:m] -= scipy.linalg.solve_banded((2, 2), jac(0.0, y)[:, :m],
-                                           rhs(0.0, y)[:m])
+        y[:m] -= scipy.linalg.solve_banded((2, 2), chunk.jac(0.0, y)[:, :m],
+                                           chunk.rhs(0.0, y)[:m])
 
 
 @pytest.mark.parametrize("kw", BDF_CASES)
@@ -726,15 +746,15 @@ def test_settle_matches_solve_banded(kw):
     # solve_banded gave.  A non-finite solve is a typed error
     cfg = config(**kw)
     state = initialize(cfg)
-    op, uL = _op(cfg, state), state.u[-1]
+    chunk = _chunk(cfg, state)
     y, y_ref = state.u[1:-1].copy(), state.u[1:-1].copy()
-    meshsim._settle(op, y, uL)
-    _settle_banded(op, y_ref, uL)
+    meshsim._settle(chunk, y)
+    _settle_banded(chunk, y_ref)
     assert np.array_equal(y, y_ref)
     assert not np.array_equal(y, state.u[1:-1])
     y[0] = math.nan
     with pytest.raises(StepSizeUnderflow):
-        meshsim._settle(op, y, uL)
+        meshsim._settle(chunk, y)
 
 
 def test_change_D_matches_uncached():
