@@ -163,9 +163,11 @@ def _sim_config(raw):
 
 
 def _load_config(path):
+    """The SimConfig of a config file; ConfigError if it is malformed or its
+    initial data are bad (meshsim.initialize)."""
     config = _sim_config(_read_config(path))
     try:
-        meshsim.initial_profile(config)
+        meshsim.initialize(config)
     except BadInitialData as exc:
         raise ConfigError(f"invalid initial data: {exc}") from exc
     return config

@@ -23,8 +23,9 @@ chunk's system (_Chunk, built by _chunk) holds its nodes and its linear
 part, a constant pentadiagonal matrix kept in LAPACK band storage, so the
 RHS is one BLAS band product (dgbmv) plus the boundary and sine terms, and
 the Jacobian is that matrix plus diag(-k(d+k-2) e^{-2x} cos 2u); no
-differencing is needed.  The stepper (_BandBDF) is scipy's BDF,
-the variable-order NDF, with a band LU and a fresh J for each factorisation.
+differencing is needed.  The stepper (_BandBDF) is the variable-order NDF
+of scipy's BDF with a band LU; each step attempt takes one Newton step from
+the predictor on a fresh J and LU, where scipy iterates Newton.
 
 A new chunk starts each time sup |u_r| has grown by CHUNK_GROWTH, or its
 first node has reached R_MIN_SCALE of the layer R if that comes first, on a
@@ -298,7 +299,9 @@ def _first_node(config, g):
     = g: the node at or below R_MIN_SCALE / (CHUNK_GROWTH g), r_min at the
     latest, and with the layer no wider than L; 8 nodes at least remain."""
     x = _log_grid(config)[0]
-    edge = math.log(R_MIN_SCALE / (CHUNK_GROWTH * max(g, 1.0 / config.L)))
+    # capped so that CHUNK_GROWTH g stays finite: steeper data start at r_min
+    g = min(max(g, 1.0 / config.L), 1e300)
+    edge = math.log(R_MIN_SCALE / (CHUNK_GROWTH * g))
     first = int(np.searchsorted(x, edge, side="right")) - 1
     return min(max(first, 0), x.size - 8)
 
@@ -411,14 +414,19 @@ def initial_profile(config):
 
 def initialize(config):
     """Sample the initial data on the origin and the grid nodes of the first
-    chunk (_first_node of its sup |u_r| on the whole grid)."""
+    chunk (_first_node of its sup |u_r| on the whole grid); BadInitialData
+    if the first chunk's RHS is not finite on them."""
     fam = initial_profile(config)
     r = _chunk(config, 0, 0.0).r
     u = np.array(fam(r), dtype=float)
     if abs(u[0]) > 1e-14:
         raise BadInitialData("initial data must satisfy u(0) = 0")
     u[0] = 0.0
-    first = _first_node(config, _steepest(r, u)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = _first_node(config, _steepest(r, u)[0])
+        f = _chunk(config, first, u[-1]).rhs(0.0, u[first + 1:-1])
+    if not np.isfinite(f).all():
+        raise BadInitialData("its right-hand side on the grid is not finite")
     return MeshState(t=0.0, r=np.concatenate([[0.0], r[first + 1:]]),
                      u=np.concatenate([[0.0], u[first + 1:]]))
 
@@ -457,18 +465,26 @@ def _band_lu(ab):
 # time stepping
 #
 # _BandBDF is scipy.integrate.BDF, the variable-order NDF of Shampine &
-# Reichelt (SIAM J. Sci. Comput. 18, 1997), step for step: the same
-# constants, initial step, Newton iteration, error test and step and order
-# control.  It leaves out what a run does not use (dense output, complex y,
-# max_step, backward time, finite-difference Jacobians) and factors the
-# Newton matrix I - cJ, pentadiagonal here, with LAPACK's band LU.  Its one
-# departure: where scipy keeps J until Newton fails, it evaluates J at
-# (t_new, y_predict) with every factorisation, as J costs a copy and a cos.
-# One stepper serves a whole run: at each chunk start rebase restarts its
-# clock on the chunk's system and keeps the step history (see _carry).
+# Reichelt (SIAM J. Sci. Comput. 18, 1997): the same constants, initial
+# step, error test and step and order control.  It leaves out what a run
+# does not use (dense output, complex y, max_step, backward time,
+# finite-difference Jacobians) and factors the Newton matrix I - cJ,
+# pentadiagonal here, with LAPACK's band LU.  Where scipy iterates Newton
+# on a J kept until Newton fails, every attempt here evaluates J at
+# (t_new, y_predict), factors, and takes one Newton step from the
+# predictor: an exact Newton step, whose residual is quadratic in the
+# predictor's error (a linearly implicit step; Hairer & Wanner, Solving
+# ODEs II).  A non-finite correction halves the step, as a Newton failure
+# does in scipy.  The step control keeps scipy's safety factor at its value
+# for two Newton iterations, the count on a linear problem, where the
+# second only confirms the first.  One stepper serves a whole run: at each
+# chunk start rebase restarts its clock on the chunk's system and keeps the
+# step history (see _carry).
 
 _MAX_ORDER = 5
-_NEWTON_MAXITER = 4
+#: scipy's safety factor 0.9 (2 n_max + 1) / (2 n_max + n_iter), n_max = 4
+#: Newton iterations at most, frozen at n_iter = 2 and rounded as scipy does
+_SAFETY = 0.9 * 9 / 10
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _EPS = np.finfo(float).eps
@@ -513,7 +529,6 @@ class _BandBDF:
 
     def __init__(self, fun, jac, y0, t_bound, rtol, atol):
         self.rtol = max(rtol, 100 * _EPS)
-        self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
         self.order, self.n_equal_steps = 1, 0
         self.nfev = self.njev = self.nlu = 0
         self.rhs_s = self.jac_s = self.lu_s = 0.0
@@ -529,11 +544,11 @@ class _BandBDF:
         """Go on from the step history D, its row 0 the state, as the
         stepper of y' = fun(t, y) with the absolute tolerance atol, on a
         clock restarted at 0 toward t_bound.  The order, the step size and
-        n_equal_steps carry over; the LU and chunk_counters() start afresh,
-        the run's counters go on."""
+        n_equal_steps carry over (no LU does: each attempt factors its own);
+        chunk_counters() starts afresh, the run's counters go on."""
         self._fun, self._jac, self.D, self.atol = fun, jac, D, atol
         self.t, self.y, self.t_bound = 0.0, D[0].copy(), t_bound
-        self.status, self.LU = "running", None
+        self.status = "running"
         self._chunk_start = self.counters()
 
     def counters(self):
@@ -594,33 +609,6 @@ class _BandBDF:
             h1 = (0.01 / max(d1, d2)) ** (1 / 2)
         return min(100 * h0, h1, interval_length)
 
-    def _solve_bdf_system(self, t_new, y_predict, c, psi, LU, scale):
-        """The Newton iteration of one step: (converged, iterations, y, the
-        correction d)."""
-        d = 0
-        y = y_predict.copy()
-        dy_norm_old = None
-        converged = False
-        for k in range(_NEWTON_MAXITER):
-            f = self.fun(t_new, y)
-            if not np.isfinite(f).all():
-                break
-            dy = self.solve_lu(LU, c * f - psi - d)
-            dy_norm = _rms(dy / scale)
-            rate = None if dy_norm_old is None else dy_norm / dy_norm_old
-            if rate is not None and (
-                    rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate)
-                    * dy_norm > self.newton_tol):
-                break
-            y += dy
-            d += dy
-            if (dy_norm == 0 or rate is not None
-                    and rate / (1 - rate) * dy_norm < self.newton_tol):
-                converged = True
-                break
-            dy_norm_old = dy_norm
-        return converged, k + 1, y, d
-
     def step(self):
         """Take one step; status becomes "finished" at t_bound and "failed"
         when the step is not finite or would fall below 10 roundings of t."""
@@ -640,10 +628,8 @@ class _BandBDF:
             self.n_equal_steps = 0
         else:
             h_abs = self.h_abs
-        LU = self.LU
 
-        step_accepted = False
-        while not step_accepted:
+        while True:
             if h_abs < min_step:
                 return False
             t_new = t + h_abs
@@ -651,48 +637,30 @@ class _BandBDF:
                 t_new = self.t_bound
                 _change_D(D, order, (t_new - t) / h_abs)
                 self.n_equal_steps = 0
-                LU = None
             h = h_abs = t_new - t
 
             y_predict = np.add.reduce(D[:order + 1])
-            scale = self.atol + self.rtol * np.abs(y_predict)
             psi = np.dot(D[1:order + 1].T, _GAMMA[1:order + 1]) / _ALPHA[order]
-
             c = h / _ALPHA[order]
-            while True:
-                current_jac = LU is None
-                if current_jac:
-                    LU = self.lu(c, self.jac(t_new, y_predict))
-                converged, n_iter, y_new, d = self._solve_bdf_system(
-                    t_new, y_predict, c, psi, LU, scale)
-                if converged or current_jac:
-                    break
-                LU = None   # refactor with a fresh J
-
-            if not converged:
+            # one Newton step from the predictor, on the J there
+            LU = self.lu(c, self.jac(t_new, y_predict))
+            d = self.solve_lu(LU, c * self.fun(t_new, y_predict) - psi)
+            if not np.isfinite(d).all():
                 factor = 0.5
-                h_abs *= factor
-                _change_D(D, order, factor)
-                self.n_equal_steps = 0
-                LU = None
-                continue
-
-            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER
-                                                         + n_iter)
-            scale = self.atol + self.rtol * np.abs(y_new)
-            error_norm = _rms(_ERROR_CONST[order] * d / scale)
-            if error_norm > 1:
-                factor = max(_MIN_FACTOR,
-                             safety * error_norm ** (-1 / (order + 1)))
-                h_abs *= factor
-                _change_D(D, order, factor)
-                self.n_equal_steps = 0
-                # the Newton iteration converged, so the LU is kept
             else:
-                step_accepted = True
+                y_new = y_predict + d
+                scale = self.atol + self.rtol * np.abs(y_new)
+                error_norm = _rms(_ERROR_CONST[order] * d / scale)
+                if error_norm <= 1:
+                    break
+                factor = max(_MIN_FACTOR,
+                             _SAFETY * error_norm ** (-1 / (order + 1)))
+            h_abs *= factor
+            _change_D(D, order, factor)
+            self.n_equal_steps = 0
 
         self.n_equal_steps += 1
-        self.t, self.y, self.h_abs, self.LU = t_new, y_new, h_abs, LU
+        self.t, self.y, self.h_abs = t_new, y_new, h_abs
 
         # D^{j+1} y_n = D^j y_n - D^j y_{n-1}, and d = D^{order+1} y_n
         D[order + 2] = d - D[order + 1]
@@ -713,11 +681,10 @@ class _BandBDF:
         order += np.argmax(factors) - 1
         self.order = order
 
-        factor = min(_MAX_FACTOR, safety * np.max(factors))
+        factor = min(_MAX_FACTOR, _SAFETY * np.max(factors))
         self.h_abs *= factor
         _change_D(D, order, factor)
         self.n_equal_steps = 0
-        self.LU = None
         return True
 
 

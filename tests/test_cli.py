@@ -706,14 +706,21 @@ def test_simulate_sweep_keeps_good_runs(tmp_path, capsys):
     assert err.count("\n") == 1 and bad in err
 
 
-def test_simulate_sweep_reports_a_failed_run(tmp_path, capsys):
-    # u(L) = 1e300 makes the first chunk's settle solve non-finite: the
-    # typed error gets one line naming its config, the good run is kept
+def test_simulate_sweep_reports_a_failed_run(tmp_path, capsys, monkeypatch):
+    # a run that fails at run time gets one line naming its config and its
+    # typed error, and the good run is kept.  The failure is forced on the
+    # M = 64 config by a patch of meshsim.run, which the pool's workers
+    # inherit as they fork from this process
+    run = cli.meshsim.run
+
+    def failing_run(config, *args, **kwargs):
+        if config.M == 64:
+            raise StepSizeUnderflow("forced")
+        return run(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli.meshsim, "run", failing_run)
     good = write_config(tmp_path / "good.json", t_max=1e-3, M=101)
-    bad = str(tmp_path / "huge.json")
-    with open(bad, "w") as fh:
-        json.dump({"d": 8, "k": 1, "M": 64,
-                   "initial_data": [[0, 2], [0, 1e300]]}, fh)
+    bad = write_config(tmp_path / "fails.json", t_max=1e-3, M=64)
     assert cli.main(["simulate", "--config", bad, "--sweep", good,
                      "--out", str(tmp_path), "--workers", "2"]) == 1
     dirs = [d for d in os.listdir(tmp_path) if d.startswith("run_")]
@@ -721,8 +728,23 @@ def test_simulate_sweep_reports_a_failed_run(tmp_path, capsys):
     assert os.path.exists(tmp_path / dirs[0] / "manifest.json")
     out, err = capsys.readouterr()
     assert dirs[0] in out and "stopped=tmax" in out
-    assert err == (f"{bad}: StepSizeUnderflow: singular or non-finite "
-                   "settle solve\n")
+    assert err == f"{bad}: StepSizeUnderflow: forced\n"
+
+
+def test_simulate_rejects_initial_data_whose_rhs_overflows(tmp_path, capsys):
+    # u(L) = 1e300 is finite, but the first chunk's RHS on the sampled data
+    # is not: bad input, one error line and exit 2, before any run directory
+    # (it ended in the first chunk's settle solve as a StepSizeUnderflow)
+    bad = str(tmp_path / "huge.json")
+    with open(bad, "w") as fh:
+        json.dump({"d": 8, "k": 1, "M": 64,
+                   "initial_data": [[0, 2], [0, 1e300]]}, fh)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: invalid initial data: its right-hand side on the "
+                   "grid is not finite\n")
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_out_root_env_override(tmp_path, monkeypatch, capsys):
