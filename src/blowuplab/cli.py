@@ -163,11 +163,9 @@ def _sim_config(raw):
 
 
 def _load_config(path):
-    """The SimConfig of a config file; ConfigError if it is malformed or its
-    initial data are bad (meshsim.initialize)."""
     config = _sim_config(_read_config(path))
     try:
-        meshsim.initialize(config)
+        meshsim.initial_profile(config)
     except BadInitialData as exc:
         raise ConfigError(f"invalid initial data: {exc}") from exc
     return config
@@ -209,7 +207,12 @@ def _run_one(config_path, out_root):
     os.makedirs(os.path.join(tmp_dir, "snapshots"))
     try:
         started = time.time()
-        trace = meshsim.run(config)
+        try:
+            trace = meshsim.run(config)
+        except BadInitialData as exc:
+            # data that pass the load check but whose right-hand side is
+            # not finite on the first chunk (meshsim.initialize)
+            raise ConfigError(f"invalid initial data: {exc}") from exc
         _write_json(os.path.join(tmp_dir, "config.json"),
                     config.to_dict() | {"stopped": trace.stopped})
         trace.to_csv(os.path.join(tmp_dir, "trace.csv"))

@@ -733,7 +733,7 @@ def test_simulate_sweep_reports_a_failed_run(tmp_path, capsys, monkeypatch):
 
 def test_simulate_rejects_initial_data_whose_rhs_overflows(tmp_path, capsys):
     # u(L) = 1e300 is finite, but the first chunk's RHS on the sampled data
-    # is not: bad input, one error line and exit 2, before any run directory
+    # is not: bad input, one error line and exit 2, and no run directory
     # (it ended in the first chunk's settle solve as a StepSizeUnderflow)
     bad = str(tmp_path / "huge.json")
     with open(bad, "w") as fh:
