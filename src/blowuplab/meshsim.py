@@ -25,7 +25,8 @@ RHS is one BLAS band product (dgbmv) plus the boundary and sine terms, and
 the Jacobian is that matrix plus diag(-k(d+k-2) e^{-2x} cos 2u); no
 differencing is needed.  The stepper (_BandBDF) is the variable-order NDF
 of scipy's BDF with a band LU; each step attempt takes one Newton step from
-the predictor on a fresh J and LU, where scipy iterates Newton.
+the predictor on a fresh J and LU, where scipy iterates Newton, and cuts h
+in scipy's hold of h where the error norm's trend says the next test fails.
 
 A new chunk starts each time sup |u_r| has grown by CHUNK_GROWTH, or its
 first node has reached R_MIN_SCALE of the layer R if that comes first, on a
@@ -415,7 +416,8 @@ def initial_profile(config):
 def initialize(config):
     """Sample the initial data on the origin and the grid nodes of the first
     chunk (_first_node of its sup |u_r| on the whole grid); BadInitialData
-    if the first chunk's RHS is not finite on them."""
+    if the first chunk's RHS on them, its RMS norm in the tolerances' scale
+    (the first step's, _BandBDF._initial_step) or the energy is not finite."""
     fam = initial_profile(config)
     r = _chunk(config, 0, 0.0).r
     u = np.array(fam(r), dtype=float)
@@ -424,9 +426,14 @@ def initialize(config):
     u[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         first = _first_node(config, _steepest(r, u)[0])
-        f = _chunk(config, first, u[-1]).rhs(0.0, u[first + 1:-1])
-    if not np.isfinite(f).all():
-        raise BadInitialData("its right-hand side on the grid is not finite")
+        chunk, y = _chunk(config, first, u[-1]), u[first + 1:-1]
+        f = chunk.rhs(0.0, y)
+        checks = (("right-hand side", f), ("right-hand side's scaled RMS norm",
+                   _rms(f / (chunk.atol + config.rtol * np.abs(y)))),
+                  ("energy", _energy(config, r, u)))
+    for what, value in checks:
+        if not np.isfinite(value).all():
+            raise BadInitialData(f"its {what} on the grid is not finite")
     return MeshState(t=0.0, r=np.concatenate([[0.0], r[first + 1:]]),
                      u=np.concatenate([[0.0], u[first + 1:]]))
 
@@ -477,7 +484,13 @@ def _band_lu(ab):
 # ODEs II).  A non-finite correction halves the step, as a Newton failure
 # does in scipy.  The step control keeps scipy's safety factor at its value
 # for two Newton iterations, the count on a linear problem, where the
-# second only confirms the first.  One stepper serves a whole run: at each
+# second only confirms the first.  One departure: scipy holds h for order
+# + 1 steps after each change, and where h must shrink steadily (6-7% a step
+# near the blow-up) every fourth or fifth step failed its error test.  Here
+# a step in the hold whose error norm, growing on as it did, would pass 1 at
+# the next (e_n^2 / e_{n-1} > 1) cuts h at once by the factor a failed test
+# at e_n gives, if below 1, and restarts the hold (predictive step control;
+# Gustafsson, ACM TOMS 20, 1994).  One stepper serves a whole run: at each
 # chunk start rebase restarts its clock on the chunk's system and keeps the
 # step history (see _carry).
 
@@ -529,7 +542,7 @@ class _BandBDF:
 
     def __init__(self, fun, jac, y0, t_bound, rtol, atol):
         self.rtol = max(rtol, 100 * _EPS)
-        self.order, self.n_equal_steps = 1, 0
+        self.order, self.n_equal_steps, self.error_norm = 1, 0, math.inf
         self.nfev = self.njev = self.nlu = 0
         self.rhs_s = self.jac_s = self.lu_s = 0.0
         # zeros, as in scipy: a carry maps every row, read or not (_carry)
@@ -668,20 +681,28 @@ class _BandBDF:
         for i in reversed(range(order + 1)):
             D[i] += D[i + 1]
 
+        last, self.error_norm = self.error_norm, error_norm
         if self.n_equal_steps < order + 1:
-            return True
+            # the predictive cut (see above); the factor is below 1 where
+            # e_n > _SAFETY^(order + 1)
+            if (self.n_equal_steps < 2 or error_norm * error_norm <= last
+                    or error_norm <= _SAFETY ** (order + 1)):
+                return True
+            factor = max(_MIN_FACTOR,
+                         _SAFETY * error_norm ** (-1 / (order + 1)))
+        else:
+            error_m_norm = (_rms(_ERROR_CONST[order - 1] * D[order] / scale)
+                            if order > 1 else np.inf)
+            error_p_norm = (
+                _rms(_ERROR_CONST[order + 1] * D[order + 2] / scale)
+                if order < _MAX_ORDER else np.inf)
+            error_norms = np.array([error_m_norm, error_norm, error_p_norm])
+            with np.errstate(divide="ignore"):
+                factors = error_norms ** (-1 / np.arange(order, order + 3))
+            order += np.argmax(factors) - 1
+            self.order = order
+            factor = min(_MAX_FACTOR, _SAFETY * np.max(factors))
 
-        error_m_norm = (_rms(_ERROR_CONST[order - 1] * D[order] / scale)
-                        if order > 1 else np.inf)
-        error_p_norm = (_rms(_ERROR_CONST[order + 1] * D[order + 2] / scale)
-                        if order < _MAX_ORDER else np.inf)
-        error_norms = np.array([error_m_norm, error_norm, error_p_norm])
-        with np.errstate(divide="ignore"):
-            factors = error_norms ** (-1 / np.arange(order, order + 3))
-        order += np.argmax(factors) - 1
-        self.order = order
-
-        factor = min(_MAX_FACTOR, _SAFETY * np.max(factors))
         self.h_abs *= factor
         _change_D(D, order, factor)
         self.n_equal_steps = 0
@@ -1053,14 +1074,16 @@ def fit_log(trace, delta=1.0):
 
     def line_fit(tau):
         """x = -log(T-t) and z = (sqrt(T-t) g)^delta over the window, and the
-        line z ~ a + b x; None if the window holds fewer than 20 samples."""
+        least-squares line z ~ a + b x, by its centred normal equations; None
+        if the window holds fewer than 20 samples or, at rounding, one x."""
         x = -np.log(t_left + tau)
         mask = x >= x[-1] - 6.0
-        if np.sum(mask) < 20:
+        if np.sum(mask) < 20 or x[mask].min() == x[-1]:
             return None
         x, z = x[mask], (np.sqrt(t_left[mask] + tau) * g[mask]) ** delta
-        b, a = np.polyfit(x, z, 1)
-        return x, z, a, b
+        xc = x - x.mean()
+        b = xc.dot(z) / xc.dot(xc)
+        return x, z, z.mean() - b * x.mean(), b
 
     def misfit(log_tau):
         fit = line_fit(math.exp(log_tau))

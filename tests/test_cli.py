@@ -747,6 +747,27 @@ def test_simulate_rejects_initial_data_whose_rhs_overflows(tmp_path, capsys):
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize("raw, what", [
+    ({"initial_data": [[0, 2], [0, 1e200]]}, "its energy"),
+    ({"max_gradient": 1e100, "initial_data": [[0, 1e-70, 2], [0, 1, 1]]},
+     "its right-hand side's scaled RMS norm"),
+], ids=["energy", "scaled-rhs-norm"])
+def test_simulate_rejects_initial_data_that_overflow_later(tmp_path, capsys,
+                                                           raw, what):
+    # data on which the first step or the energy of the trace's first row
+    # overflows (they ended in StepSizeUnderflow, or in blowup with an
+    # infinite energy): exit 2, one error line and no run directory
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump({"d": 8, "k": 1, "M": 64, **raw}, fh)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: invalid initial data: {what} on the grid is not "
+                   "finite\n")
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_out_root_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BLOWUPLAB_OUT", str(tmp_path))
     cfg = write_config(tmp_path / "cfg.json", t_max=1e-3, M=101)

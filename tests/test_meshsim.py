@@ -109,9 +109,30 @@ def test_initialize_rejects_data_whose_rhs_overflows():
                   ([0.0, 1.0, 2.0], [0.0, 1e308, -1e308])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(BadInitialData, match="right-hand side"):
+            with pytest.raises(BadInitialData, match="right-hand side on"):
                 initialize(config(M=64, initial_data=table))
-    assert initialize(config(M=64, initial_data=([0.0, 2.0], [0.0, 1e280])))
+    assert initialize(config(M=64, initial_data=([0.0, 2.0], [0.0, 1e150])))
+
+
+@pytest.mark.parametrize("kw, what", [
+    # a finite RHS, but the squared gradient of the energy overflows (the
+    # run reported blowup with an infinite energy)
+    ({"initial_data": ([0.0, 2.0], [0.0, 1e200])}, "energy"),
+    ({"initial_data": ([0.0, 2.0], [0.0, 1e280])}, "energy"),
+    # a kink of slope 1e70: the RHS is finite, its RMS norm in the scale of
+    # the tolerances is not (the run ended in StepSizeUnderflow)
+    ({"max_gradient": 1e100,
+      "initial_data": ([0.0, 1e-70, 2.0], [0.0, 1.0, 1.0])},
+     "right-hand side's scaled RMS norm"),
+], ids=["energy", "energy-1e280", "scaled-rhs-norm"])
+def test_initialize_rejects_data_that_overflow_later(kw, what):
+    # data the first step or the trace's first row would overflow on, with
+    # no warning, by run's own initialize call too
+    for call in (initialize, run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadInitialData, match=f"its {what} on"):
+                call(config(M=64, **kw))
 
 
 def test_initialize_rejects_unknown_family():
@@ -486,6 +507,35 @@ def _bdf_pair(kw):
     return solver, ref
 
 
+#: the steps of the first 150 at which _BandBDF, on the linear part of each
+#: of BDF_CASES, cuts h within scipy's hold (see _step_pair)
+BDF_CUTS = [[], [58], [17, 30, 108]]
+
+
+def _step_pair(solver, ref):
+    """One step of _BandBDF and of scipy's BDF.  Where the port then cuts h
+    within the hold of order + 1 steps at one h (scipy holds h there; the
+    port's one departure from scipy's step control, its predictive cut),
+    scipy's solver takes the same cut: its differences and h rescaled by the
+    factor that the port's error norm gives, and the hold restarted.  Returns
+    whether the port cut h, after checking that the cut followed an error
+    norm that grew to e_n^2 > e_{n-1} and shrinks h."""
+    last, held = solver.error_norm, solver.n_equal_steps + 1 < solver.order + 1
+    solver.step()
+    ref.step()
+    if not (held and solver.n_equal_steps == 0):
+        return False
+    error_norm, order = solver.error_norm, solver.order
+    factor = max(meshsim._MIN_FACTOR,
+                 meshsim._SAFETY * error_norm ** (-1 / (order + 1)))
+    assert error_norm ** 2 > last and factor < 1
+    assert ref.n_equal_steps > 0 and ref.order == order
+    scipy_bdf.change_D(ref.D, order, factor)
+    ref.h_abs *= factor
+    ref.n_equal_steps = 0
+    return True
+
+
 @pytest.mark.parametrize("shared_lu", [True, False])
 @pytest.mark.parametrize("kw", BDF_CASES)
 def test_band_bdf_matches_scipy_bdf(kw, shared_lu, monkeypatch):
@@ -494,11 +544,14 @@ def test_band_bdf_matches_scipy_bdf(kw, shared_lu, monkeypatch):
     # on a kept LU is replaced by the port's corrector, one Newton step from
     # the predictor on a fresh sparse LU of I - cJ, J at the predictor (see
     # test_one_newton_step_keeps_scipy_steps for scipy as it is); the initial
-    # step, error test, step and order control and differences are scipy's.
+    # step, error test, step and order control and differences are scipy's,
+    # and where the port cuts h within scipy's hold scipy is given the same
+    # cut (_step_pair).  The cut does fire here too, on two of the three
+    # cases (BDF_CUTS), the first time at step 58 (d = 7) and 17 (d = 14).
     # Factoring with scipy's sparse LU too, the port takes scipy's steps bit
-    # for bit.  With its band LU it takes the same orders and counts at every
-    # step; the two LUs round differently, and the step control carries that
-    # to at most 3.2e-9 of t and 1e-11 of y over the 150 steps
+    # for bit.  With its band LU it takes the same orders, counts and cuts
+    # at every step; the two LUs round differently, and the step control
+    # carries that to at most 1.7e-8 of t and 5.3e-11 of y over the 150 steps
     solver, ref = _bdf_pair(kw)
 
     def sparse_lu(c, J):
@@ -520,14 +573,16 @@ def test_band_bdf_matches_scipy_bdf(kw, shared_lu, monkeypatch):
         solver.lu = counted_lu
         solver.solve_lu = lambda LU, b: LU.solve(b)
     t_tol, y_tol = (0.0, 0.0) if shared_lu else (1e-6, 1e-7)
-    for _ in range(150):
-        solver.step()
-        ref.step()
+    cuts = []
+    for step in range(1, 151):
+        if _step_pair(solver, ref):
+            cuts.append(step)
         assert solver.status == ref.status == "running"
         assert solver.order == ref.order
         assert solver.nfev == ref.nfev
         assert abs(solver.t - ref.t) <= t_tol * ref.t
         assert np.max(np.abs(solver.y - ref.y)) <= y_tol
+    assert cuts == BDF_CUTS[BDF_CASES.index(kw)]
     # one J, LU and RHS a step attempt, and two RHS of the initial step
     assert solver.njev == solver.nlu == solver.nfev - 2 >= 150
 
@@ -535,24 +590,30 @@ def test_band_bdf_matches_scipy_bdf(kw, shared_lu, monkeypatch):
 @pytest.mark.parametrize("kw", BDF_CASES[:2])
 def test_one_newton_step_keeps_scipy_steps(kw):
     # _BandBDF against scipy's BDF as it is, whose Newton iteration runs to
-    # convergence on a kept LU, for 150 steps on the linear part of the
-    # operator.  There one Newton step from the predictor solves the
-    # corrector and scipy's second iteration only confirms it: scipy takes
-    # two RHS evaluations a step, the port one, and the port takes scipy's
-    # orders at every step, within 2.6e-9 of t and 7.5e-12 of y.  At d = 14,
-    # k = 2 (the third of BDF_CASES, held to scipy's step control in
+    # convergence on a kept LU, on the linear part of the operator, for 150
+    # steps or up to the port's first cut of h within scipy's hold (none at
+    # d = 8, step 58 at d = 7; BDF_CUTS).  There one Newton step from the
+    # predictor solves the corrector and scipy's second iteration only
+    # confirms it: scipy takes two RHS evaluations a step, the port one, and
+    # the port takes scipy's orders at every step, within 2.5e-10 of t and
+    # 7.4e-13 of y.  Past the cut, given to scipy too (_step_pair), the two
+    # still step alike up to the end of the next hold at d = 7 (step 63);
+    # there the order rises, and the choice of h reads the difference of the
+    # last two corrections, which scipy's iteration and the one Newton step
+    # round apart: h parts by 1e-3.  At d = 14, k = 2 (the third of
+    # BDF_CASES, held to scipy's step control in
     # test_band_bdf_matches_scipy_bdf) scipy keeps its LU through the error
     # test that fails at the eighth step, an inexact Newton matrix: t parts
     # there and the orders at step 21
     solver, ref = _bdf_pair(kw)
-    for _ in range(150):
-        solver.step()
-        ref.step()
+    last = (BDF_CUTS[BDF_CASES.index(kw)] + [150])[0]
+    for _ in range(last):
+        _step_pair(solver, ref)
         assert solver.status == ref.status == "running"
         assert solver.order == ref.order
         assert abs(solver.t - ref.t) <= 1e-8 * ref.t
         assert np.max(np.abs(solver.y - ref.y)) <= 1e-10
-    assert (solver.nfev, ref.nfev) == (152, 302)
+    assert (solver.nfev, ref.nfev) == (last + 2, 2 * last + 2)
 
 
 @pytest.mark.parametrize("kw", BDF_CASES)
@@ -600,6 +661,18 @@ def test_chunks_evaluate_one_jacobian_per_lu():
         == trace.solver["nfev"] - 2
 
 
+@pytest.mark.parametrize("kw", BDF_CASES[:2])
+def test_few_step_attempts_fail(kw):
+    # near the blow-up h must shrink 6-7% a step.  scipy's step control
+    # holds h for order + 1 steps after each change, so that at order 5
+    # every fourth or fifth step failed its error test once: 1.21 LUs a step
+    # on both runs.  Cutting h within the hold where the error norm grows on
+    # past 1 leaves 1.01 (d = 8) and 1.02 (d = 7)
+    trace = run(config(**kw))
+    assert trace.stopped == "blowup"
+    assert trace.solver["nlu"] <= 1.05 * (trace.t.size - 1)
+
+
 def _first_chunk_solver(cfg, steps):
     """The solver of a run's first chunk after `steps` steps, and the state
     it reached."""
@@ -645,10 +718,11 @@ def test_clock_rebase_reproduces_the_next_steps():
     # history the next steps take the same orders and attempts, but t_new - t
     # rounds at theta as it does not at t0, and the step control reads that
     # through the error norm, a difference known to about eps / rtol (2e-10)
-    # of itself: after the failed error test of the fifth step h differs by
-    # 7e-11.  The clocks then drift apart by that share of each step, and
-    # the states differ by the motion over that time shift, f dt, and
-    # otherwise by rounding
+    # of itself: after the fourth step cuts h within the hold by a factor
+    # of its error norm, h differs by 1.3e-10, and after the failed error
+    # test of the eighth by 6e-11.  The clocks then drift apart by that
+    # share of each step, and the states differ by the motion over that
+    # time shift, f dt, and otherwise by rounding
     cfg = config(M=161, rtol=1e-6, max_gradient=1e6)
     solver, state = _first_chunk_solver(cfg, 60)
     assert solver.order == meshsim._MAX_ORDER
@@ -657,21 +731,24 @@ def test_clock_rebase_reproduces_the_next_steps():
     chunk = _chunk(cfg, state)
     meshsim._carry(cfg, twin, chunk, cfg.t_max - t0)
     assert (twin.t, twin.t_bound) == (0.0, cfg.t_max - t0)
-    rel, tried = 1e-9, []
+    rel, tried, cut = 1e-9, [], []
     for _ in range(8):
-        nlu = solver.nlu
+        nlu, held = solver.nlu, solver.n_equal_steps + 1 < solver.order + 1
         solver.step()
         twin.step()
         tried.append(solver.nlu - nlu)
+        cut.append(held and solver.n_equal_steps == 0)
         assert twin.order == solver.order and twin.nlu == solver.nlu
+        assert twin.n_equal_steps == solver.n_equal_steps
         assert twin.h_abs == pytest.approx(solver.h_abs, rel=rel, abs=0)
         shift = twin.t + t0 - solver.t
         assert abs(shift) <= rel * solver.t
         scale = solver.atol + cfg.rtol * np.abs(solver.y)
         moved = chunk.rhs(0.0, solver.y) * shift
         assert np.max(np.abs(twin.y - solver.y - moved) / scale) <= 1e-6
-    # the first and the fifth step each failed one error test
-    assert tried == [2, 1, 1, 1, 2, 1, 1, 1]
+    # the fourth step cut h within the hold, the eighth failed one error test
+    assert cut == [False, False, False, True, False, False, False, False]
+    assert tried == [1, 1, 1, 1, 1, 1, 1, 2]
 
 
 def _carry_settled(cfg, steps, new):
@@ -1059,7 +1136,7 @@ def test_progress_reports_every_accepted_step():
     trace = run(config(M=161, rtol=1e-6, max_gradient=1e6),
                 progress=lambda t, g: calls.append((t, g)))
     t, g = map(np.array, zip(*calls))
-    assert len(calls) == trace.t.size - 1 == 385
+    assert len(calls) == trace.t.size - 1 == 380
     assert np.array_equal(t, trace.t[1:])
     assert np.array_equal(g, trace.sup_grad[1:])
 
@@ -1312,12 +1389,24 @@ def test_bounded_search_matches_scipy_on_log_fit(monkeypatch, family):
 
 
 def test_fit_log_nan_misfit_is_degenerate(monkeypatch):
-    # a NaN misfit everywhere leaves the search unconverged
+    # a NaN misfit everywhere leaves the search unconverged: here every
+    # z = sqrt(T - t) sup|u_r| of the line fit is NaN, and so its line
     trace = synthetic_trace(0.229, log_generator())
-    monkeypatch.setattr(meshsim.np, "polyfit",
-                        lambda x, z, deg: (math.nan, math.nan))
+    monkeypatch.setattr(meshsim.np, "sqrt",
+                        lambda a: np.full_like(a, math.nan))
     with pytest.raises(DegenerateFit, match="outer search"):
         fit_log(trace)
+
+
+def test_fit_log_degenerate_window_does_not_warn():
+    # where tau dwarfs every t_left, T - t rounds to tau on every row: the
+    # window holds one x and no line, and the search finds no fit, with no
+    # warning (np.polyfit warned that the fit was poorly conditioned)
+    trace = synthetic_trace(0.229, lambda tau: 1e-20 * log_generator()(tau))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFit, match="outer search"):
+            fit_log(trace)
 
 
 # ----------------------------------------------------------------------------
