@@ -16,11 +16,12 @@ the trapping region S = { -k sin v <= v' <= -gamma sin v }.
 
 The orbit is integrated by its own Taylor series.  The recurrences of v,
 sin v and cos v give the coefficients of order TAYLOR_ORDER about each step
-start and the last two of them fix the step length.  Every reader of v(x),
-the stored grid included, evaluates the kept steps.  They are explicit, so
-where the orbit is stiff their length is bounded by stability: the step count
-grows about linearly in d, from 40-60 at d <= 14 to ~200 at d = 70 (19 ms
-on a 2-vCPU Xeon host, where LSODA took 10 ms) and ~2,800 at d = 1000.
+start and the last two of them fix the step length.  Every reader of v(x)
+evaluates the kept steps, the uniform stored grid by matrix products with the
+powers of the node offsets.  They are explicit, so where the orbit is stiff
+their length is bounded by stability: the step count grows about linearly
+in d, from 40-60 at d <= 14 to ~200 at d = 70 (19 ms on a 2-vCPU Xeon host,
+where LSODA took 10 ms) and ~2,800 at d = 1000.
 
 From the orbit we extract the tail amplitude h = -h_+ > 0 and the slope
 normalization C_s = 1 / sup_xi |dU*/dxi|.
@@ -32,12 +33,13 @@ import bisect
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IntegrationFailed, TailFitIllConditioned, TrappingViolation
-from .params import DerivedConstants
+from .params import DerivedConstants, critical_dimension
 from .tables import write_table
 
 #: number of stored orbit samples (tail fit, trapping check, slope argmax, CSV)
@@ -48,6 +50,10 @@ TAIL_WINDOW_FRACTION = 0.3
 
 #: order of the Taylor polynomial of every integration step of the orbit
 TAYLOR_ORDER = 20
+
+#: C(m, n) at [n, m], m, n <= TAYLOR_ORDER: shifts a step's polynomial
+_BINOMIAL = np.array([[math.comb(m, n) for m in range(TAYLOR_ORDER + 1)]
+                      for n in range(TAYLOR_ORDER + 1)], dtype=float)
 
 #: the orbit integration gives up after this many steps, as an excess-work
 #: exit: at k = 1 the orbit takes about 2.8 d steps (2,836 at d = 1000)
@@ -73,16 +79,17 @@ class TaylorOrbit:
     sum_m descending[i][-1 - m] t^m.  Called on x >= starts[0]: (v, v') by
     Horner, on step i's list for a scalar, and for an array on the
     (TAYLOR_ORDER + 1, steps) table built once per orbit, one gathered
-    coefficient at a time into buffers reused in place: the same operations."""
+    coefficient at a time into buffers reused in place: the same operations.
+    on_grid reads a uniform grid by matrix products instead."""
     starts: list
     descending: list     # coefficients of each step, highest order first
 
     @functools.cached_property
     def _table(self):
         """The step starts and the (TAYLOR_ORDER + 1, steps) table of the
-        coefficients, highest order first, as read-only arrays."""
+        coefficients, lowest order first, as read-only arrays."""
         starts = np.array(self.starts)
-        table = np.ascontiguousarray(np.array(self.descending).T)
+        table = np.ascontiguousarray(np.array(self.descending).T[::-1])
         starts.flags.writeable = table.flags.writeable = False
         return starts, table
 
@@ -96,13 +103,44 @@ class TaylorOrbit:
         t = x - starts.take(step)
         # _value_and_slope's Horner pass, with p, dp and c overwritten; every
         # step is in range, and "clip" spares take a copy that "raise" makes
-        p, dp, c = table[0].take(step), np.zeros_like(t), np.empty_like(t)
-        for row in table[1:]:
+        p, dp, c = table[-1].take(step), np.zeros_like(t), np.empty_like(t)
+        for row in table[-2::-1]:
             dp *= t
             dp += p
             p *= t
             p += row.take(step, out=c, mode="clip")
         return p, dp
+
+    def on_grid(self, grid):
+        """self(grid) to 1e-13 relative, for a uniform grid from starts[0]
+        past the last start.  Each step's polynomial is shifted to its first
+        node, or one spacing before, tau >= spacing / 2 from its start so
+        that tau^m can be divided out; one product with the powers of the
+        node offsets then reads every step at every offset."""
+        starts, table = self._table
+        spacing = (grid[-1] - grid[0]) / (grid.size - 1)    # np.linspace's
+        first = np.searchsorted(grid, starts)
+        owned = np.diff(first, append=grid.size)
+        tau = grid[first] - starts
+        back = tau < 0.5 * spacing
+        tau[back] -= spacing
+        powers = _powers(tau)     # shifted[n] = sum C(m, n) a_m tau^(m - n)
+        shifted = _BINOMIAL @ (table * powers)
+        shifted /= powers
+        offsets = np.arange(owned.max() + 1)
+        nodes = _powers(spacing * offsets)
+        own = (offsets >= back[:, None]) & (offsets < (back + owned)[:, None])
+        slopes = nodes[:-1] * np.arange(1.0, TAYLOR_ORDER + 1)[:, None]
+        return (shifted.T @ nodes)[own], (shifted[1:].T @ slopes)[own]
+
+
+def _powers(t):
+    """The (TAYLOR_ORDER + 1, t.size) table of t^m, m = 0 .. TAYLOR_ORDER."""
+    powers = np.empty((TAYLOR_ORDER + 1, t.size))
+    powers[0] = 1.0
+    for m in range(1, TAYLOR_ORDER + 1):
+        np.multiply(powers[m - 1], t, out=powers[m])
+    return powers
 
 
 @dataclass
@@ -155,8 +193,10 @@ def solve_profile(consts, tolerance=1e-11):
     the computed orbit exits the trapping region by more than the
     integration error allows, and IntegrationFailed for tolerance below about
     2.2e-13 (tolerance / 10 below 100 machine epsilons), for a step that does
-    not advance x (the Taylor coefficients overflow, as at d = 1e20) and for
-    MAX_STEPS steps short of x_max (at k = 1 above d ~ 1,700)."""
+    not advance x (the Taylor coefficients overflow, as at d = 1e20), for
+    MAX_STEPS steps short of x_max (at k = 1 above d ~ 1,700) and for an
+    orbit that underflows short of x_max (up to d* + 1e-3 at k = 1, d* + 3e-3
+    at k = 3: x_max grows like 1/omega as d nears d*)."""
     # the origin series errs by O(e^{5 k x_min}); e^{-omega x_max} < 1e-10
     # relative to the leading tail term keeps the tail fit well conditioned
     x_min = -12.0 / consts.params.k
@@ -166,7 +206,7 @@ def solve_profile(consts, tolerance=1e-11):
 
     grid = np.linspace(x_min, x_max, GRID_SIZE)
     orbit = _taylor_orbit(consts, x_min, v0, vp0, x_max, tolerance)
-    v, vp = orbit(grid)
+    v, vp = orbit.on_grid(grid)
 
     scale = np.maximum(np.abs(vp), 1e-280)
     rel_viol = max(float(np.max(excursion / scale))
@@ -285,6 +325,12 @@ def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
                 f"x = {x:.6g} of {x_end:.6g}; the orbit is stiff at large d")
         coef = _taylor_coefficients(consts, v, vp)
         scale = bound * max(abs(v), abs(vp))
+        if scale < sys.float_info.min:
+            d, d_star = consts.params.d, critical_dimension(consts.params.k)
+            raise IntegrationFailed(
+                f"profile integration failed: the orbit underflows at x = "
+                f"{x:.6g} of x_max = {x_end:.6g}; d = {d:.9g} is only "
+                f"{d - d_star:.3g} above d* = {d_star:.9g}")
         h = 1.0 / max((abs(coef[p - 1]) / scale) ** (1.0 / (p - 1)),
                       (abs(coef[p]) / scale) ** (1.0 / p))
         if not x + h > x:

@@ -18,7 +18,7 @@ from blowuplab.meshsim import (
     SimConfig,
     to_self_similar,
 )
-from blowuplab.params import ModelParams, derive
+from blowuplab.params import ModelParams, critical_dimension, derive
 from blowuplab.profile import solve_profile
 from blowuplab.rates import EPS_MAX
 from blowuplab.tables import read_table, write_table
@@ -809,6 +809,18 @@ def test_predict_overflowing_profile_steps_exit_1(capsys):
     assert err.startswith("IntegrationFailed: profile")
     assert "step 0 does not advance" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_predict_just_above_critical_dimension_exit_1(capsys, k):
+    # the profile orbit underflows short of x_max there
+    d = critical_dimension(k) + 1e-4
+    assert cli.main(["predict", "--d", repr(d), "--k", str(k)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("IntegrationFailed: profile integration "
+                                   "failed: the orbit underflows")
+    assert captured.err.count("\n") == 1
 
 
 def test_predict_huge_d_exit_2(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from blowuplab import profile
 from blowuplab.errors import BlowupLabError, IntegrationFailed
+from blowuplab.params import critical_dimension
 from blowuplab.profile import check_trapping, eval_u, extract_tail, solve_profile
 
 # frozen from runs at tolerance 1e-11 with tail-window/grid defaults;
@@ -246,6 +247,51 @@ def test_orbit_scalar_reads_match_array_reads(profile_at, d, k):
             assert np.array_equal(a, b)
 
 
+def _assert_close(got, want, rel):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b) / np.abs(b)) <= rel
+
+
+@pytest.mark.parametrize("d,k", [(8.0, 1), (9.0, 1), (13.0, 2), (16.535281, 3),
+                                 (critical_dimension(1) + 2e-3, 1),
+                                 (200.0, 1), (1000.0, 1)])
+def test_grid_fill_matches_array_reads(consts_at, d, k):
+    # the stored grid comes from on_grid's matrix products, the array read
+    # from the Horner pass; d* + 2e-3 reaches x = 216, d = 1000 has 2,836
+    # steps of a few nodes each
+    p = solve_profile(consts_at(d, k))
+    _assert_close((p.v, p.v_prime), p.orbit(p.x), 1e-13)
+
+
+def _hand_built_orbit(starts):
+    # steps of decaying positive coefficients, each its own polynomial, so
+    # that a node read off the wrong step is off by O(1)
+    rng = np.random.default_rng(7)
+    descending = [list((1.0 + rng.random(profile.TAYLOR_ORDER + 1))
+                       * 0.5 ** np.arange(profile.TAYLOR_ORDER + 1.0))[::-1]
+                  for _ in starts]
+    return profile.TaylorOrbit(list(starts), descending)
+
+
+def test_grid_fill_step_without_a_node():
+    # the second step, from 0.33 to 0.36, lies between the nodes 0.3 and 0.4
+    grid = np.linspace(0.0, 1.0, 11)
+    orbit = _hand_built_orbit([0.0, 0.33, 0.36, 0.72])
+    _assert_close(orbit.on_grid(grid), orbit(grid), 1e-13)
+
+
+def test_grid_fill_step_starting_on_a_node():
+    # the node under the third step's start is the third step's, as the
+    # array read's searchsorted(side="right") has it
+    grid = np.linspace(0.0, 1.0, 11)
+    orbit = _hand_built_orbit([0.0, 0.33, grid[7], 0.75])
+    v, vp = orbit.on_grid(grid)
+    _assert_close((v, vp), orbit(grid), 1e-13)
+    assert v[7] == pytest.approx(orbit.descending[2][-1], rel=1e-13)
+    assert vp[7] == pytest.approx(orbit.descending[2][-2], rel=1e-13)
+
+
 def test_k2_halved_x_reduction(profile_at):
     # v'' + 10 v' + 24 sin v = 0 maps onto v'' + 5 v' + 6 sin v = 0 under
     # x -> 2x, so the (12,2) tail amplitude equals the (7,1) one
@@ -334,6 +380,19 @@ def test_non_advancing_step_is_typed(consts_at):
     # is nan: the loop stops there instead of taking MAX_STEPS nan steps
     with pytest.raises(IntegrationFailed, match="step 0 does not advance"):
         solve_profile(consts_at(1e20, 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orbit_underflow_near_critical_dimension_is_typed(consts_at, k):
+    # at d* + 1e-4 omega is 0.024-0.041 and x_max = log(1e10) / omega is
+    # 970-560 (k = 1-3): the orbit underflows to 0 before it, where a
+    # ZeroDivisionError ended the step loop
+    d = critical_dimension(k) + 1e-4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationFailed,
+                           match=r"orbit underflows .* only 0\.0001 above d\* ="):
+            solve_profile(consts_at(d, k))
 
 
 def test_tail_refit_stability(profile_at):
