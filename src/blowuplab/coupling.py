@@ -135,8 +135,9 @@ def inner_integral(profile, upper=None):
     x_up = x_sw if upper is None else min(x_sw, math.log(upper))
     val = 0.0
     if x_up > x_lo:
-        inside = [s for s in profile.orbit.starts if x_lo < s < x_up]
-        val += _panel_sum(integrand, [x_lo, *inside, x_up])
+        starts = profile.orbit.starts
+        inside = starts[(starts > x_lo) & (starts < x_up)]
+        val += _panel_sum(integrand, np.concatenate(([x_lo], inside, [x_up])))
     # origin piece: g -> g(0), integral g(0) xi^p / p
     val += g0 * math.exp(p * min(x_lo, x_up)) / p
     A = g_tail_coefficient(profile)

@@ -16,12 +16,14 @@ the trapping region S = { -k sin v <= v' <= -gamma sin v }.
 
 The orbit is integrated by its own Taylor series.  The recurrences of v,
 sin v and cos v give the coefficients of order TAYLOR_ORDER about each step
-start and the last two of them fix the step length.  Every reader of v(x)
-evaluates the kept steps, the uniform stored grid by matrix products with the
-powers of the node offsets.  They are explicit, so where the orbit is stiff
-their length is bounded by stability: the step count grows about linearly
-in d, from 40-60 at d <= 14 to ~200 at d = 70 (19 ms on a 2-vCPU Xeon host,
-where LSODA took 10 ms) and ~2,800 at d = 1000.
+start and the last two of them fix the step length.  The steps are kept as
+one table of their coefficients, and every reader of v(x) evaluates it: the
+uniform stored grid by matrix products with the powers of the node offsets,
+any other point, a float or an array, by one Horner pass.  The steps are
+explicit, so where the orbit is stiff their length is bounded by stability:
+the step count grows about linearly in d, from 40-60 at d <= 14 to ~200 at
+d = 70 (19 ms on a 2-vCPU Xeon host, where LSODA took 10 ms) and ~2,800 at
+d = 1000.
 
 From the orbit we extract the tail amplitude h = -h_+ > 0 and the slope
 normalization C_s = 1 / sup_xi |dU*/dxi|.
@@ -29,8 +31,6 @@ normalization C_s = 1 / sup_xi |dU*/dxi|.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 import operator
 import sys
@@ -75,41 +75,17 @@ class TrappingReport:
 
 @dataclass(frozen=True)
 class TaylorOrbit:
-    """Taylor steps as lists of Python floats, v(starts[i] + t) =
-    sum_m descending[i][-1 - m] t^m.  Called on x >= starts[0]: (v, v') by
-    Horner, on step i's list for a scalar, and for an array on the
-    (TAYLOR_ORDER + 1, steps) table built once per orbit, one gathered
-    coefficient at a time into buffers reused in place: the same operations.
-    on_grid reads a uniform grid by matrix products instead."""
-    starts: list
-    descending: list     # coefficients of each step, highest order first
-
-    @functools.cached_property
-    def _table(self):
-        """The step starts and the (TAYLOR_ORDER + 1, steps) table of the
-        coefficients, lowest order first, as read-only arrays."""
-        starts = np.array(self.starts)
-        table = np.ascontiguousarray(np.array(self.descending).T[::-1])
-        starts.flags.writeable = table.flags.writeable = False
-        return starts, table
+    """The Taylor steps as two read-only arrays: the step starts and the
+    (TAYLOR_ORDER + 1, steps) table of their coefficients, lowest order
+    first, v(starts[i] + t) = sum_m table[m, i] t^m.  Called on x >= starts[0],
+    a float or an array: (v, v') by the Horner pass of the step loop on each
+    point's step.  on_grid reads a uniform grid by matrix products instead."""
+    starts: np.ndarray
+    table: np.ndarray
 
     def __call__(self, x):
-        if isinstance(x, float) or np.ndim(x) == 0:
-            x, starts = float(x), self.starts
-            step = bisect.bisect_right(starts, x, 1) - 1
-            return _value_and_slope(self.descending[step], x - starts[step])
-        starts, table = self._table
-        step = np.searchsorted(starts[1:], x, side="right")
-        t = x - starts.take(step)
-        # _value_and_slope's Horner pass, with p, dp and c overwritten; every
-        # step is in range, and "clip" spares take a copy that "raise" makes
-        p, dp, c = table[-1].take(step), np.zeros_like(t), np.empty_like(t)
-        for row in table[-2::-1]:
-            dp *= t
-            dp += p
-            p *= t
-            p += row.take(step, out=c, mode="clip")
-        return p, dp
+        step = np.searchsorted(self.starts[1:], x, side="right")
+        return _value_and_slope(self.table[::-1, step], x - self.starts[step])
 
     def on_grid(self, grid):
         """self(grid) to 1e-13 relative, for a uniform grid from starts[0]
@@ -117,7 +93,7 @@ class TaylorOrbit:
         node, or one spacing before, tau >= spacing / 2 from its start so
         that tau^m can be divided out; one product with the powers of the
         node offsets then reads every step at every offset."""
-        starts, table = self._table
+        starts, table = self.starts, self.table
         spacing = (grid[-1] - grid[0]) / (grid.size - 1)    # np.linspace's
         first = np.searchsorted(grid, starts)
         owned = np.diff(first, append=grid.size)
@@ -292,7 +268,7 @@ def _taylor_coefficients(consts, v0, vp0):
 
 def _value_and_slope(descending, t):
     """p(t) and p'(t) by one Horner pass over the coefficients of p, given
-    from the highest order down."""
+    from the highest order down: floats, or rows of arrays of t's shape."""
     descending = iter(descending)
     p, dp = next(descending), 0.0
     for c in descending:
@@ -317,7 +293,7 @@ def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
     p = TAYLOR_ORDER
     bound = 1e-4 * rel
     x, v, vp = x0, v0, vp0
-    starts, descending = [], []
+    starts, coefs = [], []
     while True:
         if len(starts) == MAX_STEPS:
             raise IntegrationFailed(
@@ -338,10 +314,14 @@ def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
                 f"profile integration failed: step {len(starts)} does not "
                 f"advance x = {x:.6g}; the Taylor coefficients overflow")
         starts.append(x)
-        descending.append(coef[::-1])
+        coefs += coef
         if x + h >= x_end:
-            return TaylorOrbit(starts, descending)
-        v, vp = _value_and_slope(descending[-1], h)
+            # np.fromiter on one flat list beats np.array on a list per step
+            table = np.fromiter(coefs, float, len(coefs)).reshape(len(starts), -1)
+            starts, table = np.array(starts), np.ascontiguousarray(table.T)
+            starts.flags.writeable = table.flags.writeable = False
+            return TaylorOrbit(starts, table)
+        v, vp = _value_and_slope(coef[::-1], h)
         x += h
 
 

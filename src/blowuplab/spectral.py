@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dsterf
@@ -42,6 +42,13 @@ from .tables import write_table
 
 ORTHO_TARGET = 1e-8
 QUAD_NODES = 200
+
+#: build_basis refuses max_n from this on, before it builds any table: its
+#: (max_n + 1)-node rule overflows there at every (d, k) measured (k = 1-3,
+#: d from d* + 0.05 to 269: the largest max_n that builds is 190-320, and 400,
+#: 600 and 1000 fail everywhere), and the rule's Laguerre table holds
+#: (max_n + 2) (max_n + 1) doubles, 3.2 GB at max_n = 20,000
+MAX_N_BOUND = 400
 
 
 def laguerre(n, alpha, z):
@@ -125,7 +132,11 @@ class EigenBasis:
     max_n: int
     norm: np.ndarray       # N_n = sqrt(2) closed_form_norm(n, omega)
     c_origin: np.ndarray   # c_n = N_n L_n^{(omega/2)}(0) > 0
-    _alpha: float = field(repr=False, default=0.0)
+
+    @property
+    def _alpha(self):
+        """alpha = omega/2 of the Laguerre polynomials L_n^{(alpha)}."""
+        return self.consts.omega / 2.0
 
     @functools.cached_property
     def _quad_rule(self):
@@ -223,11 +234,13 @@ class EigenBasis:
 def _rule_in_y(consts, nodes):
     """The `nodes`-point generalized Gauss-Laguerre rule in z = y^2/4, as
     nodes in y and weights including rho(y).  Raises FloatRangeExceeded if a
-    weight overflows, as at k = 1 from d ~ 269.6 on."""
+    weight overflows, as at k = 1 from d ~ 269.6 on, or is NaN, as where
+    the Laguerre recurrence of the rule overflows (381 nodes at d = 8)."""
     d = consts.params.d
-    z, wz = gauss_laguerre(nodes, consts.omega / 2.0)
-    with np.errstate(over="ignore"):
-        # a numpy scalar power gives inf where 2.0 ** 1024 would raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the Laguerre recurrence of a large rule overflows, to inf and then
+        # inf - inf; a numpy scalar power gives inf where 2.0 ** 1024 raises
+        z, wz = gauss_laguerre(nodes, consts.omega / 2.0)
         w = np.float64(2.0) ** (d - 1.0) * wz * z**consts.gamma
     if not np.all(np.isfinite(w)):
         raise FloatRangeExceeded(
@@ -241,16 +254,19 @@ def build_basis(consts, max_n=8):
     entry (to degree 2 max_n + 1 in z).  A Gram residual there that is not
     within ORTHO_TARGET, NaN included, means N_n is wrong, and raises
     QuadratureNotConverged.  The QUAD_NODES-point rule for projections is
-    not built here."""
-    alpha = consts.omega / 2.0
+    not built here.  FloatRangeExceeded where a weight of the check rule is
+    not finite, and for max_n >= MAX_N_BOUND before any table is built."""
+    if max_n >= MAX_N_BOUND:
+        raise FloatRangeExceeded(
+            f"max_n = {max_n}: the Gauss-Laguerre rules of {MAX_N_BOUND + 1} "
+            f"nodes and more overflow at every (d, k) tried")
     ns = range(max_n + 1)
     norm = math.sqrt(2.0) * np.array([closed_form_norm(n, consts.omega) for n in ns])
     basis = EigenBasis(
         consts=consts,
         max_n=max_n,
         norm=norm,
-        c_origin=norm * _at_zero(max_n, alpha),
-        _alpha=alpha,
+        c_origin=norm * _at_zero(max_n, consts.omega / 2.0),
     )
     gram = basis._gram(*_rule_in_y(consts, max_n + 1))
     resid = float(np.max(np.abs(gram - np.eye(max_n + 1))))

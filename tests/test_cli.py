@@ -841,6 +841,22 @@ def test_predict_past_float_range_exit_1(capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis-dump", "--d", "8", "--n", "380", "--out", "basis.csv"],
+    ["basis-dump", "--d", "8", "--n", "400", "--out", "basis.csv"],
+    ["predict", "--d", "8", "--N", "400"]])
+def test_large_basis_exit_1(tmp_path, monkeypatch, capsys, argv):
+    # the Laguerre recurrence of the 381-node rule overflows, and from
+    # max_n = 400 on no rule is built: one error line, no RuntimeWarning
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FloatRangeExceeded: ")
+    assert captured.err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+
+
 def test_cli_import_leaves_out_scipy_interpolate():
     # nothing reads the orbit through an interpolant, so no module imports
     # scipy.interpolate, which adds tens of ms to every start-up

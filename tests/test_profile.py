@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -221,9 +222,9 @@ def test_k1_slope_maximum_is_at_the_origin(consts_at, d):
 
 @pytest.mark.parametrize("d,k", [(8.0, 1), (12.0, 2)])
 def test_orbit_scalar_reads_match_array_reads(profile_at, d, k):
-    # a float, an np.float64 and a 0-d array take the Python-float path, a
-    # 1-element array the column gather: bit-identical at grid nodes, cell
-    # midpoints, step starts, below the first start and beyond the last
+    # a float, an np.float64, a 0-d array and a 1-element array read the
+    # same bits: at grid nodes, cell midpoints, step starts, below the first
+    # start and beyond the last
     p = profile_at(d, k)
     starts = p.orbit.starts
     xs = np.concatenate([p.x[::499], 0.5 * (p.x[1::499] + p.x[:-1:499]),
@@ -233,7 +234,7 @@ def test_orbit_scalar_reads_match_array_reads(profile_at, d, k):
         for scalar in (float(x), np.float64(x), np.array(x)):
             assert p.orbit(scalar) == (v[0], vp[0])
     # every point in one call, an unsorted copy, a 2-D reshape and no point:
-    # the gathers and in-place buffers follow the shape and order of x
+    # the table's columns are gathered in the shape and order of x
     v, vp = np.array([p.orbit(float(x)) for x in xs]).T
     order = np.random.default_rng(0).permutation(xs.size)
     even = xs.size - xs.size % 2
@@ -268,10 +269,9 @@ def _hand_built_orbit(starts):
     # steps of decaying positive coefficients, each its own polynomial, so
     # that a node read off the wrong step is off by O(1)
     rng = np.random.default_rng(7)
-    descending = [list((1.0 + rng.random(profile.TAYLOR_ORDER + 1))
-                       * 0.5 ** np.arange(profile.TAYLOR_ORDER + 1.0))[::-1]
-                  for _ in starts]
-    return profile.TaylorOrbit(list(starts), descending)
+    table = ((1.0 + rng.random((len(starts), profile.TAYLOR_ORDER + 1)))
+             * 0.5 ** np.arange(profile.TAYLOR_ORDER + 1.0)).T
+    return profile.TaylorOrbit(np.array(starts), table)
 
 
 def test_grid_fill_step_without_a_node():
@@ -288,8 +288,32 @@ def test_grid_fill_step_starting_on_a_node():
     orbit = _hand_built_orbit([0.0, 0.33, grid[7], 0.75])
     v, vp = orbit.on_grid(grid)
     _assert_close((v, vp), orbit(grid), 1e-13)
-    assert v[7] == pytest.approx(orbit.descending[2][-1], rel=1e-13)
-    assert vp[7] == pytest.approx(orbit.descending[2][-2], rel=1e-13)
+    assert v[7] == pytest.approx(orbit.table[0, 2], rel=1e-13)
+    assert vp[7] == pytest.approx(orbit.table[1, 2], rel=1e-13)
+
+
+def test_orbit_arrays_are_read_only(profile_at):
+    orbit = profile_at(8.0, 1).orbit
+    assert orbit.table.shape == (profile.TAYLOR_ORDER + 1, orbit.starts.size)
+    for array in (orbit.starts, orbit.table):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_profile_keeps_one_copy_of_the_orbit(consts_at):
+    # the grid's x, v and v' (288 kB) and the 2,836-step table and starts
+    # (499 kB) are all that a d = 1000 profile holds: no second copy of
+    # the coefficients as Python floats
+    c = consts_at(1000.0, 1)
+    solve_profile(c)        # first-use allocations are not the profile's
+    tracemalloc.start()
+    try:
+        p = solve_profile(c)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(p.orbit.starts) > 2000
+    assert retained < 1.5e6
 
 
 def test_k2_halved_x_reduction(profile_at):

@@ -115,6 +115,35 @@ def test_overflowing_weights_are_typed(consts_at, d):
         spectral.build_basis(consts_at(d, 1))
 
 
+def test_overflowing_laguerre_recurrence_is_typed(consts_at):
+    # the recurrence of the 381-node rule overflows at d = 8: the weight
+    # check reports it, not a RuntimeWarning from laguerre
+    with pytest.raises(FloatRangeExceeded, match="381-node .* weights overflow"):
+        spectral.build_basis(consts_at(8.0, 1), max_n=380)
+
+
+@pytest.mark.parametrize("max_n", [400, 1000])
+def test_basis_past_max_n_bound_builds_no_table(consts_at, monkeypatch, max_n):
+    def refuse(*args):
+        raise AssertionError("a Laguerre table built past MAX_N_BOUND")
+
+    monkeypatch.setattr(spectral, "laguerre", refuse)
+    monkeypatch.setattr(spectral, "gauss_laguerre", refuse)
+    with pytest.raises(FloatRangeExceeded, match=f"max_n = {max_n}: "):
+        spectral.build_basis(consts_at(8.0, 1), max_n=max_n)
+
+
+def test_hand_built_basis_takes_alpha_from_consts(consts_at, basis_at):
+    # alpha = omega/2 is read off consts, so a basis built without
+    # build_basis evaluates L^(omega/2) as well, not L^(0)
+    built = basis_at(9.0, 1)
+    assert built._alpha > 0.0
+    hand = spectral.EigenBasis(consts=consts_at(9.0, 1), max_n=built.max_n,
+                               norm=built.norm, c_origin=built.c_origin)
+    y = np.linspace(0.05, 8.0, 160)
+    assert np.array_equal(hand.phi_table(y), built.phi_table(y))
+
+
 def test_build_basis_checks_on_smallest_rule(consts_at, monkeypatch):
     # the Gram check runs on the (max_n + 1)-node rule; the QUAD_NODES rule
     # of the projections is built on first use
