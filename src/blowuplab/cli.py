@@ -77,35 +77,27 @@ def _params(d, k, N=None):
         raise ConfigError(f"invalid parameters: {exc}") from exc
 
 
-def _pipeline(d, k, N):
-    """params -> profile -> basis -> coupling -> rate law."""
-    consts = derive(_params(d, k, N))
+def _pipeline(consts, N):
+    """profile -> basis -> coupling -> rate law of the constants of (d, k)."""
     prof = profile_mod.solve_profile(consts)
     basis = spectral.build_basis(consts, max_n=max(8, N))
     coup = coupling.coupling_constants(prof, basis, N)
-    law = rates.predict_rate(consts, N, prof, basis, coup)
-    return consts, prof, basis, coup, law
+    return prof, basis, rates.predict_rate(consts, N, prof, basis, coup)
 
 
 # ----------------------------------------------------------------------------
 # predict
 
 def cmd_predict(args):
-    consts, prof, basis, coup, law = _pipeline(args.d, args.k, args.N)
-    spec_N = eigenvalue(consts, args.N)
-    table = {
-        "d": args.d, "k": args.k, "N": args.N,
-        "gamma": consts.gamma, "omega": consts.omega, "delta": consts.delta,
-        "lambda_n": [eigenvalue(consts, n).lam for n in range(args.N + 2)],
-        "h": prof.h, "Cs": prof.Cs,
-        "cN": float(basis.c_origin[args.N]), "DN": float(coup.D[args.N]),
-    }
-    if spec_N.lam == 0:
-        table["CN"] = law.constants["CN"]
+    consts = derive(_params(args.d, args.k, args.N))
+    law = _pipeline(consts, args.N)[2]
+    table = {key: law.constants[key] for key in ("gamma", "omega", "delta",
+             "h", "Cs", "cN", "DN", "CN") if key in law.constants}
     print(f"rate law: {law.kind}, exponent {law.exponent:.7f}")
-    for key in ("gamma", "omega", "delta", "h", "Cs", "cN", "DN", "CN"):
-        if key in table:
-            print(f"  {key:>6s} = {table[key]:.9g}")
+    for key, val in table.items():
+        print(f"  {key:>6s} = {val:.9g}")
+    table |= {"d": args.d, "k": args.k, "N": args.N, "lambda_n":
+              [eigenvalue(consts, n).lam for n in range(args.N + 2)]}
     out = {"rate_law": json.loads(law.to_json()), "constants": table}
     if args.json:
         _write_output(args.json, _write_json, out)
@@ -176,21 +168,22 @@ def _config_hash(config):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _generic_law(config):
+def _generic_law(params):
     """Constants, the generic construction index N (the smallest admissible
-    one) and whether its rate law is logarithmic (N neutral)."""
-    consts = derive(config.params)
-    N = max(classify(consts).min_admissible_N, 1)
-    return consts, N, eigenvalue(consts, N).lam == 0
+    one) and the kind of its rate law, "log" where N is neutral or "power"."""
+    consts = derive(params)
+    spectrum = classify(consts)
+    return (consts, spectrum.min_admissible_N,
+            "power" if spectrum.neutral_index is None else "log")
 
 
-def _auto_fit(config, trace, kind="auto"):
-    """Fit the law of `kind`, "power" or "log"; with "auto" the law selected
-    by the spectrum of (d, k)."""
+def _fit(trace, law, kind="auto"):
+    """Fit the law of `kind`, "power" or "log"; with "auto" that of `law`, the
+    _generic_law of the run's (d, k), which "power" does not read."""
     if kind == "auto":
-        kind = "log" if _generic_law(config)[2] else "power"
+        kind = law[2]
     if kind == "log":
-        return meshsim.fit_log(trace, delta=derive(config.params).delta)
+        return meshsim.fit_log(trace, delta=law[0].delta)
     return meshsim.fit_power(trace)
 
 
@@ -224,7 +217,7 @@ def _run_one(config_path, out_root):
                         {"t": snap.t, "t_left": snap.t_left, "index": j})
             snap_names.append(base + ".csv")
         try:
-            fit = _auto_fit(config, trace)
+            fit = _fit(trace, _generic_law(config.params))
             fit_blob = json.loads(fit.to_json())
         except BlowupLabError as exc:
             fit = None
@@ -326,7 +319,8 @@ def _load_run(run_dir):
 
 def cmd_fit(args):
     config, trace = _load_run(args.run)
-    fit = _auto_fit(config, trace, args.kind)
+    law = None if args.kind == "power" else _generic_law(config.params)
+    fit = _fit(trace, law, args.kind)
     print(fit.to_json())
     _write_json(os.path.join(args.run, "fit.json"), json.loads(fit.to_json()))
     return 0
@@ -395,10 +389,12 @@ def cmd_compare(args):
     # unreadable snapshots or a bad second run exit 2 before any work; the
     # runs' log-law C are compared, so both must be log-law at one (d, k)
     snapshots = _snapshot_index(args.run)
+    law = None
     if args.run2:
         config2, trace2 = _load_run(args.run2)
         p, p2 = config.params, config2.params
-        if p2 != p or not _generic_law(config)[2]:
+        law = _generic_law(p) if p2 == p else None
+        if law is None or law[2] != "log":
             raise ConfigError(
                 f"--run2 needs two log-law runs at one (d, k), got d={p.d:g}, "
                 f"k={p.k} and d={p2.d:g}, k={p2.k}")
@@ -410,16 +406,18 @@ def cmd_compare(args):
         print(json.dumps(report, indent=2))
         _write_json(os.path.join(args.run, "compare.json"), report)
         return 0
-    N = _generic_law(config)[1]
-    prof, basis, coup, law = _pipeline(config.params.d, config.params.k, N)[1:]
+    # derived only here: a run that did not blow up gets its report at any d
+    law = law or _generic_law(config.params)
+    consts, N = law[:2]
+    prof, basis, rate = _pipeline(consts, N)
     report["status"] = "ok"
-    fit = _auto_fit(config, trace)
-    fit2 = _auto_fit(config2, trace2) if args.run2 else None
+    fit = _fit(trace, law)
+    fit2 = _fit(trace2, law) if args.run2 else None
     # the snapshot to read depends on the fitted T: read it before anything
     # is printed or written
     snap = _latest_snapshot(snapshots, fit.tau)
     if fit.kind == "power":
-        beta_pred = law.exponent - 0.5
+        beta_pred = rate.exponent - 0.5
         report["fit"] = {"beta": fit.beta, "T": fit.T,
                          "uncertainty": fit.uncertainty}
         report["predicted_beta"] = beta_pred
@@ -429,7 +427,7 @@ def cmd_compare(args):
     else:
         # the trace measures 1/R, so the fitted slope is the reciprocal of
         # the rate-law prefactor Cs*CN
-        C_pred = 1.0 / law.prefactor
+        C_pred = 1.0 / rate.prefactor
         report["fit"] = {"C": fit.C, "s0": fit.s0, "T": fit.T,
                          "r_squared": fit.r_squared}
         report["predicted_C"] = C_pred

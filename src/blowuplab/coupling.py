@@ -159,7 +159,8 @@ def outer_integral(basis, N, n):
     origin behavior.  What is left is the Laguerre polynomial part, of degree
     3N + n, so the rule of (3N + n_max)//2 + 1 nodes, n_max the larger of
     max(n) and basis.max_n, is exact for every n and serves them all in one
-    pass."""
+    pass.  At large N (from 84 at d = 12) L_N^3 overflows and the sum
+    is inf or nan, which coupling_constants refuses."""
     consts = basis.consts
     d = consts.params.d
     gam, om = consts.gamma, consts.omega
@@ -171,7 +172,8 @@ def outer_integral(basis, N, n):
     L = laguerre(n_max, basis._alpha, z)
     LN, Ln = L[N], L[n]
     pref = basis.norm[N] ** 3 * basis.norm[n] * 2.0 ** (d - 3.0 - 4.0 * gam)
-    return pref * np.sum(w * LN**3 * Ln, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return pref * np.sum(w * LN**3 * Ln, axis=-1)
 
 
 def _outer_prefactor(profile, basis, N):
@@ -220,7 +222,8 @@ def dominance_diagnostic(profile, basis, N, eps, K=None):
 
 def coupling_constants(profile, basis, N):
     """D_n for n <= basis.max_n from the regime's integral, with the raw
-    integral (for n = N in the outer regime) as a diagnostic."""
+    integral (for n = N in the outer regime) as a diagnostic.  Raises
+    FloatRangeExceeded if a D_n is not a finite float."""
     consts = profile.consts
     if consts.regime is Regime.INNER_DOMINATED:
         base = inner_integral(profile)
@@ -230,6 +233,10 @@ def coupling_constants(profile, basis, N):
         outer = outer_integral(basis, N, np.arange(basis.max_n + 1))
         D = _outer_prefactor(profile, basis, N) * outer
         diagnostics = {"outer_integral_N": float(outer[N])}
+    if not np.all(np.isfinite(D)):
+        raise FloatRangeExceeded(
+            f"D_n is not a finite float at d = {consts.params.d:g}, "
+            f"k = {consts.params.k}, N = {N}")
     return CouplingConstants(
         regime=consts.regime,
         N=N,

@@ -20,7 +20,7 @@ from enum import Enum
 
 from .errors import DegenerateRegime, SubcriticalDimension
 
-#: tolerance for detecting an exactly-neutral eigen index
+#: eigenvalue takes |lambda_n| <= NEUTRAL_TOL as 0: the one neutrality test
 NEUTRAL_TOL = 1e-12
 
 #: tolerance for rejecting the degenerate regime omega == 2*gamma
@@ -79,14 +79,14 @@ class DerivedConstants:
 @dataclass(frozen=True)
 class SpectrumEntry:
     n: int
-    lam: float   # lambda_n = -gamma/2 + n
+    lam: float   # lambda_n = -gamma/2 + n, exactly 0 within NEUTRAL_TOL
     beta: float  # beta_n = lambda_n / gamma
 
 
 @dataclass(frozen=True)
 class Classification:
-    neutral_index: int | None     # N0 = (d-2-omega)/4 when integral
-    min_admissible_N: int         # smallest N with lambda_N >= 0
+    neutral_index: int | None     # min_admissible_N if its lambda_N is 0
+    min_admissible_N: int         # smallest N with lambda_N >= 0, >= 1
     stability_bound: float        # (d-2-omega)/4, always > k/2
 
 
@@ -121,23 +121,24 @@ def derive(params: ModelParams) -> DerivedConstants:
 
 def eigenvalue(consts: DerivedConstants, n: int) -> SpectrumEntry:
     """n-th eigenvalue of the linearization around the equatorial map and
-    the blow-up exponent it induces."""
+    the blow-up exponent it induces; lambda_n within NEUTRAL_TOL of 0 is 0."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     lam = -0.5 * consts.gamma + n
+    if abs(lam) <= NEUTRAL_TOL:
+        lam = 0.0
     beta = lam / consts.gamma
     return SpectrumEntry(n=n, lam=lam, beta=beta)
 
 
 def classify(consts: DerivedConstants) -> Classification:
-    """Locate the neutral eigen index (if any) and the smallest admissible N."""
+    """Smallest admissible N, by the sign of eigenvalue, and N if neutral."""
     n0 = 0.25 * (consts.params.d - 2.0 - consts.omega)  # == gamma / 2
-    neutral = None
-    if abs(n0 - round(n0)) <= NEUTRAL_TOL:
-        neutral = int(round(n0))
-    min_N = math.ceil(n0 - NEUTRAL_TOL)
+    N = math.floor(n0)   # lambda_n = n - n0: < 0 below N, > 0 above N + 1
+    if eigenvalue(consts, N).lam < 0:
+        N += 1
     return Classification(
-        neutral_index=neutral,
-        min_admissible_N=min_N,
+        neutral_index=N if eigenvalue(consts, N).lam == 0 else None,
+        min_admissible_N=N,
         stability_bound=n0,
     )

@@ -68,6 +68,34 @@ def test_predict_log(capsys):
     assert "exponent 1.0000000" in printed
 
 
+def test_predict_near_neutral_d_is_logarithmic(capsys):
+    # one part in 1e14 below d = 7, N = 1 is neutral as at d = 7, not
+    # unstable
+    assert cli.main(["predict", "--d", "6.9999999999999"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("rate law: logarithmic, exponent 1.0000000\n")
+
+
+def test_compare_near_neutral_d_fits_the_log_law(tmp_path, capsys):
+    # the config of the sim-neutral-d7 benchmark one part in 1e14 above
+    # d = 7: simulate and compare fit the log law, and its C is d = 7's
+    reports = []
+    for d in (7.0, 7.0000000000001):
+        out = tmp_path / repr(d)
+        cfg = write_config(tmp_path / f"{d!r}.json", d=d, L=math.pi, M=241)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        (run,) = os.listdir(out)
+        assert read_json(out / run / "fit.json")["kind"] == "log"
+        assert cli.main(["compare", "--run", str(out / run)]) == 0
+        reports.append(read_json(out / run / "compare.json"))
+    capsys.readouterr()
+    at7, near7 = reports
+    assert "predicted_C" in near7 and "predicted_beta" not in near7
+    assert near7["fit"]["C"] == pytest.approx(at7["fit"]["C"], abs=1e-10)
+    assert near7["predicted_C"] == pytest.approx(at7["predicted_C"],
+                                                 rel=1e-12)
+
+
 def test_predict_subcritical(capsys):
     assert cli.main(["predict", "--d", "6", "--k", "1", "--N", "1"]) == 1
     assert "SubcriticalDimension" in capsys.readouterr().err
@@ -510,7 +538,7 @@ def test_compare_writes_overlay(tmp_path, capsys):
 def test_overlay_takes_latest_snapshot(tmp_path):
     # past 999 snapshots the names no longer sort by time: snap_1000 sorts
     # before snap_999 and is the later one; the overlay must use it
-    prof, basis = cli._pipeline(8.0, 1, 1)[1:3]
+    prof, basis = cli._pipeline(derive(ModelParams(d=8.0, k=1)), 1)[:2]
     tau = 1e-6
     r = np.concatenate([[0.0], np.geomspace(1e-9, 2.0, 400)])
     snap_dir = tmp_path / "snapshots"
@@ -538,7 +566,7 @@ def test_overlay_takes_latest_snapshot(tmp_path):
 def test_overlay_reason(tmp_path):
     # no overlay: every snapshot at or after the fitted T, or the latest
     # one before it with eps outside (0, 0.1]
-    prof, basis = cli._pipeline(8.0, 1, 1)[1:3]
+    prof, basis = cli._pipeline(derive(ModelParams(d=8.0, k=1)), 1)[:2]
     r = np.concatenate([[0.0], np.geomspace(1e-9, 2.0, 400)])
     snap_dir = tmp_path / "snapshots"
     snap_dir.mkdir()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,17 @@ def test_outer_coupling_past_float_range_is_typed(profile_at, basis_at):
                                           basis_at(150.0, 1), 1).D[1])
     with pytest.raises(FloatRangeExceeded, match="N_N"):
         coupling_constants(profile_at(160.0, 1), basis_at(160.0, 1), 1)
+
+
+def test_outer_coupling_past_float_range_at_large_N_is_typed(profile_at,
+                                                             basis_at):
+    # L_N^3 on the outer rule overflows from N = 84 at d = 12: D_n would be
+    # inf, and nan at d = 9, N = 100; no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeExceeded, match="D_n is not a finite"):
+            coupling_constants(profile_at(12.0, 1),
+                               basis_at(12.0, 1, max_n=90), 90)
 
 
 @pytest.mark.parametrize("d,k,N,expect_inner", [(8.0, 1, 1, True),

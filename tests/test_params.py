@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,3 +113,31 @@ def test_param_validation():
     with pytest.raises(ValueError, match="too large"):
         ModelParams(d=1e300, k=1)
     assert derive(ModelParams(d=1e150, k=1)).omega > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_classify_reads_the_sign_of_eigenvalue(k):
+    # on a grid of (d*, d* + 20), and on its neutral d (7; 12; 17 and 27)
+    # and their neighbours a few ulps away: N_min is the first n with
+    # lambda_n >= 0, at least 1, and neutral exactly when its lambda_n is 0
+    d_star = params.critical_dimension(k)
+    ds = list(d_star + np.linspace(0.0, 20.0, 2001)[1:-1])
+    for n in range(k // 2 + 1, 13):
+        # gamma = 2n where omega = d - 2 - 4n > 0; squared, a linear equation
+        d0 = ((2 + 4 * n) ** 2 - 4 * (k + 1) ** 2 + 8 * k * k) / (8 * n - 4 * k)
+        if d0 > 2 + 4 * n and d_star < d0 < d_star + 20:
+            ds += [d0 + j * math.ulp(d0) for j in range(-8, 9)]
+    neutral = 0
+    for d in ds:
+        try:
+            c = derive(ModelParams(d=d, k=k))
+        except DegenerateRegime:
+            continue
+        cls = classify(c)
+        N = cls.min_admissible_N
+        assert N >= 1
+        assert eigenvalue(c, N).lam >= 0 > eigenvalue(c, N - 1).lam
+        assert (cls.neutral_index == N) == (eigenvalue(c, N).lam == 0)
+        assert cls.neutral_index in (N, None)
+        neutral += cls.neutral_index is not None
+    assert neutral == 17 * (2 if k == 3 else 1)

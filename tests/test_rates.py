@@ -6,7 +6,7 @@ import pytest
 
 from blowuplab import coupling, rates
 from blowuplab.errors import BlowupOfEpsilon, NegativeEigenvalue
-from blowuplab.params import eigenvalue
+from blowuplab.params import classify, eigenvalue
 from blowuplab.rates import (
     ReducedConstants,
     an_requirement,
@@ -250,3 +250,19 @@ def test_rate_law_json_roundtrip(consts_at, profile_at, basis_at):
     blob = json.loads(law.to_json())
     assert blob["kind"] == "power"
     assert blob["exponent"] == pytest.approx(law.exponent)
+
+
+@pytest.mark.parametrize("d,k,N,offset", [(7.0, 1, 1, 1e-13),
+                                          (12.0, 2, 2, 5e-13),
+                                          (17.0, 3, 3, 1e-13)])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_near_neutral_d_has_one_neutral_index(consts_at, profile_at, basis_at,
+                                              d, k, N, offset, sign):
+    # d a rounding error away from a neutral d: classify, eigenvalue and
+    # predict_rate all take N as neutral and the law as logarithmic
+    d = d + sign * offset
+    rc, c, p, b, cc = reduced(consts_at, profile_at, basis_at, d, k, N)
+    assert classify(c).neutral_index == N
+    assert eigenvalue(c, N).lam == 0.0 and rc.lam == 0.0
+    assert predict_rate(c, N, p, b, cc).kind == "logarithmic"
+    assert solve_epsilon(rc, eps0=0.05).s0 is not None
