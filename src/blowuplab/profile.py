@@ -16,14 +16,14 @@ the trapping region S = { -k sin v <= v' <= -gamma sin v }.
 
 The orbit is integrated by its own Taylor series.  The recurrences of v,
 sin v and cos v give the coefficients of order TAYLOR_ORDER about each step
-start and the last two of them fix the step length.  The steps are kept as
-one table of their coefficients, and every reader of v(x) evaluates it: the
-uniform stored grid by matrix products with the powers of the node offsets,
-any other point, a float or an array, by one Horner pass.  The steps are
-explicit, so where the orbit is stiff their length is bounded by stability:
-the step count grows about linearly in d, from 40-60 at d <= 14 to ~200 at
-d = 70 (19 ms on a 2-vCPU Xeon host, where LSODA took 10 ms) and ~2,800 at
-d = 1000.
+start and the last two of them fix the step length, by an error budget per
+unit x.  The steps are kept as one table of their coefficients, and every
+reader of v(x) evaluates it: the uniform stored grid by matrix products with
+the powers of the node offsets, any other point, a float or an array, by one
+Horner pass.  The steps are explicit, so where the orbit is stiff their
+length is bounded by stability: the step count grows about linearly in d,
+from 34-51 at 7 <= d <= 14 to ~200 at d = 70 (13 ms on a 2-vCPU Xeon host,
+where LSODA at rtol 1e-12 took 10 ms) and ~2,900 at d = 1000.
 
 From the orbit we extract the tail amplitude h = -h_+ > 0 and the slope
 normalization C_s = 1 / sup_xi |dU*/dxi|.
@@ -55,8 +55,14 @@ TAYLOR_ORDER = 20
 _BINOMIAL = np.array([[math.comb(m, n) for m in range(TAYLOR_ORDER + 1)]
                       for n in range(TAYLOR_ORDER + 1)], dtype=float)
 
+#: (m, 1 / m, 1 / ((m + 1)(m + 2))) for m = 1 .. TAYLOR_ORDER - 2: the
+#: divisions of the coefficient recurrence as products
+_RECIPROCALS = tuple((m, 1.0 / m, 1.0 / ((m + 1) * (m + 2)))
+                     for m in range(1, TAYLOR_ORDER - 1))
+
 #: the orbit integration gives up after this many steps, as an excess-work
-#: exit: at k = 1 the orbit takes about 2.8 d steps (2,836 at d = 1000)
+#: exit: at k = 1 the orbit takes about 2.9 d steps (2,897 at d = 1000), so
+#: it reaches the cap near d ~ 1,730
 MAX_STEPS = 5000
 
 
@@ -164,13 +170,15 @@ def _pendulum_rhs(consts):
 def solve_profile(consts, tolerance=1e-11):
     """Integrate the heteroclinic orbit and package it with tail and slope
     constants.  `tolerance` sets the relative accuracy of the orbit, asked
-    of it as tolerance / 10; at the default its relative error on the grid is
-    below 1e-10 (against DOP853 at rtol 1e-13).  Raises TrappingViolation if
-    the computed orbit exits the trapping region by more than the
-    integration error allows, and IntegrationFailed for tolerance below about
+    of it as tolerance / 10; at the default, v and v' on the grid are within
+    1e-10 relative of the orbit at tolerance 2.3e-13 from d* + 5e-3 to
+    d = 150 (7e-11 at d = 150; DOP853 at rtol 1e-13, 8e-9 off in v' there,
+    is no reference at large d).  Raises TrappingViolation if the computed
+    orbit exits the trapping region by more than the integration error
+    allows, and IntegrationFailed for tolerance below about
     2.2e-13 (tolerance / 10 below 100 machine epsilons), for a step that does
     not advance x (the Taylor coefficients overflow, as at d = 1e20), for
-    MAX_STEPS steps short of x_max (at k = 1 above d ~ 1,700) and for an
+    MAX_STEPS steps short of x_max (at k = 1 above d ~ 1,730) and for an
     orbit that underflows short of x_max (up to d* + 1e-3 at k = 1, d* + 3e-3
     at k = 3: x_max grows like 1/omega as d nears d*)."""
     # the origin series errs by O(e^{5 k x_min}); e^{-omega x_max} < 1e-10
@@ -256,12 +264,12 @@ def _taylor_coefficients(consts, v0, vp0):
     cos_v = [math.cos(v0)]
     v = [v0, vp0, (-damping * vp0 - torque * sin_v[0]) / 2]
     dv = [vp0, 2 * v[2]]                # dv[j - 1] = j v_j
-    for m in range(1, TAYLOR_ORDER - 1):
+    for m, inv_m, inv_pair in _RECIPROCALS:
         # m s_m = sum_j j v_j c_{m-j},  m c_m = -sum_j j v_j s_{m-j}
-        s_m = sum(map(operator.mul, dv, cos_v)) / m
-        cos_v.insert(0, -sum(map(operator.mul, dv, sin_v)) / m)
+        s_m = sum(map(operator.mul, dv, cos_v)) * inv_m
+        cos_v.insert(0, -sum(map(operator.mul, dv, sin_v)) * inv_m)
         sin_v.insert(0, s_m)
-        v.append((-damping * dv[m] - torque * s_m) / ((m + 1) * (m + 2)))
+        v.append((-damping * dv[m] - torque * s_m) * inv_pair)
         dv.append((m + 2) * v[-1])
     return v
 
@@ -279,19 +287,22 @@ def _value_and_slope(descending, t):
 
 def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
     """The orbit from (v0, vp0) at x0 to x_end as a TaylorOrbit of order
-    TAYLOR_ORDER, asked for a relative accuracy of tolerance / 10.  Each
-    step is as long as the last two coefficients allow (Jorba and Zou,
-    Exp. Math. 14, 2005) for a truncation estimate below 1e-4 of that,
-    relative to max(|v|, |v'|): the estimate understates the truncation, and
-    held at tolerance / 10 itself it leaves a global error of ~2.5e-8 at
-    tolerance 1e-11."""
+    TAYLOR_ORDER, asked for a relative accuracy rel = tolerance / 10.  Each
+    step is as long as the last two coefficients allow for an error per unit
+    x (Jorba and Zou, Exp. Math. 14, 2005): |a_m| h^m <= rel / (x_end - x0)
+    * min(|v|, |v'|) * h, so that the steps' errors add up to at most rel over
+    the whole integration, however many steps stiffness forces.  The scale is
+    the one the error persists in: near the saddle |v| ~ pi, but the orbit's
+    deviation v' (~1e-5 at x0) sets it, as an error there shifts the orbit
+    along itself; in the tail it is relative to |v|.  Neither v nor v'
+    changes sign on the orbit, so the scale is 0 only where it underflows."""
     rel = 0.1 * tolerance
     if rel < 100.0 * np.finfo(float).eps:
         raise IntegrationFailed(
             f"profile integration failed: tolerance {tolerance:.3g} asks for "
             "a relative accuracy below 100 machine epsilons")
     p = TAYLOR_ORDER
-    bound = 1e-4 * rel
+    bound = rel / (x_end - x0)
     x, v, vp = x0, v0, vp0
     starts, coefs = [], []
     while True:
@@ -300,15 +311,16 @@ def _taylor_orbit(consts, x0, v0, vp0, x_end, tolerance):
                 f"profile integration failed: {MAX_STEPS} steps reached "
                 f"x = {x:.6g} of {x_end:.6g}; the orbit is stiff at large d")
         coef = _taylor_coefficients(consts, v, vp)
-        scale = bound * max(abs(v), abs(vp))
+        scale = bound * min(abs(v), abs(vp))
         if scale < sys.float_info.min:
             d, d_star = consts.params.d, critical_dimension(consts.params.k)
             raise IntegrationFailed(
                 f"profile integration failed: the orbit underflows at x = "
                 f"{x:.6g} of x_max = {x_end:.6g}; d = {d:.9g} is only "
                 f"{d - d_star:.3g} above d* = {d_star:.9g}")
-        h = 1.0 / max((abs(coef[p - 1]) / scale) ** (1.0 / (p - 1)),
-                      (abs(coef[p]) / scale) ** (1.0 / p))
+        # |a_m| h^m <= scale * h for the last two orders m = p - 1, p
+        h = 1.0 / max((abs(coef[p - 1]) / scale) ** (1.0 / (p - 2)),
+                      (abs(coef[p]) / scale) ** (1.0 / (p - 1)))
         if not x + h > x:
             raise IntegrationFailed(
                 f"profile integration failed: step {len(starts)} does not "

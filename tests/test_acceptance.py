@@ -145,7 +145,8 @@ def test_criterion_3_profile_suite(asym):
     c12 = asym[(12.0, 2)][0]
     conv_cs = abs(profile.solve_profile(c12, tolerance=1e-9).Cs
                   / profile.solve_profile(c12, tolerance=1e-12).Cs - 1.0)
-    ok = ok and conv_h < 1e-6 and conv_cs < 1e-6
+    # within the loose run's own tolerance
+    ok = ok and conv_h < 1e-9 and conv_cs < 1e-9
     xi = np.geomspace(1e3, 1e5, 200)
     tail = 0.5 * math.pi - profile.eval_u(p8, xi)
     rate = np.diff(np.log(tail)) / np.diff(np.log(xi))

@@ -79,7 +79,7 @@ def test_constants_match_dop853_reference(profile_at, d, k):
 @pytest.mark.parametrize("d,k", [(8.0, 1), (12.0, 2), (14.0, 2)])
 def test_orbit_matches_dop853_reference(profile_at, d, k):
     # the stored orbit, node by node; LSODA at rtol 1e-12 was off by 4e-10
-    # to 3e-9 on v at these points, the Taylor steps by 1e-11 to 6e-11
+    # to 3e-9 on v at these points, the Taylor steps by 8e-12 to 5e-11
     p = profile_at(d, k)
     v_ref, vp_ref = _dop853_orbit(p).y
     assert np.max(np.abs(p.v / v_ref - 1.0)) <= 1e-10
@@ -259,7 +259,7 @@ def _assert_close(got, want, rel):
                                  (200.0, 1), (1000.0, 1)])
 def test_grid_fill_matches_array_reads(consts_at, d, k):
     # the stored grid comes from on_grid's matrix products, the array read
-    # from the Horner pass; d* + 2e-3 reaches x = 216, d = 1000 has 2,836
+    # from the Horner pass; d* + 2e-3 reaches x = 216, d = 1000 has 2,897
     # steps of a few nodes each
     p = solve_profile(consts_at(d, k))
     _assert_close((p.v, p.v_prime), p.orbit(p.x), 1e-13)
@@ -301,8 +301,8 @@ def test_orbit_arrays_are_read_only(profile_at):
 
 
 def test_profile_keeps_one_copy_of_the_orbit(consts_at):
-    # the grid's x, v and v' (288 kB) and the 2,836-step table and starts
-    # (499 kB) are all that a d = 1000 profile holds: no second copy of
+    # the grid's x, v and v' (288 kB) and the 2,897-step table and starts
+    # (510 kB) are all that a d = 1000 profile holds: no second copy of
     # the coefficients as Python floats
     c = consts_at(1000.0, 1)
     solve_profile(c)        # first-use allocations are not the profile's
@@ -371,11 +371,61 @@ def test_tail_decay_rate(profile_at):
 
 
 def test_self_convergence(consts_at):
+    # within the loose run's own tolerance
     c = consts_at(8.0, 1)
     loose = solve_profile(c, tolerance=1e-9)
     tight = solve_profile(c, tolerance=1e-12)
-    assert loose.h == pytest.approx(tight.h, rel=1e-6)
-    assert loose.Cs == pytest.approx(tight.Cs, rel=1e-6)
+    assert loose.h == pytest.approx(tight.h, rel=1e-9)
+    assert loose.Cs == pytest.approx(tight.Cs, rel=1e-9)
+
+
+def _gap_to_tightest(consts):
+    """The largest relative difference of v and v' on the grid between the
+    default tolerance and 2.3e-13, about the tightest the orbit takes."""
+    loose = solve_profile(consts)
+    tight = solve_profile(consts, tolerance=2.3e-13)
+    return max(float(np.max(np.abs(a / b - 1.0)))
+               for a, b in ((loose.v, tight.v), (loose.v_prime, tight.v_prime)))
+
+
+@pytest.mark.parametrize("d", [70, 150])
+def test_default_tolerance_holds_at_large_d(consts_at, d):
+    # 200-430 steps, most of them as short as stiffness allows: an error
+    # budget per step, not per unit x, left 5.0e-10 and 1.1e-9 here.  DOP853
+    # at rtol 1e-13 is no reference at these d: it is 8e-9 off in v'
+    assert _gap_to_tightest(consts_at(float(d), 1)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_default_tolerance_holds_near_critical_dimension(consts_at, k):
+    # x_max - x_min is 83-149: the budget per unit x not spread over it
+    # (rel in place of rel / (x_max - x_min)) left 8e-10 to 1e-9 here
+    d = critical_dimension(k) + 5e-3
+    assert _gap_to_tightest(consts_at(d, k)) <= 1e-10
+
+
+@pytest.mark.parametrize("d,k,ceiling", [(8.0, 1, 36), (12.0, 2, 54),
+                                         (16.535281, 3, 142)])
+def test_step_count_ceiling(profile_at, d, k, ceiling):
+    # 34, 51 and 137 steps; a budget per step of 1e-4 tolerance / 10 relative
+    # to max(|v|, |v'|) took 40, 60 and 153
+    assert profile_at(d, k).orbit.starts.size <= ceiling
+
+
+@pytest.mark.parametrize("k,underflowing", [(1, 4), (2, 7), (3, 9)])
+def test_underflow_pattern_near_critical_dimension(consts_at, k, underflowing):
+    # x_max = log(1e10) / omega grows like 1/omega as d nears d*: of the 14
+    # offsets, the nearest underflow before it and every farther one solves
+    solved = []
+    for offset in np.geomspace(5e-4, 1e-2, 14):
+        try:
+            solve_profile(consts_at(critical_dimension(k) + offset, k))
+        except IntegrationFailed as exc:
+            assert "orbit underflows" in str(exc)
+            solved.append(False)
+        else:
+            solved.append(True)
+    assert solved == [False] * underflowing + [True] * (14 - underflowing)
 
 
 def test_integration_failure_is_typed(consts_at):
