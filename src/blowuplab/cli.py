@@ -98,7 +98,7 @@ def cmd_predict(args):
         print(f"  {key:>6s} = {val:.9g}")
     table |= {"d": args.d, "k": args.k, "N": args.N, "lambda_n":
               [eigenvalue(consts, n).lam for n in range(args.N + 2)]}
-    out = {"rate_law": json.loads(law.to_json()), "constants": table}
+    out = {"rate_law": dataclasses.asdict(law), "constants": table}
     if args.json:
         _write_output(args.json, _write_json, out)
     return 0
@@ -218,7 +218,7 @@ def _run_one(config_path, out_root):
             snap_names.append(base + ".csv")
         try:
             fit = _fit(trace, _generic_law(config.params))
-            fit_blob = json.loads(fit.to_json())
+            fit_blob = dataclasses.asdict(fit)
         except BlowupLabError as exc:
             fit = None
             fit_blob = {"error": type(exc).__name__, "message": str(exc)}
@@ -322,7 +322,7 @@ def cmd_fit(args):
     law = None if args.kind == "power" else _generic_law(config.params)
     fit = _fit(trace, law, args.kind)
     print(fit.to_json())
-    _write_json(os.path.join(args.run, "fit.json"), json.loads(fit.to_json()))
+    _write_json(os.path.join(args.run, "fit.json"), dataclasses.asdict(fit))
     return 0
 
 

@@ -117,8 +117,9 @@ class SimConfig:
     t_max: float = 10.0
 
     def __post_init__(self):
-        if self.M < 64:
-            raise ValueError("M must be >= 64")
+        # 100,000 is far above any grid in use (6,000 nodes) and allocatable
+        if not 64 <= self.M <= 100_000:
+            raise ValueError(f"M must be in [64, 100000], got {self.M}")
         # each check is written as "not <condition>" so that NaN fails it
         if not self.max_gradient >= 1e6:
             raise ValueError("max_gradient must be >= 1e6")
@@ -227,7 +228,7 @@ class FitResult:
     residual: float = 0.0
     uncertainty: float = 0.0
     r_squared: float = 0.0
-    window: tuple = (0.0, 0.0)
+    window: tuple = (0.0, 0.0)  # ends: t (power), -log(T-t) (log)
 
     def to_json(self):
         return json.dumps({k: v for k, v in self.__dict__.items()}, indent=2)
@@ -941,6 +942,18 @@ def _samples(trace):
     return np.maximum(t_left, 0.0), 10.0 ** rungs
 
 
+def _line_fit(x, z):
+    """The least-squares line z ~ a + b x by its centred normal equations, x
+    and z both centred so that no digits are lost where x lies far from 0:
+    (a, b, the residual sum of squares rss, sxx = sum (x - mean x)^2).  The
+    slope's variance is rss / (n - 2) / sxx, np.polyfit's cov[0, 0]."""
+    xc, zc = x - x.mean(), z - z.mean()
+    sxx = xc.dot(xc)
+    b = xc.dot(zc) / sxx
+    rss = np.sum((zc - b * xc) ** 2)
+    return float(z.mean() - b * x.mean()), float(b), float(rss), float(sxx)
+
+
 def fit_power(trace):
     """Power-law fit from the log-derivative of sup |u_r| = 1/R.
 
@@ -956,36 +969,29 @@ def fit_power(trace):
     t = -t_left
     tm = 0.5 * (t[1:] + t[:-1])
     q = np.diff(np.log(g)) / np.diff(t)
-    good = q > 0
-    tm, q = tm[good], q[good]
+    tm, q = tm[q > 0], q[q > 0]
     if tm.size < 10:
         raise WindowTooShort("fewer than 10 positive-growth samples")
     invq = 1.0 / q
-    (b, a), cov = np.polyfit(tm, invq, 1, cov=True)
+    a, b, rss, sxx = _line_fit(tm, invq)
     if b >= 0:
         raise DegenerateFit("1/q does not decrease toward blow-up")
-    # 1/q = (tau - t)/(1/2+beta): slope -1/(1/2+beta), root at t = tau
-    expo = -1.0 / b
-    beta = expo - 0.5
+    # 1/q = (tau - t)/(1/2+beta): slope -1/(1/2+beta), root at t = tau; the
+    # slope's standard error carries to beta as itself / b^2
     tau = -a / b
-    resid = float(np.sqrt(np.mean((a + b * tm - invq) ** 2)))
-    dbeta = math.sqrt(max(float(cov[0, 0]), 0.0)) / (b * b)
+    dbeta = math.sqrt(rss / (tm.size - 2) / sxx) / (b * b)
     # the statistical error bar is far too optimistic when the local
     # exponent still drifts across the window; report the half-window
     # sensitivity when it dominates
     half = tm.size // 2
-    betas = []
-    for sl in (slice(None, half), slice(half, None)):
-        if tm[sl].size >= 5:
-            bh = np.polyfit(tm[sl], invq[sl], 1)[0]
-            if bh < 0:
-                betas.append(-1.0 / bh - 0.5)
-    if len(betas) == 2:
-        dbeta = max(dbeta, 0.5 * abs(betas[0] - betas[1]))
+    bh = (_line_fit(tm[:half], invq[:half])[1],
+          _line_fit(tm[half:], invq[half:])[1])
+    if max(bh) < 0:
+        dbeta = max(dbeta, 0.5 * abs(1.0 / bh[1] - 1.0 / bh[0]))
     return FitResult(kind="power", T=float(trace.t[-1]) + tau, tau=tau,
-                     beta=beta, residual=resid, uncertainty=dbeta,
-                     window=(float(trace.t[-1] + t[0]),
-                             float(trace.t[-1] + t[-1])))
+                     beta=-1.0 / b - 0.5, residual=math.sqrt(rss / tm.size),
+                     uncertainty=dbeta, window=(float(trace.t[-1] + t[0]),
+                                                float(trace.t[-1] + t[-1])))
 
 
 def _minimize_bounded(f, lo, hi, xatol):
@@ -1072,27 +1078,22 @@ def fit_log(trace, delta=1.0):
     # parabolic scaling puts tau near 1/sup|u_r|^2 at the last row
     tau_guess = trace.sup_grad[-1] ** -2.0
 
-    def line_fit(tau):
-        """x = -log(T-t) and z = (sqrt(T-t) g)^delta over the window, and the
-        least-squares line z ~ a + b x, by its centred normal equations; None
-        if the window holds fewer than 20 samples or, at rounding, one x."""
+    def window(tau):
+        """x = -log(T-t) and z = (sqrt(T-t) g)^delta over the window; None
+        if it holds fewer than 20 samples or, at rounding, one x."""
         x = -np.log(t_left + tau)
         mask = x >= x[-1] - 6.0
         if np.sum(mask) < 20 or x[mask].min() == x[-1]:
             return None
-        x, z = x[mask], (np.sqrt(t_left[mask] + tau) * g[mask]) ** delta
-        xc = x - x.mean()
-        b = xc.dot(z) / xc.dot(xc)
-        return x, z, z.mean() - b * x.mean(), b
+        return x[mask], (np.sqrt(t_left[mask] + tau) * g[mask]) ** delta
 
     def misfit(log_tau):
-        fit = line_fit(math.exp(log_tau))
+        xz = window(math.exp(log_tau))
         # the model slope is C^delta > 0; negative-slope minima are
         # spurious branches of the tau search
-        if fit is None or fit[3] <= 0:
+        if xz is None or (fit := _line_fit(*xz))[1] <= 0:
             return 1e30
-        x, z, a, b = fit
-        return float(np.mean((a + b * x - z) ** 2))
+        return fit[2] / xz[0].size
 
     log_tau, fun, converged = _minimize_bounded(
         misfit, math.log(tau_guess * 1e-3), math.log(tau_guess * 1e5),
@@ -1102,14 +1103,12 @@ def fit_log(trace, delta=1.0):
     # misfit(log_tau) is finite, so the window at tau is full and its slope
     # positive
     tau = math.exp(log_tau)
-    x, z, a, b = line_fit(tau)
-    C = b ** (1.0 / delta)
-    s0 = -a / b
-    ss_res = float(np.sum((z - (a + b * x)) ** 2))
-    ss_tot = float(np.sum((z - np.mean(z)) ** 2))
-    return FitResult(kind="log", T=float(trace.t[-1]) + tau, tau=tau, C=C,
-                     s0=s0, residual=math.sqrt(ss_res / x.size),
-                     r_squared=1.0 - ss_res / ss_tot,
+    x, z = window(tau)
+    a, b, rss, _ = _line_fit(x, z)
+    return FitResult(kind="log", T=float(trace.t[-1]) + tau, tau=tau,
+                     C=b ** (1.0 / delta), s0=-a / b,
+                     residual=math.sqrt(rss / x.size),
+                     r_squared=1.0 - rss / float(np.sum((z - z.mean()) ** 2)),
                      window=(float(x[0]), float(x[-1])))
 
 

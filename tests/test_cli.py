@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from blowuplab import cli
+from blowuplab import profile as profile_mod
 from blowuplab.errors import StepSizeUnderflow
 from blowuplab.meshsim import (
     INITIAL_DATA_FAMILIES,
@@ -200,6 +201,16 @@ def test_simulate_huge_max_gradient_exit_2(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: invalid config value: max_gradient")
     assert proc.stderr.count("\n") == 1
+
+
+def test_simulate_unallocatable_grid_exit_2(tmp_path, capsys):
+    # M = 1e12 nodes asked numpy for 7.28 TiB and ended in a traceback
+    cfg = write_config(tmp_path / "huge_m.json", M=1_000_000_000_000)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config value: M must be in")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["huge_m.json"]
 
 
 def test_tabulated_configs_hash_apart():
@@ -837,6 +848,23 @@ def test_predict_overflowing_profile_steps_exit_1(capsys):
     assert err.startswith("IntegrationFailed: profile")
     assert "step 0 does not advance" in err
     assert err.count("\n") == 1
+
+
+def test_predict_trapping_violation_exit_1(monkeypatch, capsys):
+    # a grid read whose v' is 1e-3 off leaves the trapping region by far
+    # more than the integration error allows
+    on_grid = profile_mod.TaylorOrbit.on_grid
+
+    def skewed(self, grid):
+        v, vp = on_grid(self, grid)
+        return v, vp * (1.0 + 1e-3)
+
+    monkeypatch.setattr(profile_mod.TaylorOrbit, "on_grid", skewed)
+    assert cli.main(["predict", "--d", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("TrappingViolation: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

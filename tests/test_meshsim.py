@@ -63,10 +63,13 @@ def test_config_validation():
                 {"L": math.inf}, {"max_gradient": math.nan},
                 # e^{-2x} at r_min = 1e-3/max_gradient overflows; L below r_min
                 {"max_gradient": 1e200}, {"max_gradient": math.inf},
-                {"L": 1e-12}, {"max_gradient": 1e150, "M": 6000}):
+                {"L": 1e-12}, {"max_gradient": 1e150, "M": 6000},
+                # a grid whose arrays could not be allocated
+                {"M": 100_001}, {"M": 10 ** 12}):
         with pytest.raises(ValueError):
             config(**bad)
     config(max_gradient=1e150)
+    config(M=100_000)
     # the mesh policy is fixed: its constants are no config fields
     for key in ("monitor_scale_weight", "monitor_smooth_passes",
                 "uniform_fraction", "tau"):
@@ -1333,6 +1336,78 @@ def test_fit_window_guard():
     trace.nodes_in_layer[:] = 5  # starved mesh everywhere
     with pytest.raises(WindowTooShort):
         fit_power(trace)
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_line_fit_matches_polyfit(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 5.0, 200)
+    z = 3.0 - 0.5 * x + rng.normal(0.0, 0.1, x.size)
+    a, b, rss, sxx = meshsim._line_fit(x, z)
+    (b_ref, a_ref), cov = np.polyfit(x, z, 1, cov=True)
+    rss_ref = np.polyfit(x, z, 1, full=True)[1][0]
+    assert (a, b, rss, rss / (x.size - 2) / sxx) == pytest.approx(
+        (a_ref, b_ref, rss_ref, cov[0, 0]), rel=1e-10)
+
+
+def _exact_line(x, z):
+    """(a, b, rss, rss / (n - 2) / sxx) of the least-squares line through
+    the floats (x, z), in rational arithmetic, each rounded once."""
+    from fractions import Fraction
+    xs, zs = list(map(Fraction, x)), list(map(Fraction, z))
+    n = len(xs)
+    xm, zm = sum(xs) / n, sum(zs) / n
+    sxx = sum((v - xm) ** 2 for v in xs)
+    b = sum((v - xm) * (w - zm) for v, w in zip(xs, zs)) / sxx
+    a = zm - b * xm
+    rss = sum((a + b * v - w) ** 2 for v, w in zip(xs, zs))
+    return tuple(map(float, (a, b, rss, rss / (n - 2) / sxx)))
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_line_fit_far_from_origin(seed):
+    # x at 1e8 +- 1: centring z as well as x loses no digits to the rounding
+    # of the means (centring x alone put a and b 8e-9 to 1.3e-7 off here).
+    # np.polyfit's a and b are 1.4e-9 to 2.4e-9 off and its cov[0, 0] 98%
+    # to 107%, so the reference is the line in rational arithmetic
+    rng = np.random.default_rng(seed)
+    x = 1e8 + rng.uniform(-1.0, 1.0, 200)
+    z = 3.0 + 0.5 * (x - 1e8) + rng.normal(0.0, 0.1, x.size)
+    a, b, rss, sxx = meshsim._line_fit(x, z)
+    assert (a, b, rss, rss / (x.size - 2) / sxx) == pytest.approx(
+        _exact_line(x, z), rel=1e-10)
+
+
+def _fit_power_by_polyfit(trace):
+    """beta, tau and uncertainty of fit_power with its line fits taken by
+    np.polyfit, cov=True for the main one."""
+    t_left, g = meshsim._samples(trace)
+    mask = g >= g[-1] / 1e3
+    t = -t_left[mask]
+    tm = 0.5 * (t[1:] + t[:-1])
+    q = np.diff(np.log(g[mask])) / np.diff(t)
+    tm, invq = tm[q > 0], 1.0 / q[q > 0]
+    (b, a), cov = np.polyfit(tm, invq, 1, cov=True)
+    dbeta = math.sqrt(cov[0, 0]) / b ** 2
+    half = tm.size // 2
+    bh = (np.polyfit(tm[:half], invq[:half], 1)[0],
+          np.polyfit(tm[half:], invq[half:], 1)[0])
+    if max(bh) < 0:
+        dbeta = max(dbeta, 0.5 * abs(1.0 / bh[1] - 1.0 / bh[0]))
+    return -1.0 / b - 0.5, -a / b, dbeta
+
+
+@pytest.mark.parametrize("kw", [
+    {"initial_data": "r"}, {"initial_data": "r+sin(r)"},
+    {"d": 7.0, "L": math.pi, "M": 241, "initial_data": "r"},
+    {"d": 7.0, "L": math.pi, "M": 241, "initial_data": "r-sin(r)"},
+])
+def test_fit_power_matches_polyfit_on_benchmark_runs(kw):
+    # the four family runs of sim-power-d8 and sim-neutral-d7
+    trace = run(config(**{"M": 161, "rtol": 1e-6, "max_gradient": 1e6, **kw}))
+    fit = fit_power(trace)
+    assert (fit.beta, fit.tau, fit.uncertainty) == pytest.approx(
+        _fit_power_by_polyfit(trace), rel=1e-11)
 
 
 def _bounded_searches(f, lo, hi):

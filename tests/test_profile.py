@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from blowuplab import profile
-from blowuplab.errors import BlowupLabError, IntegrationFailed
+from blowuplab.errors import (
+    BlowupLabError,
+    IntegrationFailed,
+    TailFitIllConditioned,
+)
 from blowuplab.params import critical_dimension
 from blowuplab.profile import check_trapping, eval_u, extract_tail, solve_profile
 
@@ -473,6 +477,13 @@ def test_tail_refit_stability(profile_at):
     p = profile_at(9.0, 1)
     refit = extract_tail(p, x_lo=p.x_switch + 1.0)
     assert refit.h == pytest.approx(p.h, rel=1e-6)
+
+
+def test_tail_refit_on_too_few_samples(profile_at):
+    # the last 5 grid nodes hold fewer than the 8 samples the fit asks for
+    p = profile_at(9.0, 1)
+    with pytest.raises(TailFitIllConditioned, match="too few samples"):
+        extract_tail(p, x_lo=p.x[-5])
 
 
 def test_origin_series_matches_orbit(profile_at):
